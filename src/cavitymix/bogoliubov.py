@@ -22,9 +22,10 @@ factors into free phases times a perturbation,
     B[m, n] = i (w_m + w_n) beta_hat[m, n]  * I(w_m + w_n),
     I(delta) = integral exp(-i delta (tau - tau0)) h(tau) dtau.
 
-A is anti-Hermitian and B symmetric; both inherit the parity zeros.  Every
-entry is computed by its own quadrature (nothing is filled in by symmetry),
-so `verify_first_order_identities` is a real check of the numerics rather
+A is anti-Hermitian and B symmetric; both inherit the parity zeros.  All
+odd entries go through one batched kernel call, but every entry gets its
+own integral (nothing is filled in by symmetry), so
+`verify_first_order_identities` is a real check of the numerics rather
 than a tautology.
 
 Composition.  Consecutive maps combine to first order as
@@ -44,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .profiles import AccelerationProfile, oscillatory_integral, validate_rigidity
+from .profiles import AccelerationProfile, _fourier_integrals, validate_rigidity
 from .spectrum import Cavity1D, omega_diff_matrix, omega_sum_matrix, omega_vector
 
 FIRST_ORDER_SUP_H = 0.1
@@ -172,23 +173,19 @@ def first_order_map(
         )
     cavity = coeffs.cavity
     n_max = cavity.n_max
-    diffs = omega_diff_matrix(cavity)
-    sums = omega_sum_matrix(cavity)
+    odd = _parity_odd_mask(n_max)  # even entries are exact parity zeros
+    diffs = omega_diff_matrix(cavity)[odd]
+    sums = omega_sum_matrix(cavity)[odd]
+    values, estimate = _fourier_integrals(
+        profile._terms(), np.concatenate([diffs, sums]), tol, max_evaluations
+    )
+    a_scale = diffs * coeffs.alpha_hat[odd]
+    b_scale = sums * coeffs.beta_hat[odd]
     a_hat = np.zeros((n_max, n_max), dtype=complex)
     b_hat = np.zeros((n_max, n_max), dtype=complex)
-    worst = 0.0
-    for i in range(n_max):
-        for j in range(n_max):
-            if (i + j) % 2 == 0:
-                continue  # parity zero is exact, no quadrature needed
-            delta = diffs[i, j]
-            res = oscillatory_integral(profile, delta, tol=tol, max_evaluations=max_evaluations)
-            a_hat[i, j] = 1j * delta * coeffs.alpha_hat[i, j] * res.value
-            worst = max(worst, abs(delta * coeffs.alpha_hat[i, j]) * res.error_estimate)
-            sigma = sums[i, j]
-            res = oscillatory_integral(profile, sigma, tol=tol, max_evaluations=max_evaluations)
-            b_hat[i, j] = 1j * sigma * coeffs.beta_hat[i, j] * res.value
-            worst = max(worst, abs(sigma * coeffs.beta_hat[i, j]) * res.error_estimate)
+    a_hat[odd] = 1j * a_scale * values[: diffs.size]
+    b_hat[odd] = 1j * b_scale * values[diffs.size :]
+    worst = estimate * max(np.max(np.abs(a_scale)), np.max(np.abs(b_scale)))
     duration = profile.tauf - profile.tau0
     return FirstOrderBogoliubovMap(
         cavity=cavity,

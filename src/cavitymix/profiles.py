@@ -4,6 +4,8 @@ A profile is the dimensionless proper acceleration h(tau) = a(tau) * L of a
 rigid cavity on its finite interval [tau0, tauf].  Rigidity of the cavity
 requires sup |h| < 2 (the far wall must stay inside the near wall's Rindler
 wedge); the bound is strict and `validate_rigidity` reports the worst point.
+Each `sup_abs` is exact, or for the windowed sinusoid an upper bound, so the
+check never passes a drive that breaks the bound.
 
 Everything downstream needs windowed Fourier transforms of h,
 
@@ -12,14 +14,19 @@ Everything downstream needs windowed Fourier transforms of h,
 with delta ranging from near zero up to sums of large mode frequencies.
 Sampling the oscillation is hopeless at the extreme phases that show up in
 laboratory-scale scenarios, so every profile instead reports itself as a
-list of pieces on which h is a short sum of terms c * t^k * exp(i*mu*t)
-(k <= 1, t = tau - tau0).  Each term integrates against the kernel in
-closed form; `oscillatory_integral` only has to evaluate the elementary
-antiderivative per term, switching to a series expansion when the total
-phase across a piece is small enough for the direct formula to cancel.
+term table: five flat arrays (a, b, coef, mu, power), one entry per term
+c * t^k * exp(i*mu*t) (k <= 1, t = tau - tau0) on the piece [a, b].  Each
+term integrates against the kernel in closed form, a Filon-type rule
+(Iserles & Norsett, Proc. R. Soc. A 461 (2005) 1383).  One kernel
+evaluates a whole batch of deltas against the table by broadcasting, a
+bounded chunk of (delta, term) elements at a time, and switches per
+element to a series expansion where the total phase across a piece is
+small enough for the direct formula to cancel.  `oscillatory_integral` is
+the one-delta call of that kernel; `first_order_map` makes one call for all
+the entries of a map.
 
-For `SampledProfile` the piece list is the piecewise-linear interpolant of
-the samples, i.e. a Filon-type rule: the oscillatory factor is handled
+For `SampledProfile` the table is the piecewise-linear interpolant of the
+samples, built with array operations: the oscillatory factor is handled
 analytically, the data enters linearly per panel.  The reported error
 estimate for all variants is a rounding bound proportional to the L1 mass
 of the integrand; a requested tolerance below it raises `QuadratureError`.
@@ -63,43 +70,108 @@ class RigidityReport:
     bound: float = RIGIDITY_BOUND
 
 
-# A term c * t^power * exp(i*mu*t) contributing to h on one piece.
-# Terms always come in conjugate pairs (or are real) so that h is real.
-_Term = tuple[complex, float, int]
-_Piece = tuple[float, float, tuple[_Term, ...]]
+# A term table lists the terms c * t^power * exp(i*mu*t) (power 0 or 1) that
+# make up h, each on its own piece [a, b] of local time t = tau - tau0, as the
+# five flat arrays (a, b, coef, mu, power).  Terms come in conjugate pairs (or
+# are real) so that h is real.
+_Terms = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+
+# The kernel evaluates at most this many (delta, term) elements at once, so
+# its temporaries stay near a megabyte whatever the batch or table size.
+_CHUNK_ELEMENTS = 8192
 
 
-def _phase_integral_0(theta: float, a: float, b: float) -> complex:
-    """integral_a^b exp(i*theta*t) dt, stable for small |theta|*(b-a)."""
+def _table(*terms: tuple[float, float, complex, float, int]) -> _Terms:
+    """Term table from (a, b, coef, mu, power) rows."""
+    a, b, coef, mu, power = zip(*terms)
+    return (
+        np.array(a, dtype=float),
+        np.array(b, dtype=float),
+        np.array(coef, dtype=complex),
+        np.array(mu, dtype=float),
+        np.array(power, dtype=np.int8),
+    )
+
+
+def _phase_moment(theta, a, span, power: int) -> np.ndarray:
+    """integral_a^{a+span} t^power * exp(i*theta*t) dt, elementwise.
+
+    `theta`, `a` and `span` broadcast against each other; `power` is 0 or 1.
+    Elements with |theta|*span < _SMALL_PHASE take the series branch, where
+    the direct formula would cancel.
+    """
+    z = 1j * (theta * span)
+    small = np.abs(theta) * span < _SMALL_PHASE
+    itheta = 1j * np.where(small, 1.0, theta)
+    ez = np.exp(z)
+    base = (ez - 1.0) / itheta
+    if power:
+        moment = (ez * (z - 1.0) + 1.0) / itheta**2
+    if small.any():
+        zs, ss = z[small], np.broadcast_to(span, z.shape)[small]
+        base[small] = ss * (1.0 + zs * (0.5 + zs * (1.0 / 6.0 + zs * (1.0 / 24.0 + zs / 120.0))))
+        if power:
+            moment[small] = (ss * ss) * (
+                0.5 + zs * (1.0 / 3.0 + zs * (0.125 + zs * (1.0 / 30.0 + zs / 144.0)))
+            )
+    if power:
+        base = moment + a * base
+    return np.exp(1j * (theta * a)) * base
+
+
+def _rounding_estimate(mass: float, tol: float) -> float:
+    """Rounding bound 64*eps*mass of a closed-form integral; raises above `tol`."""
+    estimate = 64.0 * _EPS * mass
+    if estimate > tol:
+        raise QuadratureError(
+            f"rounding-level error estimate {estimate:.3e} exceeds requested tolerance {tol:.3e}"
+        )
+    return estimate
+
+
+def _fourier_integrals(
+    terms: _Terms,
+    deltas,
+    tol: float = 1e-10,
+    max_evaluations: int | None = None,
+) -> tuple[np.ndarray, float]:
+    """I(delta) for every delta of a batch, and the rounding bound they share.
+
+    Broadcasts the deltas against the whole term table, a bounded chunk of
+    deltas at a time.  Raises `QuadratureError` when the table holds more
+    than `max_evaluations` terms or the bound exceeds `tol`.
+    """
+    a, b, coef, mu, power = terms
+    if max_evaluations is not None and coef.size > max_evaluations:
+        raise QuadratureError(
+            f"integral needs {coef.size} closed-form term evaluations, "
+            f"budget allows {max_evaluations}"
+        )
     span = b - a
-    z = 1j * theta * span
-    if abs(theta) * span < _SMALL_PHASE:
-        base = span * (1.0 + z * (0.5 + z * (1.0 / 6.0 + z * (1.0 / 24.0 + z / 120.0))))
-    else:
-        base = (cmath.exp(z) - 1.0) / (1j * theta)
-    return cmath.exp(1j * theta * a) * base
-
-
-def _phase_integral_1(theta: float, a: float, b: float) -> complex:
-    """integral_a^b t * exp(i*theta*t) dt, stable for small |theta|*(b-a)."""
-    span = b - a
-    z = 1j * theta * span
-    if abs(theta) * span < _SMALL_PHASE:
-        i0 = span * (1.0 + z * (0.5 + z * (1.0 / 6.0 + z * (1.0 / 24.0 + z / 120.0))))
-        i1 = span * span * (0.5 + z * (1.0 / 3.0 + z * (0.125 + z * (1.0 / 30.0 + z / 144.0))))
-    else:
-        i0 = (cmath.exp(z) - 1.0) / (1j * theta)
-        i1 = (cmath.exp(z) * (z - 1.0) + 1.0) / (1j * theta) ** 2
-    return cmath.exp(1j * theta * a) * (i1 + a * i0)
+    mass = float(np.sum(np.abs(coef) * np.where(power == 0, span, 0.5 * (b * b - a * a))))
+    estimate = _rounding_estimate(mass, tol)
+    deltas = np.asarray(deltas, dtype=float).reshape(-1, 1)
+    values = np.zeros(deltas.shape[0], dtype=complex)
+    rows = max(1, _CHUNK_ELEMENTS // coef.size)
+    blocks = [
+        (a[sel], span[sel], coef[sel], mu[sel], k)
+        for k, sel in ((0, power == 0), (1, power == 1))
+        if sel.any()
+    ]
+    for start in range(0, deltas.shape[0], rows):
+        chunk = deltas[start : start + rows]
+        for a_k, span_k, coef_k, mu_k, k in blocks:
+            moments = _phase_moment(mu_k - chunk, a_k, span_k, k)
+            values[start : start + rows] += np.sum(coef_k * moments, axis=1)
+    return values, estimate
 
 
 class AccelerationProfile:
     """Interface shared by every profile variant.
 
     Concrete profiles provide the interval [tau0, tauf], pointwise
-    evaluation, the exact supremum of |h| (with its location), restriction
-    to a subinterval, and the piecewise term representation consumed by
-    `oscillatory_integral`.
+    evaluation, the supremum of |h| (with its location), restriction to a
+    subinterval, and the term table consumed by `oscillatory_integral`.
     """
 
     tau0: float
@@ -119,7 +191,7 @@ class AccelerationProfile:
     def restrict(self, a: float, b: float) -> "AccelerationProfile":
         raise NotImplementedError
 
-    def _pieces(self) -> list[_Piece]:
+    def _terms(self) -> _Terms:
         raise NotImplementedError
 
     def _check_interval(self) -> None:
@@ -187,10 +259,10 @@ class SinusoidalProfile(AccelerationProfile):
             phase=self.phase + self.omega_c * (a - self.tau0),
         )
 
-    def _pieces(self) -> list[_Piece]:
+    def _terms(self) -> _Terms:
         c = 0.5 * self.h0 * cmath.exp(1j * self.phase)
-        terms = ((c, self.omega_c, 0), (c.conjugate(), -self.omega_c, 0))
-        return [(0.0, self.duration, terms)]
+        s = self.duration
+        return _table((0.0, s, c, self.omega_c, 0), (0.0, s, c.conjugate(), -self.omega_c, 0))
 
 
 @dataclass(frozen=True)
@@ -239,12 +311,11 @@ class PiecewiseConstantProfile(AccelerationProfile):
                 out.append((hi - lo, h))
         return PiecewiseConstantProfile(segments=tuple(out), tau0=a)
 
-    def _pieces(self) -> list[_Piece]:
+    def _terms(self) -> _Terms:
         edges = self._edges()
-        return [
-            (edges[i], edges[i + 1], ((complex(h), 0.0, 0),))
-            for i, (_, h) in enumerate(self.segments)
-        ]
+        values = np.array([h for _, h in self.segments], dtype=complex)
+        zeros = np.zeros(values.size)
+        return edges[:-1], edges[1:], values, zeros, zeros.astype(np.int8)
 
 
 @dataclass(frozen=True)
@@ -293,15 +364,13 @@ class RampProfile(AccelerationProfile):
         nodes_arr = np.array(nodes)
         return SampledProfile(tau=nodes_arr, h=np.asarray(self.evaluate(nodes_arr)))
 
-    def _pieces(self) -> list[_Piece]:
-        r, s = self.ramp_time, self.duration
-        pieces: list[_Piece] = [(0.0, r, ((complex(self.h0 / r), 0.0, 1),))]
+    def _terms(self) -> _Terms:
+        r, s, h0 = self.ramp_time, self.duration, self.h0
+        terms = [(0.0, r, h0 / r, 0.0, 1)]
         if s > 2.0 * r:
-            pieces.append((r, s - r, ((complex(self.h0), 0.0, 0),)))
-        pieces.append(
-            (s - r, s, ((complex(self.h0 * s / r), 0.0, 0), (complex(-self.h0 / r), 0.0, 1)))
-        )
-        return pieces
+            terms.append((r, s - r, h0, 0.0, 0))
+        terms += [(s - r, s, h0 * s / r, 0.0, 0), (s - r, s, -h0 / r, 0.0, 1)]
+        return _table(*terms)
 
 
 @dataclass(frozen=True, eq=False)
@@ -355,15 +424,21 @@ class SampledProfile(AccelerationProfile):
         h = np.interp(tau, self.tau, self.h)
         return SampledProfile(tau=tau, h=h)
 
-    def _pieces(self) -> list[_Piece]:
+    def _terms(self) -> _Terms:
+        # Panel k carries h = intercept_k + slope_k * t: one constant and one
+        # linear term on [t_k, t_{k+1}].
         t = self.tau - self.tau0
-        pieces: list[_Piece] = []
-        for i in range(t.size - 1):
-            a, b = float(t[i]), float(t[i + 1])
-            slope = (self.h[i + 1] - self.h[i]) / (b - a)
-            intercept = self.h[i] - slope * a
-            pieces.append((a, b, ((complex(intercept), 0.0, 0), (complex(slope), 0.0, 1))))
-        return pieces
+        a, b = t[:-1], t[1:]
+        slope = np.diff(self.h) / (b - a)
+        intercept = self.h[:-1] - slope * a
+        power = np.repeat(np.array([0, 1], dtype=np.int8), a.size)
+        return (
+            np.concatenate([a, a]),
+            np.concatenate([b, b]),
+            np.concatenate([intercept, slope]).astype(complex),
+            np.zeros(2 * a.size),
+            power,
+        )
 
 
 @dataclass(frozen=True)
@@ -412,45 +487,52 @@ class WindowedSinusoidProfile(AccelerationProfile):
         return float(out) if np.isscalar(tau) else out
 
     def sup_abs(self) -> tuple[float, float]:
-        # The envelope is not polynomially representable, so locate the
-        # supremum on a dense grid; adequate for a strict-bound check on a
-        # drive whose physical amplitudes sit far below the bound.
-        t = np.linspace(0.0, self.duration, 8193)
-        values = np.abs(self.h0 * self._envelope(t) * np.cos(self.omega_c * t + self.phase))
-        idx = int(np.argmax(values))
-        return float(values[idx]), float(self.tau0 + t[idx])
+        """(|h0|, tau): an upper bound on sup |h| that never under-estimates.
+
+        The envelope never exceeds 1, so sup|h| <= |h0|.  The bound is attained
+        when the plateau [W, S - W], where the envelope is 1, contains a cosine
+        extremum; tau is then that extremum, otherwise the plateau end with the
+        larger |cos|.  A static drive (omega_c = 0) has the exact supremum
+        |h0 cos(phase)|, reached all along the plateau.
+        """
+        w = self.window_time
+        lo = self.phase + self.omega_c * w
+        hi = self.phase + self.omega_c * (self.duration - w)
+        if self.omega_c == 0.0:
+            return abs(self.h0 * math.cos(self.phase)), self.tau0 + w
+        k = math.ceil(lo / math.pi)
+        if k * math.pi <= hi:
+            return abs(self.h0), self.tau0 + (k * math.pi - self.phase) / self.omega_c
+        t_end = w if abs(math.cos(lo)) >= abs(math.cos(hi)) else self.duration - w
+        return abs(self.h0), self.tau0 + t_end
 
     def restrict(self, a: float, b: float) -> "AccelerationProfile":
         raise NotImplementedError(
             "windowed profiles do not restrict exactly; resample into SampledProfile instead"
         )
 
-    def _pieces(self) -> list[_Piece]:
+    def _terms(self) -> _Terms:
         w, s = self.window_time, self.duration
         nu = math.pi / w
         drive = (
             (0.5 * self.h0 * cmath.exp(1j * self.phase), self.omega_c),
             (0.5 * self.h0 * cmath.exp(-1j * self.phase), -self.omega_c),
         )
-        rising: list[_Term] = []
-        plateau: list[_Term] = []
-        falling: list[_Term] = []
         gate = cmath.exp(1j * nu * s)
+        rising, plateau, falling = [], [], []
         for c, mu in drive:
-            plateau.append((c, mu, 0))
-            rising.extend(((0.5 * c, mu, 0), (-0.25 * c, mu + nu, 0), (-0.25 * c, mu - nu, 0)))
-            falling.extend(
-                (
-                    (0.5 * c, mu, 0),
-                    (-0.25 * c * gate, mu - nu, 0),
-                    (-0.25 * c * gate.conjugate(), mu + nu, 0),
-                )
-            )
-        pieces: list[_Piece] = [(0.0, w, tuple(rising))]
-        if s > 2.0 * w:
-            pieces.append((w, s - w, tuple(plateau)))
-        pieces.append((s - w, s, tuple(falling)))
-        return pieces
+            plateau.append((w, s - w, c, mu, 0))
+            rising += [
+                (0.0, w, 0.5 * c, mu, 0),
+                (0.0, w, -0.25 * c, mu + nu, 0),
+                (0.0, w, -0.25 * c, mu - nu, 0),
+            ]
+            falling += [
+                (s - w, s, 0.5 * c, mu, 0),
+                (s - w, s, -0.25 * c * gate, mu - nu, 0),
+                (s - w, s, -0.25 * c * gate.conjugate(), mu + nu, 0),
+            ]
+        return _table(*rising, *(plateau if s > 2.0 * w else []), *falling)
 
 
 def validate_rigidity(profile: AccelerationProfile) -> RigidityReport:
@@ -467,34 +549,15 @@ def oscillatory_integral(
 ) -> OscillatoryIntegralResult:
     """integral_{tau0}^{tauf} exp(-i*delta*(tau - tau0)) h(tau) dtau.
 
-    Exact per piece up to rounding; the error estimate is a rounding bound
+    Exact per term up to rounding; the error estimate is a rounding bound
     built from the L1 mass of the integrand.  Raises `QuadratureError` when
     the estimate exceeds `tol` or the term count exceeds `max_evaluations`.
     """
-    pieces = profile._pieces()
-    needed = sum(len(terms) for _, _, terms in pieces)
-    if max_evaluations is not None and needed > max_evaluations:
-        raise QuadratureError(
-            f"integral needs {needed} closed-form term evaluations, "
-            f"budget allows {max_evaluations}"
-        )
-    value = 0.0 + 0.0j
-    mass = 0.0
-    for a, b, terms in pieces:
-        for coef, mu, power in terms:
-            theta = mu - delta
-            if power == 0:
-                value += coef * _phase_integral_0(theta, a, b)
-                mass += abs(coef) * (b - a)
-            else:
-                value += coef * _phase_integral_1(theta, a, b)
-                mass += abs(coef) * 0.5 * (b * b - a * a)
-    estimate = 64.0 * _EPS * mass
-    if estimate > tol:
-        raise QuadratureError(
-            f"rounding-level error estimate {estimate:.3e} exceeds requested tolerance {tol:.3e}"
-        )
-    return OscillatoryIntegralResult(value=complex(value), error_estimate=estimate, evaluations=needed)
+    terms = profile._terms()
+    values, estimate = _fourier_integrals(terms, [delta], tol, max_evaluations)
+    return OscillatoryIntegralResult(
+        value=complex(values[0]), error_estimate=estimate, evaluations=terms[2].size
+    )
 
 
 def profile_from_samples(tau: Sequence[float], h: Sequence[float]) -> SampledProfile:

@@ -290,15 +290,44 @@ def _run_plan(scenario: Scenario) -> ResultTable:
     )
 
 
-def _require_number(block: dict, key: str, path: str, diags: list[str], minimum=None):
+def _require_number(
+    block: dict, key: str, path: str, diags: list[str], minimum=None, integer=False
+):
     value = block.get(key)
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         diags.append(f"{path}.{key}: required number missing or non-numeric")
         return None
+    if integer and not isinstance(value, int):
+        diags.append(f"{path}.{key}: must be an integer, got {value!r}")
+        return None
     if minimum is not None and value < minimum:
         diags.append(f"{path}.{key}: must be >= {minimum}, got {value}")
         return None
-    return float(value)
+    if integer:
+        return value
+    try:
+        return float(value)
+    except OverflowError:
+        diags.append(f"{path}.{key}: {value} is out of floating-point range")
+        return None
+
+
+def _optional_number(block: dict, key: str, path: str, diags: list[str], default, **checks):
+    """`_require_number` for a field that may be left out, taking `default`."""
+    if key not in block:
+        return default
+    return _require_number(block, key, path, diags, **checks)
+
+
+def _require_int_pair(value, path: str, diags: list[str]) -> tuple[int, int] | None:
+    if (
+        not isinstance(value, (list, tuple))
+        or len(value) != 2
+        or not all(isinstance(k, int) and not isinstance(k, bool) for k in value)
+    ):
+        diags.append(f"{path}: must be a pair of integers [m, n]")
+        return None
+    return (value[0], value[1])
 
 
 def _parse_cavity(block, n_max_override: int | None, diags: list[str]) -> Cavity1D | None:
@@ -306,9 +335,11 @@ def _parse_cavity(block, n_max_override: int | None, diags: list[str]) -> Cavity
         diags.append("cavity: required block missing or not a mapping")
         return None
     length = _require_number(block, "length", "cavity", diags)
-    mu0 = float(block.get("mu0", 0.0))
-    n_max = int(block.get("n_max", 10)) if n_max_override is None else n_max_override
-    if length is None:
+    mu0 = _optional_number(block, "mu0", "cavity", diags, 0.0)
+    n_max = n_max_override
+    if n_max is None:
+        n_max = _optional_number(block, "n_max", "cavity", diags, 10, integer=True)
+    if length is None or mu0 is None or n_max is None:
         return None
     try:
         return Cavity1D(length=length, mu0=mu0, n_max=n_max)
@@ -329,14 +360,14 @@ def _parse_profile(block, diags: list[str]) -> AccelerationProfile | None:
         "sampled": _build_sampled,
         "windowed_sinusoid": _build_windowed,
     }
-    if variant not in builders:
+    if not isinstance(variant, str) or variant not in builders:
         diags.append(
             f"profile.variant: must be one of {', '.join(sorted(builders))}; got {variant!r}"
         )
         return None
     try:
         return builders[variant](block)
-    except (ValueError, TypeError, KeyError) as exc:
+    except (ValueError, TypeError, KeyError, OverflowError) as exc:
         diags.append(f"profile: {exc}")
         return None
 
@@ -389,15 +420,9 @@ def _parse_state(block, cavity: Cavity1D | None, diags: list[str]):
     if not isinstance(block, dict):
         diags.append("state: required block missing or not a mapping")
         return None, None
-    pair = block.get("pair")
+    pair = _require_int_pair(block.get("pair"), "state.pair", diags)
     out_pair = None
-    if (
-        not isinstance(pair, (list, tuple))
-        or len(pair) != 2
-        or not all(isinstance(k, int) and not isinstance(k, bool) for k in pair)
-    ):
-        diags.append("state.pair: must be a pair of integers [m, n]")
-    else:
+    if pair is not None:
         m, n = pair
         if m < 1 or n < 1 or m == n:
             diags.append(f"state.pair: must be two distinct positive integers, got {pair}")
@@ -421,13 +446,20 @@ def _parse_range(value, path: str, diags: list[str]) -> np.ndarray | None:
         if not isinstance(count, int) or isinstance(count, bool) or count < 1:
             diags.append(f"{path}.count: must be a positive integer, got {count!r}")
             return None
-        return np.linspace(float(value["start"]), float(value["stop"]), count)
+        start = _require_number(value, "start", path, diags)
+        stop = _require_number(value, "stop", path, diags)
+        if start is None or stop is None:
+            return None
+        return np.linspace(start, stop, count)
     if isinstance(value, (list, tuple)) and value:
         try:
-            return np.asarray(value, dtype=float)
-        except (ValueError, TypeError):
+            values = np.asarray(value, dtype=float)
+        except (ValueError, TypeError, OverflowError):
+            values = None
+        if values is None or values.ndim != 1:
             diags.append(f"{path}: list entries must be numbers")
             return None
+        return values
     diags.append(f"{path}: required range missing (list or start/stop/count mapping)")
     return None
 
@@ -454,17 +486,18 @@ def _parse_max_omega(block, diags: list[str]) -> float | None:
     if not isinstance(block, dict):
         diags.append("sweep: required block missing or not a mapping (needs max_omega)")
         return None
-    value = block.get("max_omega")
-    if not isinstance(value, (int, float)) or isinstance(value, bool) or value <= 0.0:
+    value = _require_number(block, "max_omega", "sweep", diags)
+    if value is not None and not value > 0.0:
         diags.append(f"sweep.max_omega: must be a positive number, got {value!r}")
         return None
-    return float(value)
+    return value
 
 
 def _parse_experiment(block, diags: list[str]) -> ExperimentPlan | None:
     if not isinstance(block, dict):
         diags.append("experiment: required block missing or not a mapping")
         return None
+    first = len(diags)
     motion_block = block.get("motion")
     motion = None
     if not isinstance(motion_block, dict):
@@ -485,15 +518,17 @@ def _parse_experiment(block, diags: list[str]) -> ExperimentPlan | None:
                 diags.append(
                     f"experiment.motion.type: must be 'linear' or 'circular', got {kind!r}"
                 )
-        except (ValueError, TypeError, KeyError) as exc:
+        except (ValueError, TypeError, KeyError, OverflowError) as exc:
             diags.append(f"experiment.motion: {exc}")
     values = {}
     for key in ("wavelength", "lx", "ly", "lz"):
         values[key] = _require_number(block, key, "experiment", diags, minimum=0.0)
-    if motion is None or any(v is None for v in values.values()):
-        return None
-    pair = tuple(block.get("pair", (1, 2)))
+    pair = _require_int_pair(block.get("pair", (1, 2)), "experiment.pair", diags)
     transverse = block.get("transverse")
+    if transverse is not None:
+        transverse = _require_int_pair(transverse, "experiment.transverse", diags)
+    if len(diags) > first:
+        return None
     try:
         return ExperimentPlan(
             wavelength=values["wavelength"],
@@ -502,8 +537,8 @@ def _parse_experiment(block, diags: list[str]) -> ExperimentPlan | None:
             lz=values["lz"],
             motion=motion,
             pair=pair,
-            transverse=tuple(transverse) if transverse is not None else None,
+            transverse=transverse,
         )
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError) as exc:
         diags.append(f"experiment: {exc}")
         return None

@@ -11,8 +11,8 @@ from cavitymix.bogoliubov import (
     static_coefficients,
     verify_first_order_identities,
 )
-from cavitymix.profiles import QuadratureError, SinusoidalProfile
-from cavitymix.spectrum import Cavity1D
+from cavitymix.profiles import QuadratureError, SampledProfile, SinusoidalProfile
+from cavitymix.spectrum import Cavity1D, omega_diff_1d, omega_sum_1d
 from conftest import simpson_oscillatory
 
 ALPHA_12 = 2.0 * math.sqrt(2.0) / math.pi**2
@@ -110,8 +110,6 @@ def test_map_entries_match_simpson_oracle():
     coeffs = static_coefficients(cavity)
     prof = SinusoidalProfile(h0=0.01, omega_c=1.7, tau0=0.5, tauf=14.5, phase=0.2)
     map_ = first_order_map(coeffs, prof)
-    from cavitymix.spectrum import omega_diff_1d, omega_sum_1d
-
     for m, n in ((1, 2), (3, 4), (1, 4)):
         delta = omega_diff_1d(cavity, m, n)
         sigma = omega_sum_1d(cavity, m, n)
@@ -119,6 +117,35 @@ def test_map_entries_match_simpson_oracle():
         b_expect = 1j * sigma * coeffs.beta_entry(m, n) * simpson_oscillatory(prof, sigma)
         assert map_.a_entry(m, n) == pytest.approx(a_expect, abs=5e-9)
         assert map_.b_entry(m, n) == pytest.approx(b_expect, abs=5e-9)
+
+
+def test_sampled_map_entries_match_scipy_oracle():
+    # A 300-sample accelerometer-like trace: every odd entry comes from one
+    # batched kernel call over its table of 2 * 299 terms.
+    from scipy.integrate import simpson
+
+    rng = np.random.default_rng(5)
+    tau = np.linspace(0.0, 50.0, 300)
+    h = 1e-3 * np.cos(math.pi * tau + 0.3) + 1e-4 * rng.standard_normal(tau.size)
+    prof = SampledProfile(tau=tau, h=h)
+    cavity = Cavity1D(length=1.0, mu0=0.5, n_max=8)
+    coeffs = static_coefficients(cavity)
+    map_ = first_order_map(coeffs, prof)
+    assert verify_first_order_identities(map_).passed
+    # Simpson on a grid holding every sample, an even number of intervals per
+    # panel, integrates the interpolant without straddling a kink.
+    fine = np.linspace(0.0, 50.0, 299 * 200 + 1)
+
+    def oracle(delta):
+        return complex(simpson(np.exp(-1j * delta * fine) * np.interp(fine, tau, h), x=fine))
+
+    for m, n in ((1, 2), (2, 1), (3, 8), (7, 6)):
+        delta = omega_diff_1d(cavity, m, n)
+        sigma = omega_sum_1d(cavity, m, n)
+        a_expect = 1j * delta * coeffs.alpha_entry(m, n) * oracle(delta)
+        b_expect = 1j * sigma * coeffs.beta_entry(m, n) * oracle(sigma)
+        assert map_.a_entry(m, n) == pytest.approx(a_expect, abs=1e-10)
+        assert map_.b_entry(m, n) == pytest.approx(b_expect, abs=1e-10)
 
 
 def test_map_rejects_rigidity_violation():

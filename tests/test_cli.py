@@ -96,6 +96,20 @@ def test_missing_state_block_exits_one(tmp_path):
     assert "error: state:" in result.stderr
 
 
+def test_bad_field_value_exits_one_without_traceback(tmp_path):
+    scenario = tmp_path / "bad_mass.yaml"
+    scenario.write_text(
+        "kind: evolve\n"
+        "cavity: {length: 1.0, mu0: abc}\n"
+        "profile: {variant: sinusoidal, h0: 0.001, omega_c: 3.0, tauf: 5.0}\n",
+        encoding="utf-8",
+    )
+    result = run_cli("run", str(scenario), cwd=tmp_path)
+    assert result.returncode == 1
+    assert "error: cavity.mu0:" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
 def test_reruns_are_deterministic(tmp_path):
     scenario = str(SCENARIO_DIR / "negativity_ridge.yaml")
     first = run_cli("run", scenario, "--out", "a.csv", cwd=tmp_path)

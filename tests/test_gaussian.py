@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -20,8 +21,8 @@ from cavitymix.gaussian import (
     symplectic_from_map,
     symplectic_residual,
 )
-from cavitymix.profiles import SinusoidalProfile
-from cavitymix.spectrum import Cavity1D
+from cavitymix.profiles import QuadratureError, SinusoidalProfile
+from cavitymix.spectrum import Cavity1D, omega_diff_matrix
 
 
 def rotation(theta):
@@ -242,3 +243,38 @@ def test_negativity_grid_shape_and_resonant_column():
         negativity_grid(coeffs, (1, 2), 1.0, 1e-3, np.array([]), dtau_grid)
     with pytest.raises(ValueError):
         negativity_grid(coeffs, (1, 2), -1.0, 1e-3, omega_grid, dtau_grid)
+
+
+def test_negativity_grid_matches_per_cell_maps():
+    # The broadcast closed form against one first_order_map per cell.  The
+    # columns include the resonance itself and a drive a hair off it, where
+    # the kernel takes its small-phase series branch, and a static drive.
+    cavity = Cavity1D(length=1.0, mu0=0.4, n_max=4)
+    coeffs = static_coefficients(cavity)
+    resonance = abs(omega_diff_matrix(cavity)[0, 1])
+    omega_grid = np.concatenate([[0.0, resonance, resonance + 1e-7], np.linspace(2.0, 4.5, 6)])
+    dtau_grid = np.linspace(3.0, 30.0, 5)
+    s, h0 = 0.8, 1e-4
+    grid = negativity_grid(coeffs, (1, 2), s, h0, omega_grid, dtau_grid)
+    for i, dtau in enumerate(dtau_grid):
+        for j, omega_c in enumerate(omega_grid):
+            map_ = first_order_map(coeffs, SinusoidalProfile(h0, omega_c, 0.0, dtau))
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # off resonance |B| is not << |A|
+                cell = first_order_negativity(map_, (1, 2), s)
+            assert grid[i, j] == pytest.approx(cell, rel=1e-14, abs=0.0)
+
+
+def test_negativity_grid_keeps_the_profile_checks():
+    coeffs = static_coefficients(Cavity1D(length=1.0, mu0=0.0, n_max=2))
+    omega_grid = np.array([1.0, math.pi])
+    dtau_grid = np.array([5.0, 10.0])
+    with pytest.raises(ValueError):
+        negativity_grid(coeffs, (1, 2), 1.0, 1e-3, np.array([-1.0, 1.0]), dtau_grid)
+    with pytest.raises(ValueError):
+        negativity_grid(coeffs, (1, 2), 1.0, 1e-3, omega_grid, np.array([0.0, 5.0]))
+    with pytest.raises(ValueError):
+        negativity_grid(coeffs, (1, 2), 1.0, 1e-3, omega_grid, np.array([np.nan]))
+    # A rounding bound 64 eps |h0| dtau above the default tolerance of 1e-10.
+    with pytest.raises(QuadratureError):
+        negativity_grid(coeffs, (1, 2), 1.0, 1.0, omega_grid, np.array([1e5]))

@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from cavitymix.profiles import (
+    _SMALL_PHASE,
     PiecewiseConstantProfile,
     QuadratureError,
     RampProfile,
     SampledProfile,
     SinusoidalProfile,
     WindowedSinusoidProfile,
+    _fourier_integrals,
     oscillatory_integral,
     profile_from_samples,
     validate_rigidity,
@@ -121,6 +123,39 @@ def test_rigidity_check_reports_worst_point():
     assert bad.bound == 2.0
 
 
+def test_windowed_rigidity_bound_never_under_estimates():
+    # A fast drive whose plateau extrema fall between the points of a dense
+    # grid: sampling saw sup|h| = 1.9967 and accepted a non-rigid drive.
+    prof = WindowedSinusoidProfile(
+        2.01, 6634.151286217649, 1.0, 0.0, 100.0, phase=2.5570428907594884
+    )
+    report = validate_rigidity(prof)
+    assert not report.ok
+    assert report.sup_h == 2.01
+    assert abs(prof.evaluate(report.tau_at_sup)) == pytest.approx(2.01, rel=1e-9)
+
+
+def test_windowed_sup_bounds_every_sample():
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        omega_c = rng.choice([0.0, rng.uniform(0.1, 50.0)])
+        prof = WindowedSinusoidProfile(
+            h0=rng.uniform(-1.0, 1.0),
+            omega_c=omega_c,
+            window_time=rng.uniform(0.5, 2.0),
+            tau0=0.0,
+            tauf=rng.uniform(4.0, 6.0),
+            phase=rng.uniform(0.0, 2.0 * math.pi),
+        )
+        sup, _ = prof.sup_abs()
+        dense = np.max(np.abs(prof.evaluate(np.linspace(prof.tau0, prof.tauf, 20001))))
+        assert sup >= dense
+        if omega_c == 0.0:
+            assert sup == pytest.approx(dense, rel=1e-12)
+        else:
+            assert sup == abs(prof.h0)
+
+
 def test_resonant_integral_closed_form():
     # Cosine drive probed at its own frequency over an integer number of
     # periods: the integral is exactly h0 * T / 2.
@@ -216,3 +251,62 @@ def test_evaluate_outside_interval_raises():
     prof = SinusoidalProfile(h0=0.1, omega_c=1.0, tau0=0.0, tauf=1.0)
     with pytest.raises(ValueError):
         prof.evaluate(1.5)
+
+
+def _crossover_deltas(centre, span):
+    """Deltas with |mu - delta| * span from 1e-6 to 1e-2 for a term at mu = centre."""
+    x = np.logspace(-6.0, -2.0, 9)
+    return centre + np.concatenate([x, -x[::3]]) / span
+
+
+_NONUNIFORM_TAU = 8.0 * np.linspace(0.0, 1.0, 41) ** 1.5
+_NONUNIFORM_H = 0.03 * np.random.default_rng(7).standard_normal(41)
+
+BATCHED_CASES = {
+    "sinusoidal": (
+        SinusoidalProfile(h0=0.02, omega_c=2.3, tau0=1.5, tauf=21.5, phase=0.4),
+        _crossover_deltas(2.3, 20.0),
+        lambda prof, d: simpson_oscillatory(prof, d),
+        5e-9,
+    ),
+    "piecewise_constant": (
+        PiecewiseConstantProfile(segments=((1.0, 0.05), (2.5, -0.02), (1.5, 0.01))),
+        _crossover_deltas(0.0, 2.5),
+        lambda prof, d: simpson_oscillatory_segmented(prof, d, breakpoints=(0.0, 1.0, 3.5, 5.0)),
+        1e-9,
+    ),
+    "ramp": (
+        RampProfile(h0=0.04, ramp_time=1.3, tau0=0.5, tauf=9.5),
+        _crossover_deltas(0.0, 6.4),
+        lambda prof, d: simpson_oscillatory(prof, d, min_points=16001),
+        1e-7,
+    ),
+    "sampled": (
+        SampledProfile(tau=_NONUNIFORM_TAU, h=_NONUNIFORM_H),
+        _crossover_deltas(0.0, 0.6),
+        lambda prof, d: simpson_oscillatory_segmented(prof, d, breakpoints=_NONUNIFORM_TAU),
+        1e-9,
+    ),
+    "windowed_sinusoid": (
+        WindowedSinusoidProfile(
+            h0=0.05, omega_c=5.0, window_time=2.0, tau0=0.0, tauf=12.0, phase=0.3
+        ),
+        _crossover_deltas(5.0, 8.0),
+        lambda prof, d: simpson_oscillatory(prof, d, min_points=24001),
+        1e-8,
+    ),
+}
+
+
+@pytest.mark.parametrize("variant", sorted(BATCHED_CASES))
+def test_batched_kernel_straddles_small_phase_crossover(variant):
+    prof, deltas, oracle, tol = BATCHED_CASES[variant]
+    a, b, _, mu, _ = prof._terms()
+    small = np.abs(mu[None, :] - deltas[:, None]) * (b - a) < _SMALL_PHASE
+    # Both branches in one batch, and in one row of the batch.
+    assert np.any(small.any(axis=1) & (~small).any(axis=1))
+    values, estimate = _fourier_integrals(prof._terms(), deltas)
+    for delta, value in zip(deltas, values):
+        assert value == pytest.approx(oracle(prof, delta), abs=tol)
+        # A one-delta call evaluates the same element the same way.
+        assert abs(oscillatory_integral(prof, delta).value - value) <= estimate

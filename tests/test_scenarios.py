@@ -1,7 +1,11 @@
+import copy
 import math
 
 import numpy as np
 import pytest
+import yaml
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from cavitymix.bogoliubov import first_order_map, static_coefficients
 from cavitymix.profiles import SinusoidalProfile
@@ -357,3 +361,123 @@ def test_sweep_pair_must_fit_truncation(tmp_path):
     )
     with pytest.raises(ScenarioError, match="truncation"):
         load_scenario(path)
+
+
+SWEEP = (
+    "kind: negativity_sweep\n"
+    "cavity: {length: 1.0, n_max: 4}\n"
+    "state: {pair: [1, 2], squeezing: 0.5}\n"
+    "sweep:\n"
+    "  h0: 1.0e-3\n"
+    "  omega_c: OMEGA_C\n"
+    "  delta_tau: DELTA_TAU\n"
+)
+PLAN = (
+    "kind: experiment_plan\n"
+    "experiment:\n"
+    "  wavelength: 600.0e-9\n"
+    "  lx: 0.01\n"
+    "  ly: 0.01\n"
+    "  lz: 0.01\n"
+    "  motion: {type: linear, amplitude: 1.0e-6}\n"
+)
+
+
+def catalog(cavity):
+    return f"kind: resonance_catalog\ncavity: {cavity}\nsweep: {{max_omega: 5.0}}\n"
+
+
+def sweep(omega_c, delta_tau):
+    return SWEEP.replace("OMEGA_C", omega_c).replace("DELTA_TAU", delta_tau)
+
+
+@pytest.mark.parametrize(
+    "text, field",
+    [
+        (catalog("{length: 1.0, mu0: abc}"), "cavity.mu0"),
+        (catalog("{length: 1.0, n_max: 2.5}"), "cavity.n_max"),
+        (catalog("{length: 1.0, n_max: '6'}"), "cavity.n_max"),
+        (sweep("{start: a, stop: 3.0, count: 3}", "[5.0]"), "sweep.omega_c.start"),
+        (sweep("[3.0]", "{start: 1.0, stop: [2], count: 3}"), "sweep.delta_tau.stop"),
+        (sweep("[[3.0, 3.1]]", "[5.0]"), "sweep.omega_c"),
+        (PLAN + "  pair: 3\n", "experiment.pair"),
+        (PLAN + "  pair: [1, x]\n", "experiment.pair"),
+        (PLAN + "  transverse: 7\n", "experiment.transverse"),
+    ],
+    ids=[
+        "mu0-text",
+        "n_max-fraction",
+        "n_max-string",
+        "range-start-text",
+        "range-stop-list",
+        "range-nested-list",
+        "plan-pair-scalar",
+        "plan-pair-text",
+        "plan-transverse-scalar",
+    ],
+)
+def test_bad_field_values_are_diagnosed(tmp_path, text, field):
+    with pytest.raises(ScenarioError) as err:
+        load_scenario(write(tmp_path, text))
+    assert any(line.startswith(f"{field}: ") for line in err.value.diagnostics), err.value
+
+
+SHIPPED = [yaml.safe_load(p.read_text(encoding="utf-8")) for p in sorted(SCENARIO_DIR.glob("*.yaml"))]
+LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 3),
+    st.just(10**400),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(max_size=3),
+)
+VALUES = st.recursive(
+    LEAVES,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3), st.dictionaries(st.text(max_size=3), inner, max_size=3)
+    ),
+    max_leaves=6,
+)
+
+
+def _field_paths(node, prefix=()):
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield prefix + (key,)
+            yield from _field_paths(value, prefix + (key,))
+
+
+@st.composite
+def mutated_scenarios(draw):
+    """A shipped scenario with one or two fields replaced by junk or removed."""
+    data = copy.deepcopy(draw(st.sampled_from(SHIPPED)))
+    paths = list(_field_paths(data))
+    for _ in range(draw(st.integers(1, 2))):
+        *parents, key = draw(st.sampled_from(paths))
+        node = data
+        for parent in parents:
+            node = node.get(parent) if isinstance(node, dict) else None
+        if isinstance(node, dict) and key in node:
+            if draw(st.booleans()):
+                node[key] = draw(VALUES)
+            else:
+                del node[key]
+    return data
+
+
+@settings(
+    max_examples=100,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(data=mutated_scenarios())
+def test_any_mapping_loads_or_is_diagnosed(tmp_path, data):
+    path = write(tmp_path, yaml.safe_dump(data))
+    try:
+        scenario = load_scenario(path)
+    except ScenarioError as err:
+        assert err.diagnostics
+    else:
+        assert scenario.kind in {"evolve", "resonance_catalog", "negativity_sweep", "experiment_plan"}
