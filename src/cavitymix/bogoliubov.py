@@ -152,7 +152,6 @@ def first_order_map(
     coeffs: StaticCoefficients,
     profile: AccelerationProfile,
     tol: float = 1e-10,
-    max_evaluations: int | None = None,
 ) -> FirstOrderBogoliubovMap:
     """Evaluate the first-order map of `profile` on `coeffs.cavity`.
 
@@ -176,9 +175,7 @@ def first_order_map(
     odd = _parity_odd_mask(n_max)  # even entries are exact parity zeros
     diffs = omega_diff_matrix(cavity)[odd]
     sums = omega_sum_matrix(cavity)[odd]
-    values, estimate = _fourier_integrals(
-        profile._terms(), np.concatenate([diffs, sums]), tol, max_evaluations
-    )
+    values, estimate = _fourier_integrals(profile._terms(), np.concatenate([diffs, sums]), tol)
     a_scale = diffs * coeffs.alpha_hat[odd]
     b_scale = sums * coeffs.beta_hat[odd]
     a_hat = np.zeros((n_max, n_max), dtype=complex)

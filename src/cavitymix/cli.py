@@ -45,6 +45,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
+    if args.command == "run" and not 0.0 < args.tol < float("inf"):
+        print(f"error: --tol: must be a positive finite number, got {args.tol}", file=sys.stderr)
+        return 1
 
     try:
         scenario = load_scenario(args.scenario, n_max=getattr(args, "nmax", None))

@@ -40,6 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .profiles import RIGIDITY_BOUND
 from .resonance import (
     paraxial_mixing_growth,
     paraxial_mixing_omega,
@@ -50,7 +51,10 @@ from .spectrum import Cavity3D, omega_3d
 C_LIGHT = 2.99792458e8
 WAVELENGTH_EDGE_FACTOR = 100.0
 PARAXIAL_MIN_RATIO = 1e4
-RIGIDITY_BOUND = 2.0
+# beta_bound sums creation terms over longitudinal numbers m'; they decay only
+# beyond m' ~ (driven edge) * sqrt(sum 1/edge^2), the elongation.  Above this
+# elongation the sum needs millions of terms and may not converge at all.
+MAX_ELONGATION = 1e3
 
 
 @dataclass(frozen=True)
@@ -126,6 +130,12 @@ class ExperimentPlan:
         if ratio <= PARAXIAL_MIN_RATIO:
             raise ValueError(
                 f"paraxial validity ratio {ratio:.3g} does not exceed {PARAXIAL_MIN_RATIO:g}"
+            )
+        elongation = self.axis_length * math.sqrt(sum(e**-2 for e in (self.lx, self.ly, self.lz)))
+        if elongation > MAX_ELONGATION:
+            raise ValueError(
+                f"elongation {elongation:.3g} along the driven axis exceeds {MAX_ELONGATION:g}; "
+                "the creation bound's mode sum would not converge"
             )
 
     @property

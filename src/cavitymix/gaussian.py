@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bogoliubov import FirstOrderBogoliubovMap, StaticCoefficients
-from .profiles import _CHUNK_ELEMENTS, _phase_moment, _rounding_estimate
+from .profiles import _CHUNK_ELEMENTS, _check_finite, _phase_moment, _rounding_estimate
 from .spectrum import omega_diff_matrix
 
 SYMMETRY_TOL = 1e-12
@@ -294,7 +294,8 @@ def negativity_grid(
     grid, the two-term table of `SinusoidalProfile`, with the checks a
     per-cell profile and `oscillatory_integral` would make: ValueError for
     a negative frequency or a non-positive duration, QuadratureError when
-    the rounding bound exceeds the default tolerance 1e-10.
+    the rounding bound exceeds the default tolerance 1e-10 or a cell is not
+    finite.
     """
     omega_c_values = np.asarray(omega_c_values, dtype=float)
     delta_tau_values = np.asarray(delta_tau_values, dtype=float)
@@ -323,4 +324,5 @@ def negativity_grid(
             -omega_c - delta, 0.0, span, 0
         )
         grid[start : start + rows] = np.abs((1j * scale * kernel).imag) * sinh_s
+    _check_finite(grid)
     return grid

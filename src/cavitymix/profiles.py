@@ -37,7 +37,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -129,24 +128,14 @@ def _rounding_estimate(mass: float, tol: float) -> float:
     return estimate
 
 
-def _fourier_integrals(
-    terms: _Terms,
-    deltas,
-    tol: float = 1e-10,
-    max_evaluations: int | None = None,
-) -> tuple[np.ndarray, float]:
+def _fourier_integrals(terms: _Terms, deltas, tol: float = 1e-10) -> tuple[np.ndarray, float]:
     """I(delta) for every delta of a batch, and the rounding bound they share.
 
     Broadcasts the deltas against the whole term table, a bounded chunk of
-    deltas at a time.  Raises `QuadratureError` when the table holds more
-    than `max_evaluations` terms or the bound exceeds `tol`.
+    deltas at a time.  Raises `QuadratureError` when the bound exceeds `tol`
+    or a value is not finite.
     """
     a, b, coef, mu, power = terms
-    if max_evaluations is not None and coef.size > max_evaluations:
-        raise QuadratureError(
-            f"integral needs {coef.size} closed-form term evaluations, "
-            f"budget allows {max_evaluations}"
-        )
     span = b - a
     mass = float(np.sum(np.abs(coef) * np.where(power == 0, span, 0.5 * (b * b - a * a))))
     estimate = _rounding_estimate(mass, tol)
@@ -163,7 +152,14 @@ def _fourier_integrals(
         for a_k, span_k, coef_k, mu_k, k in blocks:
             moments = _phase_moment(mu_k - chunk, a_k, span_k, k)
             values[start : start + rows] += np.sum(coef_k * moments, axis=1)
+    _check_finite(values)
     return values, estimate
+
+
+def _check_finite(values: np.ndarray) -> None:
+    """Raise `QuadratureError` for a value no rounding bound can cover."""
+    if not np.all(np.isfinite(values)):
+        raise QuadratureError("not finite: a phase or term of the profile exceeds float range")
 
 
 class AccelerationProfile:
@@ -469,6 +465,10 @@ class WindowedSinusoidProfile(AccelerationProfile):
             raise ValueError(
                 f"interval of length {self.duration} cannot hold two windows of {self.window_time}"
             )
+        if not math.isfinite(math.pi / self.window_time * self.duration):
+            raise ValueError(
+                "window phase pi/window_time * duration is beyond floating-point range"
+            )
 
     def _envelope(self, t: np.ndarray) -> np.ndarray:
         w, s = self.window_time, self.duration
@@ -542,24 +542,17 @@ def validate_rigidity(profile: AccelerationProfile) -> RigidityReport:
 
 
 def oscillatory_integral(
-    profile: AccelerationProfile,
-    delta: float,
-    tol: float = 1e-10,
-    max_evaluations: int | None = None,
+    profile: AccelerationProfile, delta: float, tol: float = 1e-10
 ) -> OscillatoryIntegralResult:
     """integral_{tau0}^{tauf} exp(-i*delta*(tau - tau0)) h(tau) dtau.
 
     Exact per term up to rounding; the error estimate is a rounding bound
     built from the L1 mass of the integrand.  Raises `QuadratureError` when
-    the estimate exceeds `tol` or the term count exceeds `max_evaluations`.
+    the estimate exceeds `tol` or the value is not finite.
     """
     terms = profile._terms()
-    values, estimate = _fourier_integrals(terms, [delta], tol, max_evaluations)
+    values, estimate = _fourier_integrals(terms, [delta], tol)
     return OscillatoryIntegralResult(
         value=complex(values[0]), error_estimate=estimate, evaluations=terms[2].size
     )
 
-
-def profile_from_samples(tau: Sequence[float], h: Sequence[float]) -> SampledProfile:
-    """Convenience constructor mirroring the other variants' signatures."""
-    return SampledProfile(tau=np.asarray(tau, dtype=float), h=np.asarray(h, dtype=float))

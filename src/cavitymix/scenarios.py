@@ -11,11 +11,15 @@ needs:
     experiment: {wavelength, lx, ly, lz, motion, pair, transverse}
     output:  {path, format: csv}                    optional
 
-Ranges (omega_c, delta_tau) are either explicit lists or
-{start, stop, count} for a uniform grid.  Validation collects every
-problem it can find and reports them with field paths; physics
-preconditions (rigidity, paraxial validity, nonnegative squeezing) are
-checked here so a failing scenario never starts a computation.
+Each block has a field table: one `Field` per key with its type, whether
+it is required or its default, and its bounds.  One checker walks the
+tables and reports every bad field as `<block>.<field>: <message>`: a
+wrong type (a boolean is not a number), a non-finite number, a value out
+of bounds, a missing or an unknown field.  Ranges (omega_c, delta_tau) are
+explicit lists or {start, stop, count} grids.  Physics preconditions
+(rigidity, paraxial validity, the pair inside the truncation) are checked
+too, so a failing scenario never starts a computation.  Each kind loads
+into its own frozen dataclass, holding only the fields the kind uses.
 
 Results are written as CSV with a header row and three leading `#`
 metadata lines (tool version, scenario content digest, timestamp).  All
@@ -26,9 +30,12 @@ byte-identical apart from the timestamp line.
 from __future__ import annotations
 
 import hashlib
+import math
+import operator
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import Any, Callable, ClassVar
 
 import numpy as np
 import yaml
@@ -38,6 +45,7 @@ from .bogoliubov import first_order_map, static_coefficients
 from .experiment import CircularMotion, ExperimentPlan, LinearMotion, plan
 from .gaussian import negativity_grid
 from .profiles import (
+    RIGIDITY_BOUND,
     AccelerationProfile,
     PiecewiseConstantProfile,
     RampProfile,
@@ -49,8 +57,18 @@ from .profiles import (
 from .resonance import catalog_1d
 from .spectrum import Cavity1D
 
-KINDS = ("evolve", "resonance_catalog", "negativity_sweep", "experiment_plan")
 DEFAULT_TOL = 1e-10
+
+# Upper bounds that keep a run finite and its size modest: a map has
+# n_max^2 entries, a sweep count^2 cells, and sinh(squeezing) overflows
+# past about 710.
+_N_MAX_LIMIT = 1000
+_COUNT_LIMIT = 1000
+_SQUEEZING_LIMIT = 100.0
+# Plan lengths (SI metres) lie between the Planck length and the size of the
+# observable universe, which keeps every figure of the plan a finite float.
+_SI_MAX = 1e27
+_SI_LENGTH = ((">=", 1e-35), ("<=", _SI_MAX))
 
 
 class ScenarioError(Exception):
@@ -59,25 +77,6 @@ class ScenarioError(Exception):
     def __init__(self, diagnostics: list[str]):
         self.diagnostics = list(diagnostics)
         super().__init__("\n".join(self.diagnostics))
-
-
-@dataclass(frozen=True, eq=False)
-class Scenario:
-    """A parsed, validated scenario ready to run."""
-
-    kind: str
-    source_path: str
-    source_digest: str
-    output_path: str
-    cavity: Cavity1D | None = None
-    profile: AccelerationProfile | None = None
-    pair: tuple[int, int] | None = None
-    squeezing: float | None = None
-    sweep_h0: float | None = None
-    omega_c_values: np.ndarray | None = None
-    delta_tau_values: np.ndarray | None = None
-    max_omega: float | None = None
-    experiment: ExperimentPlan | None = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,6 +122,378 @@ def _format_cell(cell) -> str:
     return format(float(cell), ".17g")
 
 
+_REQUIRED = object()
+_SIGNS = {">=": operator.ge, ">": operator.gt, "<=": operator.le}
+_POSITIVE = ((">", 0.0),)
+_NONNEGATIVE = ((">=", 0.0),)
+
+
+@dataclass(frozen=True)
+class Field:
+    """One row of a field table.
+
+    `type` converts the YAML value (raising ValueError) or is a nested
+    `Block`.  `default` is `_REQUIRED`, the value an absent field takes, or
+    None to leave an absent field to the default of the constructor it
+    feeds.  Every number the value holds must meet each (sign, limit) of
+    `bounds`; `choices` lists the strings it may take.  The checked value is
+    stored under `dest`, by default the field's name.
+    """
+
+    name: str
+    type: Any
+    default: Any = _REQUIRED
+    bounds: tuple[tuple[str, float], ...] = ()
+    choices: tuple[str, ...] = ()
+    dest: str = ""
+
+
+@dataclass(frozen=True)
+class Block:
+    """A mapping checked against `fields`, then passed to `build` as keywords.
+
+    Without `build` a block yields the dict of its fields that passed.  With
+    `tag`, the value of that key picks the block from `variants`.  `check`
+    vets what was built, raising ValueError.  `other` converts a value that
+    is not a mapping (a range given as a list).
+    """
+
+    fields: tuple[Field, ...] = ()
+    build: Callable | None = None
+    other: Callable | None = None
+    tag: str = ""
+    variants: dict[str, Block] | None = None
+    check: Callable | None = None
+
+
+def _is_integer(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _number(value) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"must be a number, got {value!r:.40}")
+    try:
+        return float(value)
+    except OverflowError:  # an integer beyond float range
+        return math.inf
+
+
+def _integer(value) -> int:
+    if not _is_integer(value):
+        raise ValueError(f"must be an integer, got {value!r:.40}")
+    return value
+
+
+def _pair(value) -> tuple[int, int]:
+    if not (isinstance(value, list) and len(value) == 2 and all(map(_is_integer, value))):
+        raise ValueError(f"must be a pair of integers [m, n], got {value!r:.40}")
+    return tuple(value)
+
+
+def _text(value) -> str:
+    if not isinstance(value, str):
+        raise ValueError(f"must be a string, got {value!r:.40}")
+    return value
+
+
+def _numbers(value) -> np.ndarray:
+    if not (isinstance(value, list) and value):
+        raise ValueError(f"must be a non-empty list of numbers, got {value!r:.40}")
+    try:
+        return np.array([_number(item) for item in value])
+    except ValueError as exc:
+        raise ValueError(f"each entry {exc}") from None
+
+
+def _segments(value) -> tuple[tuple[float, float], ...]:
+    if not (isinstance(value, list) and value and all(
+        isinstance(item, list) and len(item) == 2 for item in value
+    )):
+        raise ValueError(f"must be a non-empty list of [duration, h] pairs, got {value!r:.40}")
+    return tuple(tuple(_numbers(item)) for item in value)
+
+
+def _one_of(choices, value) -> str:
+    return f"must be one of {', '.join(sorted(choices))}; got {value!r:.40}"
+
+
+def _numbers_in(value) -> list:
+    """The numbers a checked value holds: itself, or the entries of a tuple or array."""
+    if isinstance(value, (tuple, np.ndarray)):
+        return [number for item in value for number in _numbers_in(item)]
+    return [value] if isinstance(value, (int, float)) else []
+
+
+def _check_value(value, field: Field) -> None:
+    for number in _numbers_in(value):
+        if isinstance(number, float) and not math.isfinite(number):
+            raise ValueError(f"must be finite, got {number}")
+        for sign, limit in field.bounds:
+            if not _SIGNS[sign](number, limit):
+                raise ValueError(f"must be {sign} {limit:g}, got {number}")
+    if field.choices and value not in field.choices:
+        raise ValueError(_one_of(field.choices, value))
+
+
+def _check(data: dict, table: tuple[Field, ...], path: str, diags: list[str]) -> dict:
+    """The checked values of the fields of `data` that pass `table`.
+
+    Each field that fails, and each key the table does not list, adds one
+    `<path><field>: <message>` line to `diags`; `path` is empty at the top
+    level and ends in a dot below it.
+    """
+    names = [field.name for field in table]
+    for key in data:
+        if key not in names:
+            what = "field" if path else "top-level block"
+            diags.append(f"{path}{key}: unknown {what}; known: {', '.join(names)}")
+    values = {}
+    for field in table:
+        where = path + field.name
+        if field.name not in data:
+            if field.default is _REQUIRED:
+                diags.append(f"{where}: required field missing")
+            elif field.default is not None:
+                values[field.dest or field.name] = field.default
+            continue
+        try:
+            value = _convert(data[field.name], field.type, where, diags)
+            if value is not None:
+                _check_value(value, field)
+                values[field.dest or field.name] = value
+        except (ValueError, OverflowError) as exc:  # a bad value, or a builder refusing it
+            diags.append(f"{where}: {exc}")
+    return values
+
+
+def _convert(raw, kind, where: str, diags: list[str]):
+    """`raw` through a converter, or checked and built as a nested block.
+
+    A block with failing fields adds their diagnostics and yields None, or
+    without a builder the fields that passed.
+    """
+    if not isinstance(kind, Block):
+        return kind(raw)
+    if not isinstance(raw, dict):
+        if kind.other is None:
+            raise ValueError(f"must be a mapping, got {raw!r:.40}")
+        return kind.other(raw)
+    check = kind.check
+    if kind.tag:
+        tag = raw.get(kind.tag)
+        if not (isinstance(tag, str) and tag in kind.variants):
+            diags.append(f"{where}.{kind.tag}: {_one_of(kind.variants, tag)}")
+            return None
+        raw = {key: value for key, value in raw.items() if key != kind.tag}
+        kind = kind.variants[tag]
+    first = len(diags)
+    values = _check(raw, kind.fields, where + ".", diags)
+    if kind.build is None:
+        return values
+    if len(diags) > first:
+        return None
+    built = kind.build(**values)
+    return built if check is None else check(built)
+
+
+def _rigid(profile: AccelerationProfile) -> AccelerationProfile:
+    """`profile`, once it is shown to keep the rigidity bound."""
+    report = validate_rigidity(profile)
+    if not report.ok:
+        raise ValueError(
+            f"rigidity bound |h| < {report.bound:g} violated: "
+            f"sup|h| = {report.sup_h:g} at tau = {report.tau_at_sup:g}"
+        )
+    return profile
+
+
+_CAVITY = Block((
+    Field("length", _number, bounds=_POSITIVE),
+    Field("mu0", _number, None, _NONNEGATIVE),
+    Field("n_max", _integer, None, ((">=", 2), ("<=", _N_MAX_LIMIT))),
+), Cavity1D)
+
+_H0 = Field("h0", _number)
+_OMEGA_C = Field("omega_c", _number, bounds=_NONNEGATIVE)
+_TAU0 = Field("tau0", _number, 0.0)
+_TAUF = Field("tauf", _number)
+_PHASE = Field("phase", _number, None)
+_PROFILE = Block(tag="variant", variants={
+    "sinusoidal": Block((_H0, _OMEGA_C, _TAU0, _TAUF, _PHASE), SinusoidalProfile),
+    "piecewise_constant": Block((Field("segments", _segments), _TAU0), PiecewiseConstantProfile),
+    "ramp": Block((_H0, Field("ramp_time", _number, bounds=_POSITIVE), _TAU0, _TAUF), RampProfile),
+    "sampled": Block((Field("tau", _numbers), Field("h", _numbers)), SampledProfile),
+    "windowed_sinusoid": Block(
+        (_H0, _OMEGA_C, Field("window_time", _number, bounds=_POSITIVE), _TAU0, _TAUF, _PHASE),
+        WindowedSinusoidProfile,
+    ),
+}, check=_rigid)
+
+_STATE = Block((
+    Field("pair", _pair, bounds=((">=", 1),)),
+    Field("squeezing", _number, bounds=((">=", 0.0), ("<=", _SQUEEZING_LIMIT))),
+))
+_RANGE = Block(
+    (Field("start", _number), Field("stop", _number),
+     Field("count", _integer, bounds=((">=", 1), ("<=", _COUNT_LIMIT)))),
+    lambda start, stop, count: np.linspace(start, stop, count),
+    other=_numbers,
+)
+_SWEEP = Block((
+    Field("h0", _number, bounds=_NONNEGATIVE),
+    Field("omega_c", _RANGE, bounds=_NONNEGATIVE, dest="omega_c_values"),
+    Field("delta_tau", _RANGE, bounds=_POSITIVE, dest="delta_tau_values"),
+))
+
+_AMPLITUDE = ((">=", 0.0), ("<=", _SI_MAX))
+_MOTION = Block(tag="type", variants={
+    "linear": Block((
+        Field("amplitude", _number, bounds=_AMPLITUDE),
+        Field("axis", _text, None, choices=("x", "y")),
+    ), LinearMotion),
+    "circular": Block(
+        (Field("dx", _number, bounds=_AMPLITUDE), Field("dy", _number, bounds=_AMPLITUDE)),
+        CircularMotion,
+    ),
+})
+_EXPERIMENT = Block((
+    *(Field(name, _number, bounds=_SI_LENGTH) for name in ("wavelength", "lx", "ly", "lz")),
+    Field("motion", _MOTION),
+    Field("pair", _pair, None),
+    Field("transverse", _pair, None),
+), ExperimentPlan)
+
+_OUTPUT = Field("output", Block((
+    Field("path", _text, None),
+    Field("format", _text, None, choices=("csv",)),
+)), None)
+
+
+@dataclass(frozen=True, eq=False)
+class _Scenario:
+    """What every kind carries.
+
+    A kind's `blocks` is its top-level field table; the fields of a block
+    without a builder become fields of the scenario itself.
+    """
+
+    source_digest: str
+    output_path: str
+
+    @staticmethod
+    def _checks(fields: dict) -> list[str]:
+        """Diagnostics of preconditions that span blocks, over the fields that passed."""
+        return []
+
+
+@dataclass(frozen=True, eq=False)
+class EvolveScenario(_Scenario):
+    """The first-order map of one profile: one row per ordered mode pair."""
+
+    kind: ClassVar[str] = "evolve"
+    blocks: ClassVar[tuple[Field, ...]] = (Field("cavity", _CAVITY), Field("profile", _PROFILE))
+
+    cavity: Cavity1D
+    profile: AccelerationProfile
+
+    def _result(self, tol):
+        map_ = first_order_map(static_coefficients(self.cavity), self.profile, tol=tol)
+        rows = []
+        for m in range(1, self.cavity.n_max + 1):
+            for n in range(1, self.cavity.n_max + 1):
+                a = map_.a_entry(m, n)
+                b = map_.b_entry(m, n)
+                rows.append((m, n, a.real, a.imag, b.real, b.imag))
+        return ("m", "n", "re_a_hat", "im_a_hat", "re_b_hat", "im_b_hat"), rows
+
+
+@dataclass(frozen=True, eq=False)
+class CatalogScenario(_Scenario):
+    """Every mixing and creation resonance up to `max_omega`."""
+
+    kind: ClassVar[str] = "resonance_catalog"
+    blocks: ClassVar[tuple[Field, ...]] = (
+        Field("cavity", _CAVITY),
+        Field("sweep", Block((Field("max_omega", _number, bounds=_POSITIVE),))),
+    )
+
+    cavity: Cavity1D
+    max_omega: float
+
+    def _result(self, tol):
+        entries = catalog_1d(static_coefficients(self.cavity), self.max_omega)
+        rows = [
+            (e.kind.value, e.pair[0], e.pair[1], e.omega_r, e.coefficient, e.growth_per_h0)
+            for e in entries
+        ]
+        return ("kind", "m", "n", "omega_r", "coefficient", "growth_per_h0"), rows
+
+
+@dataclass(frozen=True, eq=False)
+class SweepScenario(_Scenario):
+    """The negativity of a squeezed pair over a drive-frequency/duration grid."""
+
+    kind: ClassVar[str] = "negativity_sweep"
+    blocks: ClassVar[tuple[Field, ...]] = (
+        Field("cavity", _CAVITY),
+        Field("state", _STATE),
+        Field("sweep", _SWEEP),
+    )
+
+    cavity: Cavity1D
+    pair: tuple[int, int]
+    squeezing: float
+    h0: float
+    omega_c_values: np.ndarray
+    delta_tau_values: np.ndarray
+
+    @staticmethod
+    def _checks(fields):
+        h0, pair, cavity = fields.get("h0"), fields.get("pair"), fields.get("cavity")
+        diags = []
+        if h0 is not None and h0 >= RIGIDITY_BOUND:
+            diags.append(
+                f"sweep.h0: rigidity bound |h| < {RIGIDITY_BOUND:g} violated by amplitude {h0}"
+            )
+        if pair is not None and pair[0] == pair[1]:
+            diags.append(f"state.pair: must be two distinct modes, got {list(pair)}")
+        elif pair is not None and cavity is not None and max(pair) > cavity.n_max:
+            diags.append(
+                f"state.pair: mode {max(pair)} outside truncation n_max = {cavity.n_max}"
+            )
+        return diags
+
+    def _result(self, tol):
+        coeffs = static_coefficients(self.cavity)
+        grid = negativity_grid(
+            coeffs, self.pair, self.squeezing, self.h0, self.omega_c_values, self.delta_tau_values
+        )
+        rows = []
+        for j, omega_c in enumerate(self.omega_c_values):
+            for i, dtau in enumerate(self.delta_tau_values):
+                rows.append((float(omega_c), float(dtau), grid[i, j]))
+        return ("omega_c", "delta_tau", "negativity"), rows
+
+
+@dataclass(frozen=True, eq=False)
+class PlanScenario(_Scenario):
+    """The SI figures of a desktop experiment: a single row."""
+
+    kind: ClassVar[str] = "experiment_plan"
+    blocks: ClassVar[tuple[Field, ...]] = (Field("experiment", _EXPERIMENT),)
+
+    experiment: ExperimentPlan
+
+    def _result(self, tol):
+        report = plan(self.experiment).as_dict()
+        return tuple(report), [tuple(report.values())]
+
+
+Scenario = EvolveScenario | CatalogScenario | SweepScenario | PlanScenario
+_KINDS = {kind.kind: kind for kind in (EvolveScenario, CatalogScenario, SweepScenario, PlanScenario)}
+
+
 def load_scenario(path: str | Path, n_max: int | None = None) -> Scenario:
     """Parse and fully validate one scenario file.
 
@@ -145,400 +516,29 @@ def load_scenario(path: str | Path, n_max: int | None = None) -> Scenario:
     if not isinstance(data, dict):
         raise ScenarioError([f"{path}: scenario must be a mapping, got {type(data).__name__}"])
 
+    kind = data.pop("kind", None)
+    if not (isinstance(kind, str) and kind in _KINDS):
+        raise ScenarioError([f"kind: {_one_of(_KINDS, kind)}"])
+    scenario = _KINDS[kind]
+    if n_max is not None and isinstance(data.get("cavity"), dict):
+        data["cavity"]["n_max"] = n_max
     diags: list[str] = []
-    kind = data.get("kind")
-    if kind not in KINDS:
-        raise ScenarioError(
-            [f"kind: must be one of {', '.join(KINDS)}; got {kind!r}"]
-        )
-
-    known = {"kind", "cavity", "profile", "state", "sweep", "experiment", "output"}
-    for key in data:
-        if key not in known:
-            diags.append(f"{key}: unknown top-level block")
-
-    cavity = None
-    profile = None
-    pair = None
-    squeezing = None
-    sweep_h0 = None
-    omega_c_values = None
-    delta_tau_values = None
-    max_omega = None
-    experiment = None
-
-    if kind in ("evolve", "resonance_catalog", "negativity_sweep"):
-        cavity = _parse_cavity(data.get("cavity"), n_max, diags)
-    if kind == "evolve":
-        profile = _parse_profile(data.get("profile"), diags)
-        if profile is not None:
-            report = validate_rigidity(profile)
-            if not report.ok:
-                diags.append(
-                    f"profile: rigidity bound |h| < {report.bound:g} violated: "
-                    f"sup|h| = {report.sup_h:g} at tau = {report.tau_at_sup:g}"
-                )
-    if kind == "negativity_sweep":
-        pair, squeezing = _parse_state(data.get("state"), cavity, diags)
-        sweep_h0, omega_c_values, delta_tau_values = _parse_sweep(data.get("sweep"), diags)
-    if kind == "resonance_catalog":
-        max_omega = _parse_max_omega(data.get("sweep"), diags)
-    if kind == "experiment_plan":
-        experiment = _parse_experiment(data.get("experiment"), diags)
-
-    output_path = str(path.with_suffix(".csv").name)
-    output = data.get("output")
-    if output is not None:
-        if not isinstance(output, dict):
-            diags.append("output: must be a mapping")
+    values = _check(data, (*scenario.blocks, _OUTPUT), "", diags)
+    output = values.pop("output", {})
+    fields = {}
+    for name, value in values.items():
+        if isinstance(value, dict):  # a block without a builder
+            fields.update(value)
         else:
-            fmt = output.get("format", "csv")
-            if fmt != "csv":
-                diags.append(f"output.format: only 'csv' is supported, got {fmt!r}")
-            if "path" in output:
-                output_path = str(output["path"])
-
+            fields[name] = value
+    diags += scenario._checks(fields)
     if diags:
         raise ScenarioError(diags)
-    return Scenario(
-        kind=kind,
-        source_path=str(path),
-        source_digest=digest,
-        output_path=output_path,
-        cavity=cavity,
-        profile=profile,
-        pair=pair,
-        squeezing=squeezing,
-        sweep_h0=sweep_h0,
-        omega_c_values=omega_c_values,
-        delta_tau_values=delta_tau_values,
-        max_omega=max_omega,
-        experiment=experiment,
-    )
+    output_path = output.get("path", path.with_suffix(".csv").name)
+    return scenario(source_digest=digest, output_path=output_path, **fields)
 
 
 def run_scenario(scenario: Scenario, tol: float = DEFAULT_TOL) -> ResultTable:
     """Execute a validated scenario and return its result table."""
-    if scenario.kind == "evolve":
-        return _run_evolve(scenario, tol)
-    if scenario.kind == "resonance_catalog":
-        return _run_catalog(scenario)
-    if scenario.kind == "negativity_sweep":
-        return _run_sweep(scenario)
-    if scenario.kind == "experiment_plan":
-        return _run_plan(scenario)
-    raise ValueError(f"unknown scenario kind {scenario.kind!r}")
-
-
-def _run_evolve(scenario: Scenario, tol: float) -> ResultTable:
-    coeffs = static_coefficients(scenario.cavity)
-    map_ = first_order_map(coeffs, scenario.profile, tol=tol)
-    rows = []
-    for m in range(1, scenario.cavity.n_max + 1):
-        for n in range(1, scenario.cavity.n_max + 1):
-            a = map_.a_entry(m, n)
-            b = map_.b_entry(m, n)
-            rows.append((m, n, a.real, a.imag, b.real, b.imag))
-    return ResultTable(
-        columns=("m", "n", "re_a_hat", "im_a_hat", "re_b_hat", "im_b_hat"),
-        rows=rows,
-        scenario_digest=scenario.source_digest,
-    )
-
-
-def _run_catalog(scenario: Scenario) -> ResultTable:
-    coeffs = static_coefficients(scenario.cavity)
-    entries = catalog_1d(coeffs, scenario.max_omega)
-    rows = [
-        (e.kind.value, e.pair[0], e.pair[1], e.omega_r, e.coefficient, e.growth_per_h0)
-        for e in entries
-    ]
-    return ResultTable(
-        columns=("kind", "m", "n", "omega_r", "coefficient", "growth_per_h0"),
-        rows=rows,
-        scenario_digest=scenario.source_digest,
-    )
-
-
-def _run_sweep(scenario: Scenario) -> ResultTable:
-    coeffs = static_coefficients(scenario.cavity)
-    grid = negativity_grid(
-        coeffs,
-        scenario.pair,
-        scenario.squeezing,
-        scenario.sweep_h0,
-        scenario.omega_c_values,
-        scenario.delta_tau_values,
-    )
-    rows = []
-    for j, omega_c in enumerate(scenario.omega_c_values):
-        for i, dtau in enumerate(scenario.delta_tau_values):
-            rows.append((float(omega_c), float(dtau), grid[i, j]))
-    return ResultTable(
-        columns=("omega_c", "delta_tau", "negativity"),
-        rows=rows,
-        scenario_digest=scenario.source_digest,
-    )
-
-
-def _run_plan(scenario: Scenario) -> ResultTable:
-    report = plan(scenario.experiment).as_dict()
-    return ResultTable(
-        columns=tuple(report),
-        rows=[tuple(report.values())],
-        scenario_digest=scenario.source_digest,
-    )
-
-
-def _require_number(
-    block: dict, key: str, path: str, diags: list[str], minimum=None, integer=False
-):
-    value = block.get(key)
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        diags.append(f"{path}.{key}: required number missing or non-numeric")
-        return None
-    if integer and not isinstance(value, int):
-        diags.append(f"{path}.{key}: must be an integer, got {value!r}")
-        return None
-    if minimum is not None and value < minimum:
-        diags.append(f"{path}.{key}: must be >= {minimum}, got {value}")
-        return None
-    if integer:
-        return value
-    try:
-        return float(value)
-    except OverflowError:
-        diags.append(f"{path}.{key}: {value} is out of floating-point range")
-        return None
-
-
-def _optional_number(block: dict, key: str, path: str, diags: list[str], default, **checks):
-    """`_require_number` for a field that may be left out, taking `default`."""
-    if key not in block:
-        return default
-    return _require_number(block, key, path, diags, **checks)
-
-
-def _require_int_pair(value, path: str, diags: list[str]) -> tuple[int, int] | None:
-    if (
-        not isinstance(value, (list, tuple))
-        or len(value) != 2
-        or not all(isinstance(k, int) and not isinstance(k, bool) for k in value)
-    ):
-        diags.append(f"{path}: must be a pair of integers [m, n]")
-        return None
-    return (value[0], value[1])
-
-
-def _parse_cavity(block, n_max_override: int | None, diags: list[str]) -> Cavity1D | None:
-    if not isinstance(block, dict):
-        diags.append("cavity: required block missing or not a mapping")
-        return None
-    length = _require_number(block, "length", "cavity", diags)
-    mu0 = _optional_number(block, "mu0", "cavity", diags, 0.0)
-    n_max = n_max_override
-    if n_max is None:
-        n_max = _optional_number(block, "n_max", "cavity", diags, 10, integer=True)
-    if length is None or mu0 is None or n_max is None:
-        return None
-    try:
-        return Cavity1D(length=length, mu0=mu0, n_max=n_max)
-    except (ValueError, TypeError) as exc:
-        diags.append(f"cavity: {exc}")
-        return None
-
-
-def _parse_profile(block, diags: list[str]) -> AccelerationProfile | None:
-    if not isinstance(block, dict):
-        diags.append("profile: required block missing or not a mapping")
-        return None
-    variant = block.get("variant")
-    builders = {
-        "sinusoidal": _build_sinusoidal,
-        "piecewise_constant": _build_piecewise,
-        "ramp": _build_ramp,
-        "sampled": _build_sampled,
-        "windowed_sinusoid": _build_windowed,
-    }
-    if not isinstance(variant, str) or variant not in builders:
-        diags.append(
-            f"profile.variant: must be one of {', '.join(sorted(builders))}; got {variant!r}"
-        )
-        return None
-    try:
-        return builders[variant](block)
-    except (ValueError, TypeError, KeyError, OverflowError) as exc:
-        diags.append(f"profile: {exc}")
-        return None
-
-
-def _build_sinusoidal(block: dict) -> SinusoidalProfile:
-    return SinusoidalProfile(
-        h0=float(block["h0"]),
-        omega_c=float(block["omega_c"]),
-        tau0=float(block.get("tau0", 0.0)),
-        tauf=float(block["tauf"]),
-        phase=float(block.get("phase", 0.0)),
-    )
-
-
-def _build_piecewise(block: dict) -> PiecewiseConstantProfile:
-    segments = tuple(
-        (float(duration), float(value)) for duration, value in block["segments"]
-    )
-    return PiecewiseConstantProfile(segments=segments, tau0=float(block.get("tau0", 0.0)))
-
-
-def _build_ramp(block: dict) -> RampProfile:
-    return RampProfile(
-        h0=float(block["h0"]),
-        ramp_time=float(block["ramp_time"]),
-        tau0=float(block.get("tau0", 0.0)),
-        tauf=float(block["tauf"]),
-    )
-
-
-def _build_sampled(block: dict) -> SampledProfile:
-    return SampledProfile(
-        tau=np.asarray(block["tau"], dtype=float),
-        h=np.asarray(block["h"], dtype=float),
-    )
-
-
-def _build_windowed(block: dict) -> WindowedSinusoidProfile:
-    return WindowedSinusoidProfile(
-        h0=float(block["h0"]),
-        omega_c=float(block["omega_c"]),
-        window_time=float(block["window_time"]),
-        tau0=float(block.get("tau0", 0.0)),
-        tauf=float(block["tauf"]),
-        phase=float(block.get("phase", 0.0)),
-    )
-
-
-def _parse_state(block, cavity: Cavity1D | None, diags: list[str]):
-    if not isinstance(block, dict):
-        diags.append("state: required block missing or not a mapping")
-        return None, None
-    pair = _require_int_pair(block.get("pair"), "state.pair", diags)
-    out_pair = None
-    if pair is not None:
-        m, n = pair
-        if m < 1 or n < 1 or m == n:
-            diags.append(f"state.pair: must be two distinct positive integers, got {pair}")
-        elif cavity is not None and max(m, n) > cavity.n_max:
-            diags.append(
-                f"state.pair: mode {max(m, n)} outside truncation n_max = {cavity.n_max}"
-            )
-        else:
-            out_pair = (m, n)
-    squeezing = _require_number(block, "squeezing", "state", diags, minimum=0.0)
-    return out_pair, squeezing
-
-
-def _parse_range(value, path: str, diags: list[str]) -> np.ndarray | None:
-    if isinstance(value, dict):
-        missing = [k for k in ("start", "stop", "count") if k not in value]
-        if missing:
-            diags.append(f"{path}: range mapping needs start, stop, count; missing {missing}")
-            return None
-        count = value["count"]
-        if not isinstance(count, int) or isinstance(count, bool) or count < 1:
-            diags.append(f"{path}.count: must be a positive integer, got {count!r}")
-            return None
-        start = _require_number(value, "start", path, diags)
-        stop = _require_number(value, "stop", path, diags)
-        if start is None or stop is None:
-            return None
-        return np.linspace(start, stop, count)
-    if isinstance(value, (list, tuple)) and value:
-        try:
-            values = np.asarray(value, dtype=float)
-        except (ValueError, TypeError, OverflowError):
-            values = None
-        if values is None or values.ndim != 1:
-            diags.append(f"{path}: list entries must be numbers")
-            return None
-        return values
-    diags.append(f"{path}: required range missing (list or start/stop/count mapping)")
-    return None
-
-
-def _parse_sweep(block, diags: list[str]):
-    if not isinstance(block, dict):
-        diags.append("sweep: required block missing or not a mapping")
-        return None, None, None
-    h0 = _require_number(block, "h0", "sweep", diags, minimum=0.0)
-    if h0 is not None and h0 >= 2.0:
-        diags.append(f"sweep.h0: rigidity bound |h| < 2 violated by amplitude {h0}")
-    omega_c = _parse_range(block.get("omega_c"), "sweep.omega_c", diags)
-    if omega_c is not None and np.any(omega_c < 0.0):
-        diags.append("sweep.omega_c: drive frequencies must be nonnegative")
-        omega_c = None
-    delta_tau = _parse_range(block.get("delta_tau"), "sweep.delta_tau", diags)
-    if delta_tau is not None and np.any(delta_tau <= 0.0):
-        diags.append("sweep.delta_tau: durations must be positive")
-        delta_tau = None
-    return h0, omega_c, delta_tau
-
-
-def _parse_max_omega(block, diags: list[str]) -> float | None:
-    if not isinstance(block, dict):
-        diags.append("sweep: required block missing or not a mapping (needs max_omega)")
-        return None
-    value = _require_number(block, "max_omega", "sweep", diags)
-    if value is not None and not value > 0.0:
-        diags.append(f"sweep.max_omega: must be a positive number, got {value!r}")
-        return None
-    return value
-
-
-def _parse_experiment(block, diags: list[str]) -> ExperimentPlan | None:
-    if not isinstance(block, dict):
-        diags.append("experiment: required block missing or not a mapping")
-        return None
-    first = len(diags)
-    motion_block = block.get("motion")
-    motion = None
-    if not isinstance(motion_block, dict):
-        diags.append("experiment.motion: required block missing or not a mapping")
-    else:
-        kind = motion_block.get("type")
-        try:
-            if kind == "linear":
-                motion = LinearMotion(
-                    amplitude=float(motion_block["amplitude"]),
-                    axis=str(motion_block.get("axis", "x")),
-                )
-            elif kind == "circular":
-                motion = CircularMotion(
-                    dx=float(motion_block["dx"]), dy=float(motion_block["dy"])
-                )
-            else:
-                diags.append(
-                    f"experiment.motion.type: must be 'linear' or 'circular', got {kind!r}"
-                )
-        except (ValueError, TypeError, KeyError, OverflowError) as exc:
-            diags.append(f"experiment.motion: {exc}")
-    values = {}
-    for key in ("wavelength", "lx", "ly", "lz"):
-        values[key] = _require_number(block, key, "experiment", diags, minimum=0.0)
-    pair = _require_int_pair(block.get("pair", (1, 2)), "experiment.pair", diags)
-    transverse = block.get("transverse")
-    if transverse is not None:
-        transverse = _require_int_pair(transverse, "experiment.transverse", diags)
-    if len(diags) > first:
-        return None
-    try:
-        return ExperimentPlan(
-            wavelength=values["wavelength"],
-            lx=values["lx"],
-            ly=values["ly"],
-            lz=values["lz"],
-            motion=motion,
-            pair=pair,
-            transverse=transverse,
-        )
-    except (ValueError, TypeError, OverflowError) as exc:
-        diags.append(f"experiment: {exc}")
-        return None
+    columns, rows = scenario._result(tol)
+    return ResultTable(columns=columns, rows=rows, scenario_digest=scenario.source_digest)

@@ -28,6 +28,11 @@ import numpy as np
 
 _AXES = ("x", "y", "z")
 
+# The static coefficients take fourth powers of the length, the frequencies
+# and the gaps between them; each of those scales must lie within
+# [1/_SCALE_LIMIT, _SCALE_LIMIT] for the powers to stay normal floats.
+_SCALE_LIMIT = 1e75
+
 
 @dataclass(frozen=True)
 class Cavity1D:
@@ -44,6 +49,15 @@ class Cavity1D:
             raise ValueError(f"field mass must be nonnegative, got {self.mu0}")
         if int(self.n_max) != self.n_max or self.n_max < 2:
             raise ValueError(f"n_max must be an integer >= 2, got {self.n_max}")
+        k = math.pi / self.length
+        w1, w2 = math.hypot(self.mu0, k), math.hypot(self.mu0, 2.0 * k)
+        scales = (self.length, w1, math.hypot(self.mu0, k * self.n_max), 3.0 * k * k / (w1 + w2))
+        if not all(1.0 / _SCALE_LIMIT <= scale <= _SCALE_LIMIT for scale in scales):
+            raise ValueError(
+                "spectrum beyond floating-point range: length, lowest and highest frequency "
+                f"and smallest gap {', '.join(f'{x:.3g}' for x in scales)} must lie within "
+                f"[{1.0 / _SCALE_LIMIT:g}, {_SCALE_LIMIT:g}]"
+            )
 
 
 @dataclass(frozen=True)
@@ -66,14 +80,6 @@ class Cavity3D:
         if axis not in _AXES:
             raise ValueError(f"axis must be one of {_AXES}, got {axis!r}")
         return (self.lx, self.ly, self.lz)[_AXES.index(axis)]
-
-
-@dataclass(frozen=True)
-class ModeSpec:
-    """A single cavity mode: its quantum numbers and angular frequency."""
-
-    numbers: tuple[int, ...]
-    omega: float
 
 
 def _check_quantum_number(n: int, label: str = "n") -> None:
@@ -113,14 +119,6 @@ def omega_3d(cavity: Cavity3D, m: int, n: int, p: int) -> float:
     ky = math.pi * n / cavity.ly
     kz = math.pi * p / cavity.lz
     return math.sqrt(cavity.mu * cavity.mu + kx * kx + ky * ky + kz * kz)
-
-
-def mode_1d(cavity: Cavity1D, n: int) -> ModeSpec:
-    return ModeSpec((n,), omega_1d(cavity, n))
-
-
-def mode_3d(cavity: Cavity3D, m: int, n: int, p: int) -> ModeSpec:
-    return ModeSpec((m, n, p), omega_3d(cavity, m, n, p))
 
 
 def reduce_to_effective_1d(

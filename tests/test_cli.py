@@ -135,6 +135,17 @@ def test_unreachable_tolerance_exits_two(tmp_path):
     assert "quadrature" in result.stderr
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1e-10"])
+def test_bad_tolerance_exits_one(tmp_path, tol):
+    result = run_cli(
+        "run", str(SCENARIO_DIR / "evolve_resonant.yaml"), "--out", "ev.csv", f"--tol={tol}",
+        cwd=tmp_path,
+    )
+    assert result.returncode == 1
+    assert "error: --tol: " in result.stderr
+    assert not (tmp_path / "ev.csv").exists()
+
+
 def test_nmax_flag_shrinks_output(tmp_path):
     result = run_cli(
         "run",

@@ -8,7 +8,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from cavitymix.bogoliubov import first_order_map, static_coefficients
-from cavitymix.profiles import SinusoidalProfile
+from cavitymix.profiles import QuadratureError, SinusoidalProfile
 from cavitymix.scenarios import (
     ResultTable,
     ScenarioError,
@@ -383,6 +383,13 @@ PLAN = (
 )
 
 
+EVOLVE = (
+    "kind: evolve\n"
+    "cavity: {length: 1.0, n_max: 4}\n"
+    "profile: {variant: sinusoidal, h0: 0.001, omega_c: 3.0, tauf: 5.0}\n"
+)
+
+
 def catalog(cavity):
     return f"kind: resonance_catalog\ncavity: {cavity}\nsweep: {{max_omega: 5.0}}\n"
 
@@ -403,6 +410,23 @@ def sweep(omega_c, delta_tau):
         (PLAN + "  pair: 3\n", "experiment.pair"),
         (PLAN + "  pair: [1, x]\n", "experiment.pair"),
         (PLAN + "  transverse: 7\n", "experiment.transverse"),
+        (SWEEP.replace("h0: 1.0e-3", "h0: .nan"), "sweep.h0"),
+        (sweep("[.nan]", "[5.0]"), "sweep.omega_c"),
+        (SWEEP.replace("squeezing: 0.5", "squeezing: .inf"), "state.squeezing"),
+        (PLAN.replace("amplitude: 1.0e-6", "amplitude: .nan"), "experiment.motion.amplitude"),
+        (EVOLVE.replace("omega_c: 3.0", "omega_c: .nan"), "profile.omega_c"),
+        (catalog("{length: 1.0, mu0: .nan}"), "cavity.mu0"),
+        (EVOLVE.replace("h0: 0.001", "h0: true"), "profile.h0"),
+        (catalog("{length: 1.0, nmax: 40}"), "cavity.nmax"),
+        (EVOLVE.replace("tauf: 5.0", "tauf: 5.0, phse: 1.0"), "profile.phse"),
+        (SWEEP.replace("squeezing: 0.5", "squeezing: 0.5, squeezng: 2.0"), "state.squeezng"),
+        (SWEEP.replace("h0: 1.0e-3", "h0: 1.0e-3\n  extra: 1"), "sweep.extra"),
+        (EVOLVE.replace(", tauf: 5.0", ""), "profile.tauf"),
+        (SWEEP.replace("squeezing: 0.5", "squeezing: 1000"), "state.squeezing"),
+        (catalog("{length: .inf}"), "cavity.length"),
+        (catalog("{length: 1.0e-300}"), "cavity"),
+        (sweep(f"{{start: 3.0, stop: 3.3, count: {10**39}}}", "[5.0]"), "sweep.omega_c.count"),
+        (catalog(f"{{length: 1.0, n_max: {10**21}}}"), "cavity.n_max"),
     ],
     ids=[
         "mu0-text",
@@ -414,6 +438,23 @@ def sweep(omega_c, delta_tau):
         "plan-pair-scalar",
         "plan-pair-text",
         "plan-transverse-scalar",
+        "sweep-h0-nan",
+        "range-list-nan",
+        "squeezing-inf",
+        "plan-amplitude-nan",
+        "profile-omega_c-nan",
+        "mu0-nan",
+        "profile-h0-bool",
+        "cavity-unknown-nmax",
+        "profile-unknown-phse",
+        "state-unknown-squeezng",
+        "sweep-unknown-extra",
+        "profile-missing-tauf",
+        "squeezing-overflow",
+        "length-inf",
+        "length-spectrum-overflow",
+        "range-count-huge",
+        "n_max-huge",
     ],
 )
 def test_bad_field_values_are_diagnosed(tmp_path, text, field):
@@ -479,5 +520,9 @@ def test_any_mapping_loads_or_is_diagnosed(tmp_path, data):
         scenario = load_scenario(path)
     except ScenarioError as err:
         assert err.diagnostics
-    else:
-        assert scenario.kind in {"evolve", "resonance_catalog", "negativity_sweep", "experiment_plan"}
+        return
+    assert scenario.kind in {"evolve", "resonance_catalog", "negativity_sweep", "experiment_plan"}
+    try:
+        run_scenario(scenario)
+    except QuadratureError:
+        pass

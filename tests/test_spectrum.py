@@ -7,8 +7,6 @@ import pytest
 from cavitymix.spectrum import (
     Cavity1D,
     Cavity3D,
-    mode_1d,
-    mode_3d,
     omega_1d,
     omega_3d,
     omega_diff_1d,
@@ -96,17 +94,6 @@ def test_matrix_helpers_agree_with_scalars():
             assert sums[m - 1, n - 1] == pytest.approx(omega_sum_1d(cav, m, n), rel=1e-15)
 
 
-def test_mode_specs_carry_numbers_and_frequency():
-    cav = Cavity1D(length=1.0, mu0=0.0, n_max=3)
-    spec = mode_1d(cav, 2)
-    assert spec.numbers == (2,)
-    assert spec.omega == pytest.approx(2 * math.pi)
-    cav3 = Cavity3D(lx=1.0, ly=1.0, lz=1.0)
-    spec3 = mode_3d(cav3, 1, 1, 2)
-    assert spec3.numbers == (1, 1, 2)
-    assert spec3.omega == pytest.approx(math.pi * math.sqrt(6.0))
-
-
 def test_quantum_number_validation():
     cav = Cavity1D(length=1.0)
     with pytest.raises(ValueError):
@@ -122,6 +109,9 @@ def test_cavity_validation():
         Cavity1D(length=1.0, mu0=-1.0)
     with pytest.raises(ValueError):
         Cavity1D(length=1.0, n_max=1)
+    for length, mu0 in ((1e-300, 0.0), (1e100, 0.0), (1.0, 1e200), (1.0, 1e80)):
+        with pytest.raises(ValueError, match="floating-point range"):
+            Cavity1D(length=length, mu0=mu0)
     with pytest.raises(ValueError):
         Cavity3D(lx=1.0, ly=-1.0, lz=1.0)
     with pytest.raises(ValueError):
