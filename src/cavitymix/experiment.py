@@ -46,7 +46,7 @@ from .resonance import (
     paraxial_mixing_omega,
     paraxial_validity_ratio,
 )
-from .spectrum import Cavity3D, omega_3d
+from .spectrum import Cavity3D, omega_vector, reduce_to_effective_1d
 
 C_LIGHT = 2.99792458e8
 WAVELENGTH_EDGE_FACTOR = 100.0
@@ -281,17 +281,16 @@ def _creation_factor(cavity: Cavity3D, axis: str, rel_tol: float) -> float:
 
 
 def _creation_partial_sum(cavity: Cavity3D, axis: str, cutoff: int) -> float:
-    length = cavity.edge(axis)
-    omega_low = omega_3d(cavity, 1, 1, 1)
+    # Freezing the two other quantum numbers at 1 gives omega[0] = w_111 and
+    # omega[m' - 1] = w_{m'11} (or w_{1m'1}) for every m' up to the cutoff.
+    reduced = reduce_to_effective_1d(cavity, axis, (1, 1), n_max=cutoff)
+    omega = omega_vector(reduced)
+    omega_low, omegas = omega[0], omega[1::2]
     primes = np.arange(2, cutoff + 1, 2)
-    if axis == "x":
-        omegas = np.array([omega_3d(cavity, int(mp), 1, 1) for mp in primes])
-    else:
-        omegas = np.array([omega_3d(cavity, 1, int(mp), 1) for mp in primes])
     terms = (
         2.0
         * math.pi**2
         * primes
-        / (length**4 * (omega_low + omegas) ** 3 * np.sqrt(omega_low * omegas))
+        / (reduced.length**4 * (omega_low + omegas) ** 3 * np.sqrt(omega_low * omegas))
     )
     return float(np.sum(terms**2))

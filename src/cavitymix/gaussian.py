@@ -57,9 +57,9 @@ def symplectic_form(n_modes: int) -> np.ndarray:
     if n_modes < 1:
         raise ValueError(f"n_modes must be at least 1, got {n_modes}")
     omega = np.zeros((2 * n_modes, 2 * n_modes))
-    for k in range(n_modes):
-        omega[2 * k, 2 * k + 1] = 1.0
-        omega[2 * k + 1, 2 * k] = -1.0
+    step = 4 * n_modes + 2  # flat distance from entry (2k, j) to (2k + 2, j + 2)
+    omega.flat[1::step] = 1.0  # Omega[2k, 2k+1]
+    omega.flat[2 * n_modes :: step] = -1.0  # Omega[2k+1, 2k]
     return omega
 
 
@@ -169,15 +169,6 @@ def reduce_to_pair(state: CovarianceState, pair: tuple[int, int]) -> TwoModeRedu
     )
 
 
-def _quadrature_block(alpha: complex, beta: complex) -> np.ndarray:
-    return np.array(
-        [
-            [(alpha + beta).real, -(alpha - beta).imag],
-            [(alpha + beta).imag, (alpha - beta).real],
-        ]
-    )
-
-
 def symplectic_from_map(
     map_: FirstOrderBogoliubovMap,
     pair: tuple[int, int],
@@ -196,14 +187,14 @@ def symplectic_from_map(
     for k in (m, n):
         if not 1 <= k <= n_max:
             raise ValueError(f"mode {k} outside truncation n_max = {n_max}")
-    alpha = map_.alpha_matrix(include_free_phases=include_free_phases)
-    beta = map_.beta_matrix(include_free_phases=include_free_phases)
+    block = np.ix_([m - 1, n - 1], [m - 1, n - 1])
+    alpha = map_.alpha_matrix(include_free_phases=include_free_phases)[block]
+    beta = map_.beta_matrix(include_free_phases=include_free_phases)[block]
     s = np.empty((4, 4))
-    for bi, i in enumerate((m - 1, n - 1)):
-        for bj, j in enumerate((m - 1, n - 1)):
-            s[2 * bi : 2 * bi + 2, 2 * bj : 2 * bj + 2] = _quadrature_block(
-                alpha[i, j], beta[i, j]
-            )
+    s[0::2, 0::2] = (alpha + beta).real
+    s[0::2, 1::2] = -(alpha - beta).imag
+    s[1::2, 0::2] = (alpha + beta).imag
+    s[1::2, 1::2] = (alpha - beta).real
     return s
 
 

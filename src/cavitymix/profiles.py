@@ -469,6 +469,10 @@ class WindowedSinusoidProfile(AccelerationProfile):
             raise ValueError(
                 "window phase pi/window_time * duration is beyond floating-point range"
             )
+        if not math.isfinite(self.phase + self.omega_c * self.duration):
+            raise ValueError(
+                "drive phase omega_c * duration + phase is beyond floating-point range"
+            )
 
     def _envelope(self, t: np.ndarray) -> np.ndarray:
         w, s = self.window_time, self.duration

@@ -33,8 +33,10 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .bogoliubov import StaticCoefficients, static_coefficients
-from .spectrum import Cavity3D, omega_diff_1d, omega_sum_1d, reduce_to_effective_1d
+import numpy as np
+
+from .bogoliubov import StaticCoefficients, _parity_odd_mask, static_coefficients
+from .spectrum import Cavity3D, omega_diff_matrix, omega_sum_matrix, reduce_to_effective_1d
 
 
 class ResonanceKind(enum.Enum):
@@ -62,35 +64,25 @@ def catalog_1d(coeffs: StaticCoefficients, max_omega: float) -> list[ResonanceEn
     if max_omega <= 0.0:
         raise ValueError(f"max_omega must be positive, got {max_omega}")
     cavity = coeffs.cavity
+    pairs = np.triu(_parity_odd_mask(cavity.n_max))  # odd m + n, m < n
+    labels = np.argwhere(pairs) + 1
     entries = []
-    for m in range(1, cavity.n_max + 1):
-        for n in range(m + 1, cavity.n_max + 1):
-            if (m + n) % 2 == 0:
-                continue
-            omega_mix = omega_diff_1d(cavity, n, m)
-            if omega_mix <= max_omega:
-                coef = abs(coeffs.alpha_entry(m, n))
-                entries.append(
-                    ResonanceEntry(
-                        kind=ResonanceKind.MODE_MIXING,
-                        pair=(m, n),
-                        omega_r=omega_mix,
-                        coefficient=coef,
-                        growth_per_h0=omega_mix * coef / 2.0,
-                    )
-                )
-            omega_create = omega_sum_1d(cavity, m, n)
-            if omega_create <= max_omega:
-                coef = abs(coeffs.beta_entry(m, n))
-                entries.append(
-                    ResonanceEntry(
-                        kind=ResonanceKind.PARTICLE_CREATION,
-                        pair=(m, n),
-                        omega_r=omega_create,
-                        coefficient=coef,
-                        growth_per_h0=omega_create * coef / 2.0,
-                    )
-                )
+    # mixing sits at w_n - w_m for m < n: the transposed difference matrix
+    for kind, omega, coef in (
+        (ResonanceKind.MODE_MIXING, omega_diff_matrix(cavity).T, coeffs.alpha_hat),
+        (ResonanceKind.PARTICLE_CREATION, omega_sum_matrix(cavity), coeffs.beta_hat),
+    ):
+        keep = omega[pairs] <= max_omega
+        omega_r, coef = omega[pairs][keep], np.abs(coef[pairs][keep])
+        entries += [
+            ResonanceEntry(kind=kind, pair=tuple(pair), omega_r=w, coefficient=c, growth_per_h0=g)
+            for pair, w, c, g in zip(
+                labels[keep].tolist(),
+                omega_r.tolist(),
+                coef.tolist(),
+                (omega_r * coef / 2.0).tolist(),
+            )
+        ]
     entries.sort(key=lambda e: (e.omega_r, e.kind.value, e.pair))
     return entries
 

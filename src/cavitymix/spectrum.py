@@ -12,9 +12,12 @@ Conventions used throughout the package:
   1+1 spectrum whose effective mass collects the frozen transverse momenta
   and the field mass.
 
-Frequency differences w_m - w_n are needed deep inside resonance
-denominators where the two frequencies can agree to many digits (large
-effective mass).  `omega_diff_1d` therefore evaluates the difference as
+The spectrum comes only as arrays: `omega_vector` holds (w_1, ...,
+w_{n_max}), `omega_diff_matrix` and `omega_sum_matrix` every difference
+and sum of two of them.  Frequency differences w_m - w_n are needed deep
+inside resonance denominators where the two frequencies can agree to many
+digits (large effective mass).  `omega_diff_matrix` is the
+cancellation-safe form: it evaluates each difference as
 (k_m^2 - k_n^2) / (w_m + w_n), which stays accurate when the direct
 subtraction would cancel.
 """
@@ -82,45 +85,6 @@ class Cavity3D:
         return (self.lx, self.ly, self.lz)[_AXES.index(axis)]
 
 
-def _check_quantum_number(n: int, label: str = "n") -> None:
-    if int(n) != n or n < 1:
-        raise ValueError(f"Dirichlet quantum number {label} must be an integer >= 1, got {n}")
-
-
-def omega_1d(cavity: Cavity1D, n: int) -> float:
-    """Angular frequency w_n = sqrt(mu0^2 + (pi*n/L)^2)."""
-    _check_quantum_number(n)
-    return math.hypot(cavity.mu0, math.pi * n / cavity.length)
-
-
-def omega_diff_1d(cavity: Cavity1D, m: int, n: int) -> float:
-    """w_m - w_n evaluated without catastrophic cancellation.
-
-    Uses (k_m^2 - k_n^2) / (w_m + w_n) with k_n = pi*n/L, which is exact in
-    real arithmetic and loses no relative accuracy when mu0*L is large and
-    the two frequencies nearly coincide.
-    """
-    _check_quantum_number(m, "m")
-    _check_quantum_number(n, "n")
-    ksq_diff = (math.pi / cavity.length) ** 2 * float((m - n) * (m + n))
-    return ksq_diff / (omega_1d(cavity, m) + omega_1d(cavity, n))
-
-
-def omega_sum_1d(cavity: Cavity1D, m: int, n: int) -> float:
-    """w_m + w_n (no cancellation issue; provided for symmetry)."""
-    return omega_1d(cavity, m) + omega_1d(cavity, n)
-
-
-def omega_3d(cavity: Cavity3D, m: int, n: int, p: int) -> float:
-    """Angular frequency of the (m, n, p) mode of a rectangular cavity."""
-    for q, label in zip((m, n, p), ("m", "n", "p")):
-        _check_quantum_number(q, label)
-    kx = math.pi * m / cavity.lx
-    ky = math.pi * n / cavity.ly
-    kz = math.pi * p / cavity.lz
-    return math.sqrt(cavity.mu * cavity.mu + kx * kx + ky * ky + kz * kz)
-
-
 def reduce_to_effective_1d(
     cavity: Cavity3D,
     axis: str,
@@ -135,7 +99,7 @@ def reduce_to_effective_1d(
 
         mu0_eff^2 = mu^2 + sum_perp (pi * q_perp / L_perp)^2,
 
-    so omega_1d(reduced, k) reproduces the 3+1 dispersion exactly.
+    so omega_vector(reduced)[k - 1] reproduces the 3+1 dispersion exactly.
     """
     if axis not in _AXES:
         raise ValueError(f"axis must be one of {_AXES}, got {axis!r}")
@@ -145,7 +109,10 @@ def reduce_to_effective_1d(
     perp_axes = [a for a in _AXES if a != axis]
     musq = cavity.mu * cavity.mu
     for q, perp in zip(transverse, perp_axes):
-        _check_quantum_number(q, f"transverse {perp}")
+        if int(q) != q or q < 1:
+            raise ValueError(
+                f"Dirichlet quantum number transverse {perp} must be an integer >= 1, got {q}"
+            )
         k = math.pi * q / edges[perp]
         musq += k * k
     return Cavity1D(length=edges[axis], mu0=math.sqrt(musq), n_max=n_max)

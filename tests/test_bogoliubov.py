@@ -12,7 +12,7 @@ from cavitymix.bogoliubov import (
     verify_first_order_identities,
 )
 from cavitymix.profiles import QuadratureError, SampledProfile, SinusoidalProfile
-from cavitymix.spectrum import Cavity1D, omega_diff_1d, omega_sum_1d
+from cavitymix.spectrum import Cavity1D, omega_diff_matrix, omega_sum_matrix
 from conftest import simpson_oscillatory
 
 ALPHA_12 = 2.0 * math.sqrt(2.0) / math.pi**2
@@ -110,9 +110,10 @@ def test_map_entries_match_simpson_oracle():
     coeffs = static_coefficients(cavity)
     prof = SinusoidalProfile(h0=0.01, omega_c=1.7, tau0=0.5, tauf=14.5, phase=0.2)
     map_ = first_order_map(coeffs, prof)
+    diffs, sums = omega_diff_matrix(cavity), omega_sum_matrix(cavity)
     for m, n in ((1, 2), (3, 4), (1, 4)):
-        delta = omega_diff_1d(cavity, m, n)
-        sigma = omega_sum_1d(cavity, m, n)
+        delta = diffs[m - 1, n - 1]
+        sigma = sums[m - 1, n - 1]
         a_expect = 1j * delta * coeffs.alpha_entry(m, n) * simpson_oscillatory(prof, delta)
         b_expect = 1j * sigma * coeffs.beta_entry(m, n) * simpson_oscillatory(prof, sigma)
         assert map_.a_entry(m, n) == pytest.approx(a_expect, abs=5e-9)
@@ -139,9 +140,10 @@ def test_sampled_map_entries_match_scipy_oracle():
     def oracle(delta):
         return complex(simpson(np.exp(-1j * delta * fine) * np.interp(fine, tau, h), x=fine))
 
+    diffs, sums = omega_diff_matrix(cavity), omega_sum_matrix(cavity)
     for m, n in ((1, 2), (2, 1), (3, 8), (7, 6)):
-        delta = omega_diff_1d(cavity, m, n)
-        sigma = omega_sum_1d(cavity, m, n)
+        delta = diffs[m - 1, n - 1]
+        sigma = sums[m - 1, n - 1]
         a_expect = 1j * delta * coeffs.alpha_entry(m, n) * oracle(delta)
         b_expect = 1j * sigma * coeffs.beta_entry(m, n) * oracle(sigma)
         assert map_.a_entry(m, n) == pytest.approx(a_expect, abs=1e-10)

@@ -14,7 +14,7 @@ from cavitymix.experiment import (
     plan,
 )
 from cavitymix.resonance import catalog_1d
-from cavitymix.spectrum import Cavity1D, Cavity3D, omega_3d
+from cavitymix.spectrum import Cavity1D
 
 
 def desktop(motion):
@@ -23,13 +23,17 @@ def desktop(motion):
     )
 
 
-def brute_force_creation_factor(edge, cutoff=200000):
+def brute_force_creation_factor(lx, ly, lz, axis="x", cutoff=200000):
     """Direct dense summation of the squared creation magnitudes, done with
-    none of the package's adaptivity: the reference for the numeric factor."""
-    cavity = Cavity3D(lx=edge, ly=edge, lz=edge, mu=0.0)
-    w_low = omega_3d(cavity, 1, 1, 1)
+    none of the package's adaptivity: the reference for the numeric factor.
+
+    The lowest mode is (1, 1, 1) of the massless cavity; m' runs over the
+    even longitudinal numbers along the driven axis, the other two stay 1."""
+    edge = lx if axis == "x" else ly
+    w_low = math.pi * math.sqrt(lx**-2 + ly**-2 + lz**-2)
     primes = np.arange(2, cutoff + 1, 2, dtype=float)
-    w_primes = np.sqrt((np.pi * primes / edge) ** 2 + 2.0 * (np.pi / edge) ** 2)
+    frozen = (np.pi / (ly if axis == "x" else lx)) ** 2 + (np.pi / lz) ** 2
+    w_primes = np.sqrt((np.pi * primes / edge) ** 2 + frozen)
     terms = (
         2.0 * np.pi**2 * primes / (edge**4 * (w_low + w_primes) ** 3 * np.sqrt(w_low * w_primes))
     )
@@ -73,10 +77,21 @@ def test_circular_plan_adds_rotation_figures():
 def test_beta_bound_factor_against_brute_force():
     inputs = desktop(LinearMotion(amplitude=1e-6, axis="x"))
     bound = beta_bound(inputs, rel_tol=1e-8)
-    reference = brute_force_creation_factor(0.01)
+    reference = brute_force_creation_factor(0.01, 0.01, 0.01)
     assert bound.numeric_factor == pytest.approx(reference, rel=1e-6)
     assert bound.numeric_factor == pytest.approx(1.01636e-5, rel=1e-4)
     assert bound.product == pytest.approx(bound.numeric_factor * bound.h_squared, rel=1e-14)
+    # A 7 m cavity with 1 cm transverse edges, just inside MAX_ELONGATION,
+    # driven along its long edge: the creation terms only start to decay
+    # beyond m' ~ 1e3, so the sum needs about 2^18 terms.  The brute-force
+    # tail beyond 2^21 is about 2e-12 relative.
+    for axis, lx, ly in (("x", 7.0, 0.01), ("y", 0.01, 7.0)):
+        inputs = ExperimentPlan(
+            wavelength=600e-9, lx=lx, ly=ly, lz=0.01, motion=LinearMotion(amplitude=1e-6, axis=axis)
+        )
+        bound = beta_bound(inputs, rel_tol=1e-8)
+        reference = brute_force_creation_factor(lx, ly, 0.01, axis=axis, cutoff=2**21)
+        assert bound.numeric_factor == pytest.approx(reference, rel=1e-6)
 
 
 def test_beta_bound_h_is_peak_h():

@@ -111,6 +111,8 @@ def test_windowed_sinusoid_envelope():
         prof.restrict(1.0, 5.0)
     with pytest.raises(ValueError):
         WindowedSinusoidProfile(h0=0.2, omega_c=5.0, window_time=6.0, tau0=0.0, tauf=10.0)
+    with pytest.raises(ValueError, match="omega_c"):
+        WindowedSinusoidProfile(h0=0.01, omega_c=1e300, window_time=1e10, tau0=0.0, tauf=1e11)
 
 
 def test_rigidity_check_reports_worst_point():

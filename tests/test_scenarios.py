@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 import yaml
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from cavitymix.bogoliubov import first_order_map, static_coefficients
@@ -390,6 +390,15 @@ EVOLVE = (
 )
 
 
+def windowed(omega_c, window_time, tauf):
+    return (
+        "kind: evolve\n"
+        "cavity: {length: 1.0, n_max: 4}\n"
+        f"profile: {{variant: windowed_sinusoid, h0: 0.001, omega_c: {omega_c}, "
+        f"window_time: {window_time}, tauf: {tauf}}}\n"
+    )
+
+
 def catalog(cavity):
     return f"kind: resonance_catalog\ncavity: {cavity}\nsweep: {{max_omega: 5.0}}\n"
 
@@ -427,6 +436,7 @@ def sweep(omega_c, delta_tau):
         (catalog("{length: 1.0e-300}"), "cavity"),
         (sweep(f"{{start: 3.0, stop: 3.3, count: {10**39}}}", "[5.0]"), "sweep.omega_c.count"),
         (catalog(f"{{length: 1.0, n_max: {10**21}}}"), "cavity.n_max"),
+        (windowed("1.0e+300", "1.0e+10", "1.0e+11"), "profile"),
     ],
     ids=[
         "mu0-text",
@@ -455,6 +465,7 @@ def sweep(omega_c, delta_tau):
         "length-spectrum-overflow",
         "range-count-huge",
         "n_max-huge",
+        "windowed-drive-phase-overflow",
     ],
 )
 def test_bad_field_values_are_diagnosed(tmp_path, text, field):
@@ -464,12 +475,20 @@ def test_bad_field_values_are_diagnosed(tmp_path, text, field):
 
 
 SHIPPED = [yaml.safe_load(p.read_text(encoding="utf-8")) for p in sorted(SCENARIO_DIR.glob("*.yaml"))]
+# Numbers spread evenly in magnitude over the float range, where the run-time
+# guards against overflow sit; plain floats cluster near zero.
+LOG_UNIFORM = st.builds(
+    lambda sign, exponent: sign * 10.0**exponent,
+    st.sampled_from([-1.0, 1.0]),
+    st.floats(-300.0, 300.0),
+)
 LEAVES = st.one_of(
     st.none(),
     st.booleans(),
     st.integers(-3, 3),
     st.just(10**400),
     st.floats(allow_nan=True, allow_infinity=True),
+    LOG_UNIFORM,
     st.text(max_size=3),
 )
 VALUES = st.recursive(
@@ -514,6 +533,9 @@ def mutated_scenarios(draw):
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
 @given(data=mutated_scenarios())
+@example(data=yaml.safe_load(windowed("3.0", "1.0e-300", "1.0e+10")))  # window phase
+@example(data=yaml.safe_load(EVOLVE.replace("omega_c: 3.0", "omega_c: 1.0e+308")))  # integral
+@example(data=yaml.safe_load(PLAN.replace("lx: 0.01", "lx: 1.0e+5")))  # elongation cap
 def test_any_mapping_loads_or_is_diagnosed(tmp_path, data):
     path = write(tmp_path, yaml.safe_dump(data))
     try:
@@ -523,6 +545,7 @@ def test_any_mapping_loads_or_is_diagnosed(tmp_path, data):
         return
     assert scenario.kind in {"evolve", "resonance_catalog", "negativity_sweep", "experiment_plan"}
     try:
-        run_scenario(scenario)
+        with np.errstate(over="ignore", invalid="ignore"):  # numpy warns before the check
+            run_scenario(scenario)
     except QuadratureError:
         pass
