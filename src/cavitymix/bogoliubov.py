@@ -23,10 +23,13 @@ factors into free phases times a perturbation,
     I(delta) = integral exp(-i delta (tau - tau0)) h(tau) dtau.
 
 A is anti-Hermitian and B symmetric; both inherit the parity zeros.  All
-odd entries go through one batched kernel call, but every entry gets its
-own integral (nothing is filled in by symmetry), so
-`verify_first_order_identities` is a real check of the numerics rather
-than a tautology.
+odd entries go through one batched kernel call over the distinct deltas,
+which `static_coefficients` tabulates once per cavity: a massless cavity's
+w_m -+ w_n are integer multiples of pi/L, so many entries share a delta
+bit for bit.  Every distinct delta gets its own integral, and nothing is
+filled in by symmetry: A[m, n] and A[n, m] read I(delta) and I(-delta),
+two separate integrals, so `verify_first_order_identities` is a real check
+of the numerics rather than a tautology.
 
 Composition.  Consecutive maps combine to first order as
 
@@ -59,12 +62,23 @@ def _parity_odd_mask(n_max: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class StaticCoefficients:
-    """Per-unit-h overlap coefficients of a cavity, with cached frequencies."""
+    """Per-unit-h overlap coefficients of a cavity, with cached frequencies.
+
+    The last four fields serve `first_order_map`.  `odd` masks the entries
+    with m + n odd; over them, in that order, the A entries and then the B
+    entries read the integral `deltas[delta_index]` times `entry_scale`,
+    i (w_m - w_n) alpha_hat or i (w_m + w_n) beta_hat.  `deltas` holds each
+    distinct delta once, sorted.
+    """
 
     cavity: Cavity1D
     alpha_hat: np.ndarray
     beta_hat: np.ndarray
     omega: np.ndarray
+    odd: np.ndarray
+    deltas: np.ndarray
+    delta_index: np.ndarray
+    entry_scale: np.ndarray
 
     def alpha_entry(self, m: int, n: int) -> float:
         return float(self.alpha_hat[m - 1, n - 1])
@@ -88,10 +102,20 @@ def static_coefficients(cavity: Cavity1D) -> StaticCoefficients:
     safe_diffs = np.where(odd, diffs, 1.0)
     alpha = np.where(odd, -2.0 * math.pi**2 * mn / (l4 * safe_diffs**3 * root), 0.0)
     beta = np.where(odd, 2.0 * math.pi**2 * mn / (l4 * sums**3 * root), 0.0)
-    alpha.setflags(write=False)
-    beta.setflags(write=False)
-    omega.setflags(write=False)
-    return StaticCoefficients(cavity=cavity, alpha_hat=alpha, beta_hat=beta, omega=omega)
+    deltas, delta_index = np.unique(np.concatenate([diffs[odd], sums[odd]]), return_inverse=True)
+    entry_scale = 1j * np.concatenate([diffs[odd] * alpha[odd], sums[odd] * beta[odd]])
+    for array in (alpha, beta, omega, odd, deltas, delta_index, entry_scale):
+        array.setflags(write=False)
+    return StaticCoefficients(
+        cavity=cavity,
+        alpha_hat=alpha,
+        beta_hat=beta,
+        omega=omega,
+        odd=odd,
+        deltas=deltas,
+        delta_index=delta_index,
+        entry_scale=entry_scale,
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -172,17 +196,14 @@ def first_order_map(
         )
     cavity = coeffs.cavity
     n_max = cavity.n_max
-    odd = _parity_odd_mask(n_max)  # even entries are exact parity zeros
-    diffs = omega_diff_matrix(cavity)[odd]
-    sums = omega_sum_matrix(cavity)[odd]
-    values, estimate = _fourier_integrals(profile._terms(), np.concatenate([diffs, sums]), tol)
-    a_scale = diffs * coeffs.alpha_hat[odd]
-    b_scale = sums * coeffs.beta_hat[odd]
-    a_hat = np.zeros((n_max, n_max), dtype=complex)
+    values, estimate = _fourier_integrals(profile._terms(), coeffs.deltas, tol)
+    entries = coeffs.entry_scale * values[coeffs.delta_index]
+    half = entries.size // 2
+    a_hat = np.zeros((n_max, n_max), dtype=complex)  # even entries are exact parity zeros
     b_hat = np.zeros((n_max, n_max), dtype=complex)
-    a_hat[odd] = 1j * a_scale * values[: diffs.size]
-    b_hat[odd] = 1j * b_scale * values[diffs.size :]
-    worst = estimate * max(np.max(np.abs(a_scale)), np.max(np.abs(b_scale)))
+    a_hat[coeffs.odd] = entries[:half]
+    b_hat[coeffs.odd] = entries[half:]
+    worst = estimate * float(np.max(np.abs(coeffs.entry_scale)))
     duration = profile.tauf - profile.tau0
     return FirstOrderBogoliubovMap(
         cavity=cavity,
@@ -242,8 +263,9 @@ def verify_first_order_identities(
 ) -> IdentityReport:
     """Check A + A^dagger = 0, B - B^T = 0 and the parity zeros.
 
-    All entries were produced by independent quadratures, so the residuals
-    measure the actual numerical consistency of the map.
+    A[m, n] and A[n, m] were produced by separate quadratures, I(delta) and
+    I(-delta), so the anti-Hermiticity residual measures the actual
+    numerical consistency of the map.
     """
     anti = float(np.max(np.abs(map_.a_hat + map_.a_hat.conj().T)))
     sym = float(np.max(np.abs(map_.b_hat - map_.b_hat.T)))

@@ -282,7 +282,7 @@ def negativity_grid(
     every other column stays bounded.
 
     The Fourier integral of the drive is one broadcast closed form over the
-    grid, the two-term table of `SinusoidalProfile`, with the checks a
+    grid, the two-piece table of `SinusoidalProfile`, with the checks a
     per-cell profile and `oscillatory_integral` would make: ValueError for
     a negative frequency or a non-positive duration, QuadratureError when
     the rounding bound exceeds the default tolerance 1e-10 or a cell is not
@@ -309,11 +309,12 @@ def negativity_grid(
     sinh_s = math.sinh(s)
     grid = np.empty((delta_tau_values.size, omega_c_values.size))
     rows = max(1, _CHUNK_ELEMENTS // omega_c_values.size)
-    for start in range(0, delta_tau_values.size, rows):
-        span = delta_tau_values[start : start + rows, None]
-        kernel = c * _phase_moment(omega_c - delta, 0.0, span, 0) + c * _phase_moment(
-            -omega_c - delta, 0.0, span, 0
-        )
-        grid[start : start + rows] = np.abs((1j * scale * kernel).imag) * sinh_s
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, delta_tau_values.size, rows):
+            span = delta_tau_values[start : start + rows, None]
+            rising, _ = _phase_moment(omega_c - delta, span, False)
+            falling, _ = _phase_moment(-omega_c - delta, span, False)
+            kernel = c * rising + c * falling
+            grid[start : start + rows] = np.abs((1j * scale * kernel).imag) * sinh_s
     _check_finite(grid)
     return grid

@@ -14,22 +14,24 @@ Everything downstream needs windowed Fourier transforms of h,
 with delta ranging from near zero up to sums of large mode frequencies.
 Sampling the oscillation is hopeless at the extreme phases that show up in
 laboratory-scale scenarios, so every profile instead reports itself as a
-term table: five flat arrays (a, b, coef, mu, power), one entry per term
-c * t^k * exp(i*mu*t) (k <= 1, t = tau - tau0) on the piece [a, b].  Each
-term integrates against the kernel in closed form, a Filon-type rule
-(Iserles & Norsett, Proc. R. Soc. A 461 (2005) 1383).  One kernel
-evaluates a whole batch of deltas against the table by broadcasting, a
-bounded chunk of (delta, term) elements at a time, and switches per
-element to a series expansion where the total phase across a piece is
-small enough for the direct formula to cancel.  `oscillatory_integral` is
-the one-delta call of that kernel; `first_order_map` makes one call for all
-the entries of a map.
+term table: five flat arrays (a, b, coef, mu, slope), one row per piece
+h = (coef + slope*t) * exp(i*mu*t) on [a, b] of local time t = tau - tau0.
+Each piece integrates against the kernel in closed form, a Filon-type rule
+(Iserles & Norsett, Proc. R. Soc. A 461 (2005) 1383), from one pair of
+exponentials per (delta, piece).  One kernel evaluates a whole batch of
+deltas against the table by broadcasting, a bounded chunk of (delta,
+piece) elements at a time, and switches per element to a series expansion
+where the total phase across a piece is small enough for the direct
+formula to cancel.  `oscillatory_integral` is the one-delta call of that
+kernel; `first_order_map` makes one call for all the distinct deltas of a
+map.
 
 For `SampledProfile` the table is the piecewise-linear interpolant of the
-samples, built with array operations: the oscillatory factor is handled
-analytically, the data enters linearly per panel.  The reported error
-estimate for all variants is a rounding bound proportional to the L1 mass
-of the integrand; a requested tolerance below it raises `QuadratureError`.
+samples, one row per panel, built with array operations: the oscillatory
+factor is handled analytically, the data enters linearly per panel.  The
+reported error estimate for all variants is a rounding bound proportional
+to the L1 mass of the integrand; a requested tolerance below it raises
+`QuadratureError`.
 """
 
 from __future__ import annotations
@@ -69,53 +71,51 @@ class RigidityReport:
     bound: float = RIGIDITY_BOUND
 
 
-# A term table lists the terms c * t^power * exp(i*mu*t) (power 0 or 1) that
-# make up h, each on its own piece [a, b] of local time t = tau - tau0, as the
-# five flat arrays (a, b, coef, mu, power).  Terms come in conjugate pairs (or
-# are real) so that h is real.
+# A term table lists the pieces (coef + slope * t) * exp(i*mu*t) that make up
+# h, each on its own interval [a, b] of local time t = tau - tau0, as the five
+# flat arrays (a, b, coef, mu, slope).  Pieces come in conjugate pairs (or are
+# real) so that h is real.
 _Terms = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
-# The kernel evaluates at most this many (delta, term) elements at once, so
+# The kernel evaluates at most this many (delta, piece) elements at once, so
 # its temporaries stay near a megabyte whatever the batch or table size.
 _CHUNK_ELEMENTS = 8192
 
 
-def _table(*terms: tuple[float, float, complex, float, int]) -> _Terms:
-    """Term table from (a, b, coef, mu, power) rows."""
-    a, b, coef, mu, power = zip(*terms)
+def _table(*pieces: tuple[float, float, complex, float, complex]) -> _Terms:
+    """Term table from (a, b, coef, mu, slope) rows."""
+    a, b, coef, mu, slope = zip(*pieces)
     return (
         np.array(a, dtype=float),
         np.array(b, dtype=float),
         np.array(coef, dtype=complex),
         np.array(mu, dtype=float),
-        np.array(power, dtype=np.int8),
+        np.array(slope, dtype=complex),
     )
 
 
-def _phase_moment(theta, a, span, power: int) -> np.ndarray:
-    """integral_a^{a+span} t^power * exp(i*theta*t) dt, elementwise.
+def _phase_moment(theta, span, linear: bool) -> tuple[np.ndarray, np.ndarray | None]:
+    """integral_0^span u^k * exp(i*theta*u) du for k = 0 and, if `linear`, k = 1.
 
-    `theta`, `a` and `span` broadcast against each other; `power` is 0 or 1.
-    Elements with |theta|*span < _SMALL_PHASE take the series branch, where
-    the direct formula would cancel.
+    Elementwise over `theta` and `span`, which broadcast against each other;
+    the k = 1 moment is None when not `linear`.  Both share one exponential
+    per element.  Elements with |theta|*span < _SMALL_PHASE take the series
+    branch, where the direct formula would cancel.
     """
     z = 1j * (theta * span)
     small = np.abs(theta) * span < _SMALL_PHASE
     itheta = 1j * np.where(small, 1.0, theta)
     ez = np.exp(z)
     base = (ez - 1.0) / itheta
-    if power:
-        moment = (ez * (z - 1.0) + 1.0) / itheta**2
+    moment = (ez * (z - 1.0) + 1.0) / itheta**2 if linear else None
     if small.any():
         zs, ss = z[small], np.broadcast_to(span, z.shape)[small]
         base[small] = ss * (1.0 + zs * (0.5 + zs * (1.0 / 6.0 + zs * (1.0 / 24.0 + zs / 120.0))))
-        if power:
+        if linear:
             moment[small] = (ss * ss) * (
                 0.5 + zs * (1.0 / 3.0 + zs * (0.125 + zs * (1.0 / 30.0 + zs / 144.0)))
             )
-    if power:
-        base = moment + a * base
-    return np.exp(1j * (theta * a)) * base
+    return base, moment
 
 
 def _rounding_estimate(mass: float, tol: float) -> float:
@@ -132,26 +132,30 @@ def _fourier_integrals(terms: _Terms, deltas, tol: float = 1e-10) -> tuple[np.nd
     """I(delta) for every delta of a batch, and the rounding bound they share.
 
     Broadcasts the deltas against the whole term table, a bounded chunk of
-    deltas at a time.  Raises `QuadratureError` when the bound exceeds `tol`
-    or a value is not finite.
+    deltas at a time.  A piece contributes exp(i*theta*a) times
+    (coef + slope*a) * integral_0^span exp(i*theta*u) du plus slope times the
+    linear moment, with theta = mu - delta; the linear moment is only formed
+    when some slope is non-zero.  Raises `QuadratureError` when the bound
+    exceeds `tol` or a value is not finite; numpy's overflow warnings are
+    silenced, since `_check_finite` reports the same failure.
     """
-    a, b, coef, mu, power = terms
+    a, b, coef, mu, slope = terms
     span = b - a
-    mass = float(np.sum(np.abs(coef) * np.where(power == 0, span, 0.5 * (b * b - a * a))))
+    mass = float(np.sum(np.abs(coef) * span + np.abs(slope) * (0.5 * (b * b - a * a))))
     estimate = _rounding_estimate(mass, tol)
+    linear = bool(np.any(slope))
     deltas = np.asarray(deltas, dtype=float).reshape(-1, 1)
-    values = np.zeros(deltas.shape[0], dtype=complex)
+    values = np.empty(deltas.shape[0], dtype=complex)
     rows = max(1, _CHUNK_ELEMENTS // coef.size)
-    blocks = [
-        (a[sel], span[sel], coef[sel], mu[sel], k)
-        for k, sel in ((0, power == 0), (1, power == 1))
-        if sel.any()
-    ]
-    for start in range(0, deltas.shape[0], rows):
-        chunk = deltas[start : start + rows]
-        for a_k, span_k, coef_k, mu_k, k in blocks:
-            moments = _phase_moment(mu_k - chunk, a_k, span_k, k)
-            values[start : start + rows] += np.sum(coef_k * moments, axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        start_value = coef + slope * a
+        for start in range(0, deltas.shape[0], rows):
+            theta = mu - deltas[start : start + rows]
+            base, moment = _phase_moment(theta, span, linear)
+            piece = start_value * base
+            if linear:
+                piece += slope * moment
+            values[start : start + rows] = np.sum(np.exp(1j * (theta * a)) * piece, axis=1)
     _check_finite(values)
     return values, estimate
 
@@ -311,7 +315,7 @@ class PiecewiseConstantProfile(AccelerationProfile):
         edges = self._edges()
         values = np.array([h for _, h in self.segments], dtype=complex)
         zeros = np.zeros(values.size)
-        return edges[:-1], edges[1:], values, zeros, zeros.astype(np.int8)
+        return edges[:-1], edges[1:], values, zeros, zeros.astype(complex)
 
 
 @dataclass(frozen=True)
@@ -362,11 +366,11 @@ class RampProfile(AccelerationProfile):
 
     def _terms(self) -> _Terms:
         r, s, h0 = self.ramp_time, self.duration, self.h0
-        terms = [(0.0, r, h0 / r, 0.0, 1)]
+        pieces = [(0.0, r, 0.0, 0.0, h0 / r)]
         if s > 2.0 * r:
-            terms.append((r, s - r, h0, 0.0, 0))
-        terms += [(s - r, s, h0 * s / r, 0.0, 0), (s - r, s, -h0 / r, 0.0, 1)]
-        return _table(*terms)
+            pieces.append((r, s - r, h0, 0.0, 0.0))
+        pieces.append((s - r, s, h0 * s / r, 0.0, -h0 / r))
+        return _table(*pieces)
 
 
 @dataclass(frozen=True, eq=False)
@@ -421,20 +425,12 @@ class SampledProfile(AccelerationProfile):
         return SampledProfile(tau=tau, h=h)
 
     def _terms(self) -> _Terms:
-        # Panel k carries h = intercept_k + slope_k * t: one constant and one
-        # linear term on [t_k, t_{k+1}].
+        # Panel k is one piece, h = intercept_k + slope_k * t on [t_k, t_{k+1}].
         t = self.tau - self.tau0
         a, b = t[:-1], t[1:]
         slope = np.diff(self.h) / (b - a)
         intercept = self.h[:-1] - slope * a
-        power = np.repeat(np.array([0, 1], dtype=np.int8), a.size)
-        return (
-            np.concatenate([a, a]),
-            np.concatenate([b, b]),
-            np.concatenate([intercept, slope]).astype(complex),
-            np.zeros(2 * a.size),
-            power,
-        )
+        return a, b, intercept.astype(complex), np.zeros(a.size), slope.astype(complex)
 
 
 @dataclass(frozen=True)
@@ -550,7 +546,7 @@ def oscillatory_integral(
 ) -> OscillatoryIntegralResult:
     """integral_{tau0}^{tauf} exp(-i*delta*(tau - tau0)) h(tau) dtau.
 
-    Exact per term up to rounding; the error estimate is a rounding bound
+    Exact per piece up to rounding; the error estimate is a rounding bound
     built from the L1 mass of the integrand.  Raises `QuadratureError` when
     the estimate exceeds `tol` or the value is not finite.
     """

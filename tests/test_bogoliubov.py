@@ -4,6 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from cavitymix import bogoliubov
 from cavitymix.bogoliubov import (
     FirstOrderBogoliubovMap,
     compose,
@@ -11,7 +12,12 @@ from cavitymix.bogoliubov import (
     static_coefficients,
     verify_first_order_identities,
 )
-from cavitymix.profiles import QuadratureError, SampledProfile, SinusoidalProfile
+from cavitymix.profiles import (
+    QuadratureError,
+    SampledProfile,
+    SinusoidalProfile,
+    oscillatory_integral,
+)
 from cavitymix.spectrum import Cavity1D, omega_diff_matrix, omega_sum_matrix
 from conftest import simpson_oscillatory
 
@@ -122,7 +128,7 @@ def test_map_entries_match_simpson_oracle():
 
 def test_sampled_map_entries_match_scipy_oracle():
     # A 300-sample accelerometer-like trace: every odd entry comes from one
-    # batched kernel call over its table of 2 * 299 terms.
+    # batched kernel call over its table of 299 pieces.
     from scipy.integrate import simpson
 
     rng = np.random.default_rng(5)
@@ -148,6 +154,37 @@ def test_sampled_map_entries_match_scipy_oracle():
         b_expect = 1j * sigma * coeffs.beta_entry(m, n) * oracle(sigma)
         assert map_.a_entry(m, n) == pytest.approx(a_expect, abs=1e-10)
         assert map_.b_entry(m, n) == pytest.approx(b_expect, abs=1e-10)
+
+
+@pytest.mark.parametrize("mu0", [0.0, 1.0])
+def test_map_integrates_each_distinct_delta_once(monkeypatch, mu0):
+    rng = np.random.default_rng(13)
+    tau = np.linspace(0.0, 6.0, 40)
+    h = 1e-3 * np.cos(2.0 * tau) + 1e-4 * rng.standard_normal(tau.size)
+    prof = SampledProfile(tau=tau, h=h)
+    cavity = Cavity1D(length=1.0, mu0=mu0, n_max=50)
+    coeffs = static_coefficients(cavity)
+    asked = []
+    kernel = bogoliubov._fourier_integrals
+
+    def recording_kernel(terms, deltas, tol):
+        asked.append(np.array(deltas))
+        return kernel(terms, deltas, tol)
+
+    monkeypatch.setattr(bogoliubov, "_fourier_integrals", recording_kernel)
+    map_ = first_order_map(coeffs, prof)
+    (deltas,) = asked
+    assert np.unique(deltas).size == deltas.size
+    diffs, sums, odd = omega_diff_matrix(cavity), omega_sum_matrix(cavity), coeffs.odd
+    # A[m, n] and A[n, m] read two separate integrals, I(delta) and I(-delta).
+    assert set(diffs[odd]) <= set(deltas) and set(-diffs[odd]) <= set(deltas)
+    integral = {d: oscillatory_integral(prof, d).value for d in deltas}
+    for entries, freqs, hat in (
+        (map_.a_hat, diffs, coeffs.alpha_hat),
+        (map_.b_hat, sums, coeffs.beta_hat),
+    ):
+        expect = [1j * d * c * integral[d] for d, c in zip(freqs[odd], hat[odd])]
+        assert np.max(np.abs(entries[odd] - expect)) <= map_.quadrature_error
 
 
 def test_map_rejects_rigidity_violation():

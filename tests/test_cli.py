@@ -135,6 +135,21 @@ def test_unreachable_tolerance_exits_two(tmp_path):
     assert "quadrature" in result.stderr
 
 
+def test_overflowing_drive_exits_two_without_warnings(tmp_path):
+    scenario = tmp_path / "fast_drive.yaml"
+    scenario.write_text(
+        "kind: evolve\n"
+        "cavity: {length: 1.0, n_max: 6}\n"
+        "profile: {variant: sinusoidal, h0: 0.001, omega_c: 1.0e+308, tauf: 50.0}\n",
+        encoding="utf-8",
+    )
+    result = run_cli("run", str(scenario), "--out", "ev.csv", cwd=tmp_path)
+    assert result.returncode == 2
+    assert "numerical failure" in result.stderr
+    assert "Warning" not in result.stderr
+    assert not (tmp_path / "ev.csv").exists()
+
+
 @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1e-10"])
 def test_bad_tolerance_exits_one(tmp_path, tol):
     result = run_cli(

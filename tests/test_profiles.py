@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -243,7 +244,8 @@ def test_quadrature_error_signalling():
     with pytest.raises(QuadratureError):
         oscillatory_integral(prof, 1.0, tol=1e-30)
     fast = SinusoidalProfile(h0=0.1, omega_c=1e308, tau0=0.0, tauf=10.0)
-    with np.errstate(over="ignore", invalid="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the kernel reports overflow, numpy stays quiet
         with pytest.raises(QuadratureError, match="not finite"):
             oscillatory_integral(fast, 1.0)
     res = oscillatory_integral(prof, 1.0)
@@ -313,3 +315,20 @@ def test_batched_kernel_straddles_small_phase_crossover(variant):
         assert value == pytest.approx(oracle(prof, delta), abs=tol)
         # A one-delta call evaluates the same element the same way.
         assert abs(oscillatory_integral(prof, delta).value - value) <= estimate
+
+
+def test_ramp_and_its_resampled_trapezoid_agree():
+    ramp = RampProfile(h0=0.04, ramp_time=1.3, tau0=0.5, tauf=9.5)
+    trapezoid = ramp.restrict(ramp.tau0, ramp.tauf)
+    assert ramp._terms()[0].size == 3
+    assert trapezoid._terms()[0].size == trapezoid.tau.size - 1 == 3
+    trace = SampledProfile(tau=_NONUNIFORM_TAU, h=_NONUNIFORM_H)
+    assert trace._terms()[0].size == _NONUNIFORM_TAU.size - 1
+    x = np.logspace(-7.0, 1.0, 17)
+    deltas = np.concatenate([x, -x[::4]])
+    a, b, _, mu, _ = ramp._terms()
+    small = np.abs(mu[None, :] - deltas[:, None]) * (b - a) < _SMALL_PHASE
+    assert small.any() and not small.all()
+    ramp_values, ramp_bound = _fourier_integrals(ramp._terms(), deltas)
+    sampled_values, sampled_bound = _fourier_integrals(trapezoid._terms(), deltas)
+    assert np.all(np.abs(ramp_values - sampled_values) <= ramp_bound + sampled_bound)

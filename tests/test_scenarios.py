@@ -408,35 +408,35 @@ def sweep(omega_c, delta_tau):
 
 
 @pytest.mark.parametrize(
-    "text, field",
+    "text, field, fragment",
     [
-        (catalog("{length: 1.0, mu0: abc}"), "cavity.mu0"),
-        (catalog("{length: 1.0, n_max: 2.5}"), "cavity.n_max"),
-        (catalog("{length: 1.0, n_max: '6'}"), "cavity.n_max"),
-        (sweep("{start: a, stop: 3.0, count: 3}", "[5.0]"), "sweep.omega_c.start"),
-        (sweep("[3.0]", "{start: 1.0, stop: [2], count: 3}"), "sweep.delta_tau.stop"),
-        (sweep("[[3.0, 3.1]]", "[5.0]"), "sweep.omega_c"),
-        (PLAN + "  pair: 3\n", "experiment.pair"),
-        (PLAN + "  pair: [1, x]\n", "experiment.pair"),
-        (PLAN + "  transverse: 7\n", "experiment.transverse"),
-        (SWEEP.replace("h0: 1.0e-3", "h0: .nan"), "sweep.h0"),
-        (sweep("[.nan]", "[5.0]"), "sweep.omega_c"),
-        (SWEEP.replace("squeezing: 0.5", "squeezing: .inf"), "state.squeezing"),
-        (PLAN.replace("amplitude: 1.0e-6", "amplitude: .nan"), "experiment.motion.amplitude"),
-        (EVOLVE.replace("omega_c: 3.0", "omega_c: .nan"), "profile.omega_c"),
-        (catalog("{length: 1.0, mu0: .nan}"), "cavity.mu0"),
-        (EVOLVE.replace("h0: 0.001", "h0: true"), "profile.h0"),
-        (catalog("{length: 1.0, nmax: 40}"), "cavity.nmax"),
-        (EVOLVE.replace("tauf: 5.0", "tauf: 5.0, phse: 1.0"), "profile.phse"),
-        (SWEEP.replace("squeezing: 0.5", "squeezing: 0.5, squeezng: 2.0"), "state.squeezng"),
-        (SWEEP.replace("h0: 1.0e-3", "h0: 1.0e-3\n  extra: 1"), "sweep.extra"),
-        (EVOLVE.replace(", tauf: 5.0", ""), "profile.tauf"),
-        (SWEEP.replace("squeezing: 0.5", "squeezing: 1000"), "state.squeezing"),
-        (catalog("{length: .inf}"), "cavity.length"),
-        (catalog("{length: 1.0e-300}"), "cavity"),
-        (sweep(f"{{start: 3.0, stop: 3.3, count: {10**39}}}", "[5.0]"), "sweep.omega_c.count"),
-        (catalog(f"{{length: 1.0, n_max: {10**21}}}"), "cavity.n_max"),
-        (windowed("1.0e+300", "1.0e+10", "1.0e+11"), "profile"),
+        (catalog("{length: 1.0, mu0: abc}"), "cavity.mu0", ""),
+        (catalog("{length: 1.0, n_max: 2.5}"), "cavity.n_max", ""),
+        (catalog("{length: 1.0, n_max: '6'}"), "cavity.n_max", ""),
+        (sweep("{start: a, stop: 3.0, count: 3}", "[5.0]"), "sweep.omega_c.start", ""),
+        (sweep("[3.0]", "{start: 1.0, stop: [2], count: 3}"), "sweep.delta_tau.stop", ""),
+        (sweep("[[3.0, 3.1]]", "[5.0]"), "sweep.omega_c", ""),
+        (PLAN + "  pair: 3\n", "experiment.pair", ""),
+        (PLAN + "  pair: [1, x]\n", "experiment.pair", ""),
+        (PLAN + "  transverse: 7\n", "experiment.transverse", ""),
+        (SWEEP.replace("h0: 1.0e-3", "h0: .nan"), "sweep.h0", ""),
+        (sweep("[.nan]", "[5.0]"), "sweep.omega_c", ""),
+        (SWEEP.replace("squeezing: 0.5", "squeezing: .inf"), "state.squeezing", ""),
+        (PLAN.replace("amplitude: 1.0e-6", "amplitude: .nan"), "experiment.motion.amplitude", ""),
+        (EVOLVE.replace("omega_c: 3.0", "omega_c: .nan"), "profile.omega_c", ""),
+        (catalog("{length: 1.0, mu0: .nan}"), "cavity.mu0", ""),
+        (EVOLVE.replace("h0: 0.001", "h0: true"), "profile.h0", ""),
+        (catalog("{length: 1.0, nmax: 40}"), "cavity.nmax", ""),
+        (EVOLVE.replace("tauf: 5.0", "tauf: 5.0, phse: 1.0"), "profile.phse", ""),
+        (SWEEP.replace("squeezing: 0.5", "squeezing: 0.5, squeezng: 2.0"), "state.squeezng", ""),
+        (SWEEP.replace("h0: 1.0e-3", "h0: 1.0e-3\n  extra: 1"), "sweep.extra", ""),
+        (EVOLVE.replace(", tauf: 5.0", ""), "profile.tauf", ""),
+        (SWEEP.replace("squeezing: 0.5", "squeezing: 1000"), "state.squeezing", ""),
+        (catalog("{length: .inf}"), "cavity.length", ""),
+        (catalog("{length: 1.0e-300}"), "cavity", ""),
+        (sweep(f"{{start: 3.0, stop: 3.3, count: {10**39}}}", "[5.0]"), "sweep.omega_c.count", ""),
+        (catalog(f"{{length: 1.0, n_max: {10**21}}}"), "cavity.n_max", ""),
+        (windowed("1.0e+300", "1.0e+10", "1.0e+11"), "profile", "drive phase"),
     ],
     ids=[
         "mu0-text",
@@ -468,10 +468,13 @@ def sweep(omega_c, delta_tau):
         "windowed-drive-phase-overflow",
     ],
 )
-def test_bad_field_values_are_diagnosed(tmp_path, text, field):
+def test_bad_field_values_are_diagnosed(tmp_path, text, field, fragment):
+    # `fragment` pins the message where the field alone is the block name.
     with pytest.raises(ScenarioError) as err:
         load_scenario(write(tmp_path, text))
-    assert any(line.startswith(f"{field}: ") for line in err.value.diagnostics), err.value
+    assert any(
+        line.startswith(f"{field}: ") and fragment in line for line in err.value.diagnostics
+    ), err.value
 
 
 SHIPPED = [yaml.safe_load(p.read_text(encoding="utf-8")) for p in sorted(SCENARIO_DIR.glob("*.yaml"))]
