@@ -49,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .profiles import AccelerationProfile, _fourier_integrals, validate_rigidity
-from .spectrum import Cavity1D, omega_diff_matrix, omega_sum_matrix, omega_vector
+from .spectrum import Cavity1D, _check_modes, omega_diff_matrix, omega_sum_matrix, omega_vector
 
 FIRST_ORDER_SUP_H = 0.1
 IDENTITY_TOLERANCE = 1e-10
@@ -81,9 +81,11 @@ class StaticCoefficients:
     entry_scale: np.ndarray
 
     def alpha_entry(self, m: int, n: int) -> float:
+        _check_modes(self.cavity.n_max, m, n)
         return float(self.alpha_hat[m - 1, n - 1])
 
     def beta_entry(self, m: int, n: int) -> float:
+        _check_modes(self.cavity.n_max, m, n)
         return float(self.beta_hat[m - 1, n - 1])
 
 
@@ -140,9 +142,11 @@ class FirstOrderBogoliubovMap:
         return self.tauf - self.tau0
 
     def a_entry(self, m: int, n: int) -> complex:
+        _check_modes(self.cavity.n_max, m, n)
         return complex(self.a_hat[m - 1, n - 1])
 
     def b_entry(self, m: int, n: int) -> complex:
+        _check_modes(self.cavity.n_max, m, n)
         return complex(self.b_hat[m - 1, n - 1])
 
     def alpha_matrix(self, include_free_phases: bool = True) -> np.ndarray:
@@ -254,14 +258,14 @@ class IdentityReport:
     symmetry_residual: float
     parity_residual: float
     quadrature_error: float
-    tolerance: float
     passed: bool
 
 
-def verify_first_order_identities(
-    map_: FirstOrderBogoliubovMap, tolerance: float = IDENTITY_TOLERANCE
-) -> IdentityReport:
+def verify_first_order_identities(map_: FirstOrderBogoliubovMap) -> IdentityReport:
     """Check A + A^dagger = 0, B - B^T = 0 and the parity zeros.
+
+    The map passes when both residuals are below IDENTITY_TOLERANCE and
+    every parity zero is exact.
 
     A[m, n] and A[n, m] were produced by separate quadratures, I(delta) and
     I(-delta), so the anti-Hermiticity residual measures the actual
@@ -278,6 +282,5 @@ def verify_first_order_identities(
         symmetry_residual=sym,
         parity_residual=parity,
         quadrature_error=map_.quadrature_error,
-        tolerance=tolerance,
-        passed=(anti < tolerance and sym < tolerance and parity == 0.0),
+        passed=(anti < IDENTITY_TOLERANCE and sym < IDENTITY_TOLERANCE and parity == 0.0),
     )

@@ -42,6 +42,7 @@ import numpy as np
 
 from .profiles import RIGIDITY_BOUND
 from .resonance import (
+    displacement_h0,
     paraxial_mixing_growth,
     paraxial_mixing_omega,
     paraxial_validity_ratio,
@@ -217,7 +218,7 @@ def plan(inputs: ExperimentPlan) -> PlanReport:
     omega_si = C_LIGHT * omega_per_m
     d = inputs.drive_amplitude
     growth = C_LIGHT * paraxial_mixing_growth(inputs.wavelength, length, d, m, mp)
-    peak_h = d * omega_per_m**2 * length
+    peak_h = displacement_h0(omega_per_m, d, length)
     bound = beta_bound(inputs)
     rpm = None
     centripetal = None

@@ -3,8 +3,10 @@
 Quadratures are ordered (q1, p1, q2, p2, ...) with commutators
 [X_i, X_j] = i Omega_ij, where the only nonvanishing components of the
 symplectic form are Omega_{2i-1,2i} = -Omega_{2i,2i-1} = 1 (1-based).
-The covariance matrix is sigma_ij = <X_i X_j + X_j X_i>/2 - <X_i><X_j>,
-normalized so the vacuum is the identity.
+A state is its covariance matrix sigma_ij = <X_i X_j + X_j X_i>/2,
+normalized so the vacuum is the identity.  Every state here has zero first
+moments, and the entanglement of a Gaussian state does not depend on them,
+so none are stored.
 
 Squeezing convention.  squeezed_vacuum assigns each mode the covariance
 diag(e^s, e^{-s}).  With this normalization the mixing pipeline below
@@ -32,6 +34,7 @@ P = diag(1, 1, 1, -1): the negativity is max{0, (1/nu - 1)/2}.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -39,8 +42,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bogoliubov import FirstOrderBogoliubovMap, StaticCoefficients
-from .profiles import _CHUNK_ELEMENTS, _check_finite, _phase_moment, _rounding_estimate
-from .spectrum import omega_diff_matrix
+from .profiles import (
+    RIGIDITY_BOUND,
+    _CHUNK_ELEMENTS,
+    _check_finite,
+    _phase_moment,
+    _rounding_estimate,
+)
+from .spectrum import _check_modes, omega_diff_matrix
 
 SYMMETRY_TOL = 1e-12
 PSD_TOL = 1e-10
@@ -52,14 +61,19 @@ class SymplecticPairingError(RuntimeError):
     """Eigenvalues of Omega sigma are not pure-imaginary conjugate pairs."""
 
 
+@functools.lru_cache(maxsize=8)
 def symplectic_form(n_modes: int) -> np.ndarray:
-    """The 2N x 2N symplectic form for the (q1, p1, q2, p2, ...) ordering."""
+    """The 2N x 2N symplectic form for the (q1, p1, q2, p2, ...) ordering.
+
+    Built once per size and returned read-only.
+    """
     if n_modes < 1:
         raise ValueError(f"n_modes must be at least 1, got {n_modes}")
     omega = np.zeros((2 * n_modes, 2 * n_modes))
     step = 4 * n_modes + 2  # flat distance from entry (2k, j) to (2k + 2, j + 2)
     omega.flat[1::step] = 1.0  # Omega[2k, 2k+1]
     omega.flat[2 * n_modes :: step] = -1.0  # Omega[2k+1, 2k]
+    omega.setflags(write=False)
     return omega
 
 
@@ -71,7 +85,7 @@ def symplectic_residual(s: np.ndarray) -> float:
 
 @dataclass(frozen=True, eq=False)
 class CovarianceState:
-    """N-mode Gaussian state: covariance matrix plus first moments.
+    """N-mode Gaussian state with zero first moments: its covariance matrix.
 
     `psd_tol` is the tolerance of the bona-fide check (eigenvalues of
     sigma + i Omega must exceed -psd_tol); transformations that are
@@ -79,7 +93,6 @@ class CovarianceState:
     """
 
     sigma: np.ndarray
-    mean: np.ndarray | None = None
     psd_tol: float = PSD_TOL
 
     def __post_init__(self):
@@ -88,12 +101,6 @@ class CovarianceState:
             raise ValueError(f"covariance must be square of even size, got {sigma.shape}")
         if np.max(np.abs(sigma - sigma.T)) > SYMMETRY_TOL:
             raise ValueError("covariance matrix is not symmetric")
-        mean = self.mean
-        mean = np.zeros(sigma.shape[0]) if mean is None else np.array(mean, dtype=float)
-        if mean.shape != (sigma.shape[0],):
-            raise ValueError(
-                f"first moments have shape {mean.shape}, expected ({sigma.shape[0]},)"
-            )
         omega = symplectic_form(sigma.shape[0] // 2)
         bound = float(np.min(np.linalg.eigvalsh(sigma + 1j * omega)))
         if bound < -self.psd_tol:
@@ -102,17 +109,11 @@ class CovarianceState:
                 "not a bona fide Gaussian state"
             )
         sigma.setflags(write=False)
-        mean.setflags(write=False)
         object.__setattr__(self, "sigma", sigma)
-        object.__setattr__(self, "mean", mean)
 
     @property
     def n_modes(self) -> int:
         return self.sigma.shape[0] // 2
-
-    @classmethod
-    def vacuum(cls, n_modes: int) -> "CovarianceState":
-        return cls(sigma=np.eye(2 * n_modes))
 
 
 def squeezed_vacuum(n_modes: int, s: float) -> CovarianceState:
@@ -131,14 +132,14 @@ def squeezed_vacuum(n_modes: int, s: float) -> CovarianceState:
 
 
 def apply_symplectic(state: CovarianceState, s: np.ndarray) -> CovarianceState:
-    """Transform sigma -> S sigma S^T and the first moments by S."""
+    """Transform sigma -> S sigma S^T."""
     s = np.asarray(s, dtype=float)
     if s.shape != state.sigma.shape:
         raise ValueError(
             f"transformation shape {s.shape} does not match state {state.sigma.shape}"
         )
     tol = max(state.psd_tol, 10.0 * symplectic_residual(s), PSD_TOL)
-    return CovarianceState(sigma=s @ state.sigma @ s.T, mean=s @ state.mean, psd_tol=tol)
+    return CovarianceState(sigma=s @ state.sigma @ s.T, psd_tol=tol)
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,26 +148,17 @@ class TwoModeReduction:
 
     pair: tuple[int, int]
     sigma_red: np.ndarray
-    mean_red: np.ndarray
 
-    def state(self, psd_tol: float = PSD_TOL) -> CovarianceState:
-        return CovarianceState(sigma=self.sigma_red, mean=self.mean_red, psd_tol=psd_tol)
+    def state(self) -> CovarianceState:
+        return CovarianceState(sigma=self.sigma_red)
 
 
 def reduce_to_pair(state: CovarianceState, pair: tuple[int, int]) -> TwoModeReduction:
     """Discard all modes except the (1-based) pair."""
     m, n = pair
-    if m == n:
-        raise ValueError(f"pair must name two distinct modes, got {pair}")
-    for k in (m, n):
-        if not 1 <= k <= state.n_modes:
-            raise ValueError(f"mode {k} outside the {state.n_modes}-mode state")
+    _check_modes(state.n_modes, m, n, distinct=True)
     idx = [2 * m - 2, 2 * m - 1, 2 * n - 2, 2 * n - 1]
-    return TwoModeReduction(
-        pair=pair,
-        sigma_red=state.sigma[np.ix_(idx, idx)].copy(),
-        mean_red=state.mean[idx].copy(),
-    )
+    return TwoModeReduction(pair=pair, sigma_red=state.sigma[np.ix_(idx, idx)].copy())
 
 
 def symplectic_from_map(
@@ -181,12 +173,7 @@ def symplectic_from_map(
     symplectic spectrum of any reduction's partial transpose is invariant.
     """
     m, n = pair
-    if m == n:
-        raise ValueError(f"pair must name two distinct modes, got {pair}")
-    n_max = map_.cavity.n_max
-    for k in (m, n):
-        if not 1 <= k <= n_max:
-            raise ValueError(f"mode {k} outside truncation n_max = {n_max}")
+    _check_modes(map_.cavity.n_max, m, n, distinct=True)
     block = np.ix_([m - 1, n - 1], [m - 1, n - 1])
     alpha = map_.alpha_matrix(include_free_phases=include_free_phases)[block]
     beta = map_.beta_matrix(include_free_phases=include_free_phases)[block]
@@ -255,6 +242,7 @@ def first_order_negativity(
     """
     if s < 0.0:
         raise ValueError(f"squeezing parameter must be nonnegative, got {s}")
+    _check_modes(map_.cavity.n_max, *pair, distinct=True)
     a = map_.a_entry(*pair)
     b = map_.b_entry(*pair)
     if abs(b) > B_OVER_A_REGIME * abs(a):
@@ -286,7 +274,8 @@ def negativity_grid(
     per-cell profile and `oscillatory_integral` would make: ValueError for
     a negative frequency or a non-positive duration, QuadratureError when
     the rounding bound exceeds the default tolerance 1e-10 or a cell is not
-    finite.
+    finite.  A drive with |h0| at or above the rigidity bound is refused
+    with ValueError, as `first_order_map` refuses it.
     """
     omega_c_values = np.asarray(omega_c_values, dtype=float)
     delta_tau_values = np.asarray(delta_tau_values, dtype=float)
@@ -298,7 +287,12 @@ def negativity_grid(
         raise ValueError(f"drive frequencies must be nonnegative, got {omega_c_values.min()}")
     if not np.all(delta_tau_values > 0.0):
         raise ValueError(f"durations must be positive, got {delta_tau_values.min()}")
+    if abs(h0) >= RIGIDITY_BOUND:
+        raise ValueError(
+            f"drive violates the rigidity bound |h| < {RIGIDITY_BOUND}: |h0| = {h0}"
+        )
     m, n = pair
+    _check_modes(coeffs.cavity.n_max, m, n, distinct=True)
     delta = omega_diff_matrix(coeffs.cavity)[m - 1, n - 1]
     scale = delta * coeffs.alpha_entry(m, n)
     # h0 cos(omega_c t) on [0, dtau] is the term pair (h0/2) exp(+-i omega_c t);

@@ -280,6 +280,7 @@ class PiecewiseConstantProfile(AccelerationProfile):
             if not d > 0.0:
                 raise ValueError(f"segment {i} duration must be positive, got {d}")
         object.__setattr__(self, "segments", segs)
+        self._check_interval()
 
     @property
     def tauf(self) -> float:  # type: ignore[override]

@@ -35,8 +35,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bogoliubov import StaticCoefficients, _parity_odd_mask, static_coefficients
-from .spectrum import Cavity3D, omega_diff_matrix, omega_sum_matrix, reduce_to_effective_1d
+from .bogoliubov import StaticCoefficients, _parity_odd_mask
+from .spectrum import omega_diff_matrix, omega_sum_matrix
 
 
 class ResonanceKind(enum.Enum):
@@ -87,31 +87,6 @@ def catalog_1d(coeffs: StaticCoefficients, max_omega: float) -> list[ResonanceEn
     return entries
 
 
-def catalog_3d(
-    cavity: Cavity3D,
-    axis: str,
-    transverse: tuple[int, int],
-    max_omega: float,
-    n_max: int = 10,
-) -> list[ResonanceEntry]:
-    """Resonances for driving along one principal axis of a 3D cavity.
-
-    Only the quantum number along the driven axis may change, and the two
-    inert transverse numbers feed the effective mass, so the catalog equals
-    the 1D catalog of the reduced cavity.  Entries are labelled by the
-    longitudinal quantum numbers.
-    """
-    reduced = reduce_to_effective_1d(cavity, axis, transverse, n_max=n_max)
-    return catalog_1d(static_coefficients(reduced), max_omega)
-
-
-def predicted_mixing_growth(entry: ResonanceEntry, h0: float) -> float:
-    """Linear growth rate of the resonant coefficient for drive amplitude h0."""
-    if h0 < 0.0:
-        raise ValueError(f"drive amplitude must be nonnegative, got {h0}")
-    return entry.growth_per_h0 * h0
-
-
 def displacement_h0(omega_r: float, displacement: float, length: float) -> float:
     """Peak h for harmonic motion of given displacement amplitude at omega_r.
 
@@ -135,8 +110,8 @@ def paraxial_mixing_growth(
 ) -> float:
     """Approximate resonant growth rate (pi / 2) m m' d lambda / L^3.
 
-    This is predicted_mixing_growth with h0 = d omega_c^2 L evaluated in the
-    paraxial limit; per unit proper time in natural units.
+    This is growth_per_h0 * h0 of the mixing entry with h0 = d omega_c^2 L,
+    evaluated in the paraxial limit; per unit proper time in natural units.
     """
     return math.pi * m * m_prime * displacement * wavelength / (2.0 * length**3)
 

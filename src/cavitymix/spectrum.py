@@ -25,6 +25,7 @@ subtraction would cancel.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,7 +51,7 @@ class Cavity1D:
             raise ValueError(f"cavity length must be positive, got {self.length}")
         if self.mu0 < 0.0:
             raise ValueError(f"field mass must be nonnegative, got {self.mu0}")
-        if int(self.n_max) != self.n_max or self.n_max < 2:
+        if not isinstance(self.n_max, numbers.Integral) or self.n_max < 2:
             raise ValueError(f"n_max must be an integer >= 2, got {self.n_max}")
         k = math.pi / self.length
         w1, w2 = math.hypot(self.mu0, k), math.hypot(self.mu0, 2.0 * k)
@@ -79,11 +80,6 @@ class Cavity3D:
         if self.mu < 0.0:
             raise ValueError(f"field mass must be nonnegative, got {self.mu}")
 
-    def edge(self, axis: str) -> float:
-        if axis not in _AXES:
-            raise ValueError(f"axis must be one of {_AXES}, got {axis!r}")
-        return (self.lx, self.ly, self.lz)[_AXES.index(axis)]
-
 
 def reduce_to_effective_1d(
     cavity: Cavity3D,
@@ -100,6 +96,10 @@ def reduce_to_effective_1d(
         mu0_eff^2 = mu^2 + sum_perp (pi * q_perp / L_perp)^2,
 
     so omega_vector(reduced)[k - 1] reproduces the 3+1 dispersion exactly.
+    Driving along `axis` changes only the quantum number along it, and the
+    two inert transverse numbers feed the effective mass, so the resonance
+    catalog of the 3D cavity is `catalog_1d` of this reduced cavity, its
+    entries labelled by the longitudinal quantum numbers.
     """
     if axis not in _AXES:
         raise ValueError(f"axis must be one of {_AXES}, got {axis!r}")
@@ -116,6 +116,19 @@ def reduce_to_effective_1d(
         k = math.pi * q / edges[perp]
         musq += k * k
     return Cavity1D(length=edges[axis], mu0=math.sqrt(musq), n_max=n_max)
+
+
+def _check_modes(n_max: int, m: int, n: int, distinct: bool = False) -> None:
+    """Refuse 1-based labels outside 1..n_max and, when `distinct`, m == n.
+
+    Unchecked, label 0 would index mode n_max through numpy's negative
+    indexing and return that mode's figure without an error.
+    """
+    for k in (m, n):
+        if not 1 <= k <= n_max:
+            raise ValueError(f"mode {k} outside 1..n_max = {n_max}")
+    if distinct and m == n:
+        raise ValueError(f"pair must name two distinct modes, got {(m, n)}")
 
 
 def omega_vector(cavity: Cavity1D) -> np.ndarray:

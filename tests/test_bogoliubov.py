@@ -37,6 +37,17 @@ def test_static_coefficient_literals():
     assert coeffs.alpha_entry(2, 3) == pytest.approx(12.0 / (math.sqrt(6.0) * math.pi**2), rel=1e-14)
 
 
+@pytest.mark.parametrize("accessor", ["alpha_entry", "beta_entry", "a_entry", "b_entry"])
+@pytest.mark.parametrize("m, n", [(0, 1), (1, 0), (5, 1), (1, 5)])
+def test_entry_accessors_refuse_labels_outside_the_truncation(accessor, m, n):
+    # Label 0 would otherwise read mode n_max through negative indexing.
+    coeffs = static_coefficients(unit_cavity(4))
+    map_ = first_order_map(coeffs, SinusoidalProfile(1e-3, math.pi, 0.0, 1.0))
+    owner = map_ if accessor in ("a_entry", "b_entry") else coeffs
+    with pytest.raises(ValueError, match="outside 1..n_max = 4"):
+        getattr(owner, accessor)(m, n)
+
+
 def test_static_coefficients_parity_and_diagonal():
     coeffs = static_coefficients(unit_cavity())
     for m in range(1, 7):

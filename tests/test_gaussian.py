@@ -46,7 +46,7 @@ def test_symplectic_form_blocks():
 
 
 def test_vacuum_is_identity_with_unit_spectrum():
-    state = CovarianceState.vacuum(3)
+    state = squeezed_vacuum(3, 0.0)
     assert np.array_equal(state.sigma, np.eye(6))
     assert np.allclose(symplectic_eigenvalues(state.sigma), 1.0, atol=1e-12)
 
@@ -63,7 +63,7 @@ def test_squeezed_vacuum_is_pure_and_asymmetric():
 def test_single_mode_squeezer_produces_squeezed_vacuum():
     s = 0.6
     gate = np.diag([math.exp(s / 2.0), math.exp(-s / 2.0)])
-    out = apply_symplectic(CovarianceState.vacuum(1), gate)
+    out = apply_symplectic(squeezed_vacuum(1, 0.0), gate)
     assert np.allclose(out.sigma, squeezed_vacuum(1, s).sigma, atol=1e-14)
 
 
@@ -71,7 +71,7 @@ def test_rotations_preserve_vacuum_and_spectrum():
     theta = 0.9
     gate = rotation(theta)
     assert symplectic_residual(gate) < 1e-15
-    out = apply_symplectic(CovarianceState.vacuum(1), gate)
+    out = apply_symplectic(squeezed_vacuum(1, 0.0), gate)
     assert np.allclose(out.sigma, np.eye(2), atol=1e-14)
     sq = squeezed_vacuum(1, 1.0)
     rotated = apply_symplectic(sq, gate)
@@ -120,10 +120,9 @@ def test_covariance_state_validation():
         CovarianceState(sigma=bad)
     with pytest.raises(ValueError):
         CovarianceState(sigma=0.5 * np.eye(2))  # violates the uncertainty bound
-    state = CovarianceState.vacuum(2)
+    state = squeezed_vacuum(2, 0.0)
     with pytest.raises(ValueError):
         state.sigma[0, 0] = 3.0
-    assert np.array_equal(state.mean, np.zeros(4))
 
 
 def test_reduce_to_pair_picks_named_modes():
@@ -265,6 +264,33 @@ def test_negativity_grid_matches_per_cell_maps():
             assert grid[i, j] == pytest.approx(cell, rel=1e-14, abs=0.0)
 
 
+@pytest.mark.parametrize(
+    "pair, match",
+    [((0, 1), "outside"), ((1, 0), "outside"), ((5, 1), "outside"), ((1, 5), "outside"),
+     ((2, 2), "distinct")],
+)
+@pytest.mark.parametrize(
+    "entry_point",
+    ["first_order_negativity", "negativity_grid", "reduce_to_pair", "symplectic_from_map"],
+)
+def test_pair_entry_points_refuse_bad_labels(entry_point, pair, match):
+    # On a 4-mode cavity label 0 would otherwise read mode 4, and (2, 2) a
+    # zero diagonal entry.
+    cavity = Cavity1D(length=1.0, mu0=0.0, n_max=4)
+    coeffs = static_coefficients(cavity)
+    map_ = first_order_map(coeffs, SinusoidalProfile(5e-5, math.pi, 0.0, 10.0))
+    calls = {
+        "first_order_negativity": lambda: first_order_negativity(map_, pair, 1.0),
+        "negativity_grid": lambda: negativity_grid(
+            coeffs, pair, 1.0, 5e-5, np.array([math.pi]), np.array([10.0])
+        ),
+        "reduce_to_pair": lambda: reduce_to_pair(squeezed_vacuum(4, 1.0), pair),
+        "symplectic_from_map": lambda: symplectic_from_map(map_, pair),
+    }
+    with pytest.raises(ValueError, match=match):
+        calls[entry_point]()
+
+
 def test_negativity_grid_keeps_the_profile_checks():
     coeffs = static_coefficients(Cavity1D(length=1.0, mu0=0.0, n_max=2))
     omega_grid = np.array([1.0, math.pi])
@@ -275,6 +301,10 @@ def test_negativity_grid_keeps_the_profile_checks():
         negativity_grid(coeffs, (1, 2), 1.0, 1e-3, omega_grid, np.array([0.0, 5.0]))
     with pytest.raises(ValueError):
         negativity_grid(coeffs, (1, 2), 1.0, 1e-3, omega_grid, np.array([np.nan]))
+    # A drive that breaks rigidity, which first_order_map refuses too.
+    for h0 in (5.0, -2.0):
+        with pytest.raises(ValueError, match="rigidity bound"):
+            negativity_grid(coeffs, (1, 2), 1.0, h0, omega_grid, dtau_grid)
     # A rounding bound 64 eps |h0| dtau above the default tolerance of 1e-10.
     with pytest.raises(QuadratureError):
         negativity_grid(coeffs, (1, 2), 1.0, 1.0, omega_grid, np.array([1e5]))

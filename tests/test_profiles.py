@@ -64,6 +64,8 @@ def test_piecewise_constant_validation():
         PiecewiseConstantProfile(segments=())
     with pytest.raises(ValueError):
         PiecewiseConstantProfile(segments=((0.0, 1.0),))
+    with pytest.raises(ValueError, match="tauf > tau0"):
+        PiecewiseConstantProfile(segments=((1.0, 1e-3),), tau0=math.nan)
 
 
 def test_ramp_shape_and_sup():

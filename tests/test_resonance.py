@@ -1,18 +1,15 @@
 import math
 
-import numpy as np
 import pytest
 
 from cavitymix.bogoliubov import static_coefficients
 from cavitymix.resonance import (
     ResonanceKind,
     catalog_1d,
-    catalog_3d,
     displacement_h0,
     paraxial_mixing_growth,
     paraxial_mixing_omega,
     paraxial_validity_ratio,
-    predicted_mixing_growth,
 )
 from cavitymix.spectrum import Cavity1D, Cavity3D, omega_diff_matrix, reduce_to_effective_1d
 
@@ -59,19 +56,6 @@ def test_heavy_field_pushes_mixing_resonance_far_down():
     assert ratio == pytest.approx(3.0 * math.pi**2 / (2.0 * 100.0**2), rel=5e-3)
 
 
-def test_catalog_3d_reduces_to_effective_1d():
-    cavity = Cavity3D(lx=1.0, ly=0.7, lz=0.9, mu=0.5)
-    transverse = (2, 3)
-    direct = catalog_3d(cavity, "x", transverse, max_omega=30.0, n_max=5)
-    reduced = reduce_to_effective_1d(cavity, "x", transverse, n_max=5)
-    expected = catalog_1d(static_coefficients(reduced), 30.0)
-    assert len(direct) == len(expected)
-    for got, want in zip(direct, expected):
-        assert got.kind == want.kind and got.pair == want.pair
-        assert got.omega_r == pytest.approx(want.omega_r, rel=1e-14)
-        assert got.coefficient == pytest.approx(want.coefficient, rel=1e-14)
-
-
 def test_paraxial_frequency_matches_exact_reduction():
     wavelength, lx = 600e-9, 0.01
     mu_bar = 2.0 * math.pi / wavelength
@@ -113,13 +97,6 @@ def test_mixing_resonance_sits_far_below_creation():
 
 
 def test_predicted_growth_and_displacement_drive():
-    coeffs = static_coefficients(Cavity1D(length=1.0, mu0=0.0, n_max=3))
-    entry = catalog_1d(coeffs, 4.0)[0]
-    assert predicted_mixing_growth(entry, 1e-3) == pytest.approx(
-        entry.growth_per_h0 * 1e-3, rel=1e-14
-    )
-    with pytest.raises(ValueError):
-        predicted_mixing_growth(entry, -1.0)
     assert displacement_h0(2.0, 0.5, 3.0) == pytest.approx(0.5 * 4.0 * 3.0, rel=1e-14)
 
 
@@ -134,7 +111,7 @@ def test_paraxial_growth_literal_and_consistency():
     coeffs = static_coefficients(cavity)
     entry = catalog_1d(coeffs, 1.0)[0]
     h0 = displacement_h0(entry.omega_r, d, lx)
-    assert predicted_mixing_growth(entry, h0) == pytest.approx(growth, rel=1e-5)
+    assert entry.growth_per_h0 * h0 == pytest.approx(growth, rel=1e-5)
 
 
 def test_paraxial_validity_ratio():

@@ -113,6 +113,8 @@ def test_cavity_validation():
         Cavity1D(length=1.0, mu0=-1.0)
     with pytest.raises(ValueError):
         Cavity1D(length=1.0, n_max=1)
+    with pytest.raises(ValueError, match="integer"):
+        Cavity1D(length=1.0, n_max=3.0)
     for length, mu0 in ((1e-300, 0.0), (1e100, 0.0), (1.0, 1e200), (1.0, 1e80)):
         with pytest.raises(ValueError, match="floating-point range"):
             Cavity1D(length=length, mu0=mu0)
@@ -121,9 +123,3 @@ def test_cavity_validation():
     with pytest.raises(ValueError):
         Cavity3D(lx=1.0, ly=1.0, lz=1.0, mu=-0.1)
 
-
-def test_cavity3d_edge_lookup():
-    cav = Cavity3D(lx=1.0, ly=2.0, lz=3.0)
-    assert cav.edge("y") == 2.0
-    with pytest.raises(ValueError):
-        cav.edge("t")
