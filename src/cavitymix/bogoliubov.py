@@ -26,10 +26,12 @@ A is anti-Hermitian and B symmetric; both inherit the parity zeros.  All
 odd entries go through one batched kernel call over the distinct deltas,
 which `static_coefficients` tabulates once per cavity: a massless cavity's
 w_m -+ w_n are integer multiples of pi/L, so many entries share a delta
-bit for bit.  Every distinct delta gets its own integral, and nothing is
-filled in by symmetry: A[m, n] and A[n, m] read I(delta) and I(-delta),
-two separate integrals, so `verify_first_order_identities` is a real check
-of the numerics rather than a tautology.
+bit for bit.  Every distinct delta gets its own integral.  A[m, n] and
+A[n, m] read I(delta) and I(-delta), two separate integrals, so the
+anti-Hermiticity residual of `verify_first_order_identities` sees the
+rounding of the numerics.  B[m, n] and B[n, m] read the same
+sum-frequency integral times the same `entry_scale`, bit for bit, so the
+symmetry residual is exactly 0 by construction.
 
 Composition.  Consecutive maps combine to first order as
 
@@ -268,8 +270,10 @@ def verify_first_order_identities(map_: FirstOrderBogoliubovMap) -> IdentityRepo
     every parity zero is exact.
 
     A[m, n] and A[n, m] were produced by separate quadratures, I(delta) and
-    I(-delta), so the anti-Hermiticity residual measures the actual
-    numerical consistency of the map.
+    I(-delta), so the anti-Hermiticity residual is the check that sees
+    rounding.  B[m, n] and B[n, m] read the same sum-frequency integral and
+    the same `entry_scale`, bit for bit, so `symmetry_residual` is exactly 0
+    by construction on the maps `first_order_map` and `compose` return.
     """
     anti = float(np.max(np.abs(map_.a_hat + map_.a_hat.conj().T)))
     sym = float(np.max(np.abs(map_.b_hat - map_.b_hat.T)))

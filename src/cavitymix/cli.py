@@ -5,9 +5,10 @@ Two subcommands:
     cavitymix run <scenario.yaml> [--out PATH] [--nmax N] [--tol T]
     cavitymix validate <scenario.yaml>
 
-Exit codes: 0 on success, 1 for parse or validation errors (diagnostics
-on stderr, one per line), 2 for numerical failures inside an otherwise
-valid run (quadrature not converging, symplectic spectrum not pairing).
+Exit codes: 0 on success, 1 for parse or validation errors and for an
+output path that cannot be written (diagnostics on stderr, one per line),
+2 for numerical failures inside an otherwise valid run (quadrature not
+converging, symplectic spectrum not pairing).
 """
 
 from __future__ import annotations
@@ -70,8 +71,13 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
     out_path = args.out if args.out is not None else scenario.output_path
-    table.write(out_path)
-    print(f"{scenario.kind}: wrote {len(table.rows)} rows to {out_path}")
+    try:
+        table.write(out_path)
+    except OSError as exc:
+        field = "--out" if args.out is not None else "output.path"
+        print(f"error: {field}: {exc}", file=sys.stderr)
+        return 1
+    print(f"{scenario.kind}: wrote {len(table)} rows to {out_path}")
     return 0
 
 

@@ -21,10 +21,13 @@ explicit lists or {start, stop, count} grids.  Physics preconditions
 too, so a failing scenario never starts a computation.  Each kind loads
 into its own frozen dataclass, holding only the fields the kind uses.
 
-Results are written as CSV with a header row and three leading `#`
-metadata lines (tool version, scenario content digest, timestamp).  All
-numbers carry 17 significant digits, so reruns of the same scenario are
-byte-identical apart from the timestamp line.
+A result table holds one column per header name, a list or an array as
+the kind computes it.  It is written as CSV with a header row and three
+leading `#` metadata lines (tool version, scenario content digest,
+timestamp).  Each column gets one printf format from its dtype: strings
+as they are, integers and booleans as `%d`, and every other number with
+17 significant digits, so reruns of the same scenario are byte-identical
+apart from the timestamp line.
 """
 
 from __future__ import annotations
@@ -81,45 +84,39 @@ class ScenarioError(Exception):
 
 @dataclass(frozen=True, eq=False)
 class ResultTable:
-    """Rectangular results plus the metadata emitted as CSV comments."""
+    """One column per header name, in header order, plus the CSV metadata."""
 
-    columns: tuple[str, ...]
-    rows: list[tuple]
+    columns: dict[str, list | np.ndarray]
     scenario_digest: str
-    version: str = __version__
     generated: str = ""
 
     def __post_init__(self):
-        for row in self.rows:
-            if len(row) != len(self.columns):
-                raise ValueError(
-                    f"row of width {len(row)} in a {len(self.columns)}-column table"
-                )
+        lengths = {name: len(values) for name, values in self.columns.items()}
+        if len(set(lengths.values())) > 1:
+            raise ValueError(f"columns of unequal length: {lengths}")
+
+    def __len__(self) -> int:
+        return len(next(iter(self.columns.values()), ()))
 
     def render(self) -> str:
         stamp = self.generated or datetime.now(timezone.utc).isoformat(timespec="seconds")
+        arrays = [np.asarray(values) for values in self.columns.values()]
+        row_format = ",".join(_FORMATS.get(array.dtype.kind, "%.17g") for array in arrays)
         lines = [
-            f"# cavitymix {self.version}",
+            f"# cavitymix {__version__}",
             f"# scenario sha256: {self.scenario_digest}",
             f"# generated: {stamp}",
             ",".join(self.columns),
         ]
-        for row in self.rows:
-            lines.append(",".join(_format_cell(cell) for cell in row))
+        lines += [row_format % row for row in zip(*(array.tolist() for array in arrays))]
         return "\n".join(lines) + "\n"
 
     def write(self, path: str | Path) -> None:
         Path(path).write_text(self.render(), encoding="utf-8")
 
 
-def _format_cell(cell) -> str:
-    if isinstance(cell, str):
-        return cell
-    if isinstance(cell, (bool, np.bool_)):
-        return "1" if cell else "0"
-    if isinstance(cell, (int, np.integer)):
-        return str(int(cell))
-    return format(float(cell), ".17g")
+# printf format by numpy dtype kind; any other kind is a float
+_FORMATS = {"U": "%s", "i": "%d", "b": "%d"}
 
 
 _REQUIRED = object()
@@ -399,13 +396,10 @@ class EvolveScenario(_Scenario):
 
     def _result(self, tol):
         map_ = first_order_map(static_coefficients(self.cavity), self.profile, tol=tol)
-        rows = []
-        for m in range(1, self.cavity.n_max + 1):
-            for n in range(1, self.cavity.n_max + 1):
-                a = map_.a_entry(m, n)
-                b = map_.b_entry(m, n)
-                rows.append((m, n, a.real, a.imag, b.real, b.imag))
-        return ("m", "n", "re_a_hat", "im_a_hat", "re_b_hat", "im_b_hat"), rows
+        m, n = np.indices(map_.a_hat.shape).reshape(2, -1) + 1
+        a, b = map_.a_hat.ravel(), map_.b_hat.ravel()
+        return {"m": m, "n": n, "re_a_hat": a.real, "im_a_hat": a.imag,
+                "re_b_hat": b.real, "im_b_hat": b.imag}
 
 
 @dataclass(frozen=True, eq=False)
@@ -423,11 +417,14 @@ class CatalogScenario(_Scenario):
 
     def _result(self, tol):
         entries = catalog_1d(static_coefficients(self.cavity), self.max_omega)
-        rows = [
-            (e.kind.value, e.pair[0], e.pair[1], e.omega_r, e.coefficient, e.growth_per_h0)
-            for e in entries
-        ]
-        return ("kind", "m", "n", "omega_r", "coefficient", "growth_per_h0"), rows
+        return {
+            "kind": [e.kind.value for e in entries],
+            "m": [e.pair[0] for e in entries],
+            "n": [e.pair[1] for e in entries],
+            "omega_r": [e.omega_r for e in entries],
+            "coefficient": [e.coefficient for e in entries],
+            "growth_per_h0": [e.growth_per_h0 for e in entries],
+        }
 
 
 @dataclass(frozen=True, eq=False)
@@ -469,11 +466,10 @@ class SweepScenario(_Scenario):
         grid = negativity_grid(
             coeffs, self.pair, self.squeezing, self.h0, self.omega_c_values, self.delta_tau_values
         )
-        rows = []
-        for j, omega_c in enumerate(self.omega_c_values):
-            for i, dtau in enumerate(self.delta_tau_values):
-                rows.append((float(omega_c), float(dtau), grid[i, j]))
-        return ("omega_c", "delta_tau", "negativity"), rows
+        # grid is indexed [delta_tau, omega_c]; the rows run omega_c outer
+        omega_c, delta_tau = np.meshgrid(self.omega_c_values, self.delta_tau_values, indexing="ij")
+        return {"omega_c": omega_c.ravel(), "delta_tau": delta_tau.ravel(),
+                "negativity": grid.T.ravel()}
 
 
 @dataclass(frozen=True, eq=False)
@@ -486,8 +482,7 @@ class PlanScenario(_Scenario):
     experiment: ExperimentPlan
 
     def _result(self, tol):
-        report = plan(self.experiment).as_dict()
-        return tuple(report), [tuple(report.values())]
+        return {name: [value] for name, value in plan(self.experiment).as_dict().items()}
 
 
 Scenario = EvolveScenario | CatalogScenario | SweepScenario | PlanScenario
@@ -520,8 +515,11 @@ def load_scenario(path: str | Path, n_max: int | None = None) -> Scenario:
     if not (isinstance(kind, str) and kind in _KINDS):
         raise ScenarioError([f"kind: {_one_of(_KINDS, kind)}"])
     scenario = _KINDS[kind]
-    if n_max is not None and isinstance(data.get("cavity"), dict):
-        data["cavity"]["n_max"] = n_max
+    if n_max is not None:
+        if not any(field.name == "cavity" for field in scenario.blocks):
+            raise ScenarioError([f"--nmax: {kind} scenarios have no cavity to truncate"])
+        if isinstance(data.get("cavity"), dict):
+            data["cavity"]["n_max"] = n_max
     diags: list[str] = []
     values = _check(data, (*scenario.blocks, _OUTPUT), "", diags)
     output = values.pop("output", {})
@@ -540,5 +538,4 @@ def load_scenario(path: str | Path, n_max: int | None = None) -> Scenario:
 
 def run_scenario(scenario: Scenario, tol: float = DEFAULT_TOL) -> ResultTable:
     """Execute a validated scenario and return its result table."""
-    columns, rows = scenario._result(tol)
-    return ResultTable(columns=columns, rows=rows, scenario_digest=scenario.source_digest)
+    return ResultTable(columns=scenario._result(tol), scenario_digest=scenario.source_digest)

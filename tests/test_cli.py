@@ -176,6 +176,28 @@ def test_nmax_flag_shrinks_output(tmp_path):
     assert len(lines) == 4 + 9
 
 
+def test_unwritable_output_path_exits_one_without_traceback(tmp_path):
+    result = run_cli(
+        "run", str(SCENARIO_DIR / "evolve_resonant.yaml"), "--out", "missing/ev.csv",
+        cwd=tmp_path,
+    )
+    assert result.returncode == 1
+    assert result.stderr.startswith("error: --out: ")
+    assert "Traceback" not in result.stderr
+    scenario = tmp_path / "catalog.yaml"
+    scenario.write_text(
+        "kind: resonance_catalog\n"
+        "cavity: {length: 1.0, n_max: 4}\n"
+        "sweep: {max_omega: 10.0}\n"
+        "output: {path: missing/catalog.csv}\n",
+        encoding="utf-8",
+    )
+    result = run_cli("run", str(scenario), cwd=tmp_path)
+    assert result.returncode == 1
+    assert result.stderr.startswith("error: output.path: ")
+    assert "Traceback" not in result.stderr
+
+
 def test_default_output_path_from_output_block(tmp_path):
     result = run_cli("run", str(SCENARIO_DIR / "catalog_low_band.yaml"), cwd=tmp_path)
     assert result.returncode == 0

@@ -8,6 +8,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from cavitymix.bogoliubov import first_order_map, static_coefficients
+from cavitymix.gaussian import negativity_grid
 from cavitymix.profiles import QuadratureError, SinusoidalProfile
 from cavitymix.scenarios import (
     ResultTable,
@@ -41,65 +42,105 @@ def test_sample_scenarios_load(tmp_path):
 def test_evolve_scenario_matches_direct_map():
     scenario = load_scenario(SCENARIO_DIR / "evolve_resonant.yaml")
     table = run_scenario(scenario)
-    assert table.columns == ("m", "n", "re_a_hat", "im_a_hat", "re_b_hat", "im_b_hat")
-    assert len(table.rows) == scenario.cavity.n_max**2
+    assert tuple(table.columns) == ("m", "n", "re_a_hat", "im_a_hat", "re_b_hat", "im_b_hat")
+    n_max = scenario.cavity.n_max
+    assert len(table) == n_max**2
+    labels = [(m, n) for m in range(1, n_max + 1) for n in range(1, n_max + 1)]
+    assert list(zip(table.columns["m"], table.columns["n"])) == labels
     coeffs = static_coefficients(scenario.cavity)
     map_ = first_order_map(coeffs, scenario.profile)
-    by_pair = {(r[0], r[1]): r for r in table.rows}
+    a, b = map_.a_hat.ravel(), map_.b_hat.ravel()
+    for name, expected in (
+        ("re_a_hat", a.real), ("im_a_hat", a.imag), ("re_b_hat", b.real), ("im_b_hat", b.imag)
+    ):
+        assert np.array_equal(table.columns[name], expected), name
     a12 = map_.a_entry(1, 2)
-    assert by_pair[(1, 2)][2] == pytest.approx(a12.real, abs=1e-15)
-    assert by_pair[(1, 2)][3] == pytest.approx(a12.imag, rel=1e-14)
+    row = labels.index((1, 2))
+    assert table.columns["re_a_hat"][row] == a12.real
+    assert table.columns["im_a_hat"][row] == a12.imag
 
 
 def test_nmax_override(tmp_path):
     scenario = load_scenario(SCENARIO_DIR / "evolve_resonant.yaml", n_max=3)
     assert scenario.cavity.n_max == 3
     table = run_scenario(scenario)
-    assert len(table.rows) == 9
+    assert len(table) == 9
+    with pytest.raises(ScenarioError, match="--nmax: experiment_plan scenarios have no cavity"):
+        load_scenario(SCENARIO_DIR / "desktop_linear.yaml", n_max=5)
 
 
 def test_sweep_scenario_row_layout():
     scenario = load_scenario(SCENARIO_DIR / "negativity_ridge.yaml")
     table = run_scenario(scenario)
-    assert table.columns == ("omega_c", "delta_tau", "negativity")
-    assert len(table.rows) == 27 * 10
-    omegas = sorted({row[0] for row in table.rows})
+    assert tuple(table.columns) == ("omega_c", "delta_tau", "negativity")
+    assert len(table) == 27 * 10
+    omegas = sorted(set(table.columns["omega_c"].tolist()))
     assert len(omegas) == 27
-    assert all(row[2] >= 0.0 for row in table.rows)
+    assert all(value >= 0.0 for value in table.columns["negativity"])
+    grid = negativity_grid(
+        static_coefficients(scenario.cavity), scenario.pair, scenario.squeezing, scenario.h0,
+        scenario.omega_c_values, scenario.delta_tau_values,
+    )
+    row = 0
+    for j, omega_c in enumerate(scenario.omega_c_values):  # omega_c outer, delta_tau inner
+        for i, dtau in enumerate(scenario.delta_tau_values):
+            assert table.columns["omega_c"][row] == omega_c
+            assert table.columns["delta_tau"][row] == dtau
+            assert table.columns["negativity"][row] == grid[i, j]
+            row += 1
 
 
-def test_catalog_scenario_rows():
+def test_catalog_scenario_rows(tmp_path):
     scenario = load_scenario(SCENARIO_DIR / "catalog_low_band.yaml")
     table = run_scenario(scenario)
-    assert table.columns[0] == "kind"
-    kinds = {row[0] for row in table.rows}
+    header = ("kind", "m", "n", "omega_r", "coefficient", "growth_per_h0")
+    assert tuple(table.columns) == header
+    kinds = set(table.columns["kind"])
     assert kinds == {"mode_mixing", "particle_creation"}
+    # no resonance of a 1 m massless cavity lies below 0.1: the header alone
+    path = write(
+        tmp_path,
+        "kind: resonance_catalog\n"
+        "cavity: {length: 1.0, mu0: 0.0}\n"
+        "sweep: {max_omega: 0.1}\n",
+    )
+    empty = run_scenario(load_scenario(path))
+    assert len(empty) == 0
+    assert empty.render().splitlines()[3:] == [",".join(header)]
 
 
 def test_plan_scenario_single_row():
     scenario = load_scenario(SCENARIO_DIR / "desktop_linear.yaml")
     table = run_scenario(scenario)
-    assert len(table.rows) == 1
-    flat = dict(zip(table.columns, table.rows[0]))
+    assert len(table) == 1
+    flat = {name: values[0] for name, values in table.columns.items()}
     assert flat["omega_c_si"] == pytest.approx(4.238216e6, rel=1e-5)
 
 
 def test_render_format(tmp_path):
+    floats = [0.1, 1.0 / 3.0, -0.0, math.nan, math.inf]
     table = ResultTable(
-        columns=("a", "b"),
-        rows=[(1, 0.1), (2, 1.0 / 3.0)],
+        columns={
+            "a": [1, 2, 3, 4, 5],
+            "b": np.array(floats),
+            "kind": ["mode_mixing", "x", "y", "z", "w"],
+            "ok": np.array([True, False, True, False, True]),
+        },
         scenario_digest="f" * 64,
         generated="2026-08-19T00:00:00+00:00",
     )
+    assert len(table) == 5
     text = table.render()
     lines = text.splitlines()
     assert lines[0].startswith("# cavitymix ")
     assert lines[1] == "# scenario sha256: " + "f" * 64
     assert lines[2] == "# generated: 2026-08-19T00:00:00+00:00"
-    assert lines[3] == "a,b"
-    assert lines[4] == "1,0.10000000000000001"
+    assert lines[3] == "a,b,kind,ok"
+    assert lines[4] == "1,0.10000000000000001,mode_mixing,1"
     # 17 significant digits round-trip exactly
     assert float(lines[5].split(",")[1]) == 1.0 / 3.0
+    assert lines[5:] == ["2,0.33333333333333331,x,0", "3,-0,y,1", "4,nan,z,0", "5,inf,w,1"]
+    assert [line.split(",")[1] for line in lines[4:]] == [format(x, ".17g") for x in floats]
     out = tmp_path / "t.csv"
     table.write(out)
     assert out.read_text(encoding="utf-8") == text
@@ -107,7 +148,12 @@ def test_render_format(tmp_path):
 
 def test_table_rejects_ragged_rows():
     with pytest.raises(ValueError):
-        ResultTable(columns=("a", "b"), rows=[(1.0,)], scenario_digest="0" * 64)
+        ResultTable(columns={"a": [1.0], "b": []}, scenario_digest="0" * 64)
+    with pytest.raises(ValueError, match="unequal length"):
+        ResultTable(
+            columns={"a": np.zeros(3), "b": [1.0, 2.0], "c": np.zeros(3)},
+            scenario_digest="0" * 64,
+        )
 
 
 def test_missing_file_and_bad_yaml(tmp_path):
