@@ -23,7 +23,7 @@ switch-off, the creation entry toward longitudinal number m' is of order
     Lx^4 (omega + omega')^3 sqrt(omega omega')
 
 and summing its square over m' bounds the particles created in a lowest
-cavity mode by a purely numerical factor times (a Lx / c^2)^2; beta_bound
+cavity mode by a purely numerical factor times (a Lx / c^2)^2; plan
 computes both pieces.  That factor is evaluated for the actual lowest mode
 (1,1,1) of the massless cavity, the worst case, not for the paraxially
 loaded modes.
@@ -52,7 +52,7 @@ from .spectrum import Cavity3D, omega_vector, reduce_to_effective_1d
 C_LIGHT = 2.99792458e8
 WAVELENGTH_EDGE_FACTOR = 100.0
 PARAXIAL_MIN_RATIO = 1e4
-# beta_bound sums creation terms over longitudinal numbers m'; they decay only
+# The creation bound sums terms over longitudinal numbers m'; they decay only
 # beyond m' ~ (driven edge) * sqrt(sum 1/edge^2), the elongation.  Above this
 # elongation the sum needs millions of terms and may not converge at all.
 MAX_ELONGATION = 1e3
@@ -68,7 +68,7 @@ class LinearMotion:
     def __post_init__(self):
         if self.axis not in ("x", "y"):
             raise ValueError(f"driven axis must be 'x' or 'y', got {self.axis!r}")
-        if self.amplitude < 0.0:
+        if not self.amplitude >= 0.0:
             raise ValueError(f"amplitude must be nonnegative, got {self.amplitude}")
 
 
@@ -80,8 +80,9 @@ class CircularMotion:
     dy: float
 
     def __post_init__(self):
-        if self.dx < 0.0 or self.dy < 0.0:
-            raise ValueError(f"amplitudes must be nonnegative, got {self.dx}, {self.dy}")
+        for name, value in (("dx", self.dx), ("dy", self.dy)):
+            if not value >= 0.0:
+                raise ValueError(f"{name} must be nonnegative, got {value}")
 
 
 @dataclass(frozen=True)
@@ -105,7 +106,7 @@ class ExperimentPlan:
     def __post_init__(self):
         for name, value in (("wavelength", self.wavelength), ("lx", self.lx),
                             ("ly", self.ly), ("lz", self.lz)):
-            if value <= 0.0:
+            if not value > 0.0:
                 raise ValueError(f"{name} must be positive, got {value}")
         edge = min(self.lx, self.ly, self.lz)
         if self.wavelength >= edge / WAVELENGTH_EDGE_FACTOR:
@@ -159,17 +160,12 @@ class ExperimentPlan:
 
 
 @dataclass(frozen=True)
-class BetaBound:
-    """Creation bound pieces: particles per lowest mode <= factor * h^2."""
-
-    numeric_factor: float
-    h_squared: float
-    product: float
-
-
-@dataclass(frozen=True)
 class PlanReport:
-    """Derived predictions; rpm and centripetal only for circular motion."""
+    """Derived predictions; rpm and centripetal only for circular motion.
+
+    Particles created in the lowest mode number at most beta_bound_squared
+    = beta_numeric_factor * h^2, h = peak_h = a L / c^2, a the peak acceleration.
+    """
 
     omega_c_si: float
     omega_c_per_meter: float
@@ -183,25 +179,6 @@ class PlanReport:
     beta_bound_squared: float
     rpm: float | None = None
     centripetal_acceleration: float | None = None
-
-    def as_dict(self) -> dict[str, float]:
-        nan = float("nan")
-        return {
-            "omega_c_si": self.omega_c_si,
-            "omega_c_per_meter": self.omega_c_per_meter,
-            "frequency_hz": self.frequency_hz,
-            "growth_rate": self.growth_rate,
-            "time_to_unity": self.time_to_unity,
-            "peak_h": self.peak_h,
-            "rigidity_ok": float(self.rigidity_ok),
-            "beta_numeric_factor": self.beta_numeric_factor,
-            "beta_h_squared": self.beta_h_squared,
-            "beta_bound_squared": self.beta_bound_squared,
-            "rpm": nan if self.rpm is None else self.rpm,
-            "centripetal_acceleration": (
-                nan if self.centripetal_acceleration is None else self.centripetal_acceleration
-            ),
-        }
 
 
 def plan(inputs: ExperimentPlan) -> PlanReport:
@@ -219,9 +196,8 @@ def plan(inputs: ExperimentPlan) -> PlanReport:
     d = inputs.drive_amplitude
     growth = C_LIGHT * paraxial_mixing_growth(inputs.wavelength, length, d, m, mp)
     peak_h = displacement_h0(omega_per_m, d, length)
-    bound = beta_bound(inputs)
-    rpm = None
-    centripetal = None
+    factor = _creation_factor(Cavity3D(lx=inputs.lx, ly=inputs.ly, lz=inputs.lz), inputs.axis)
+    rpm = centripetal = None
     if isinstance(inputs.motion, CircularMotion):
         rpm = omega_si * 60.0 / (2.0 * math.pi)
         centripetal = max(inputs.motion.dx, inputs.motion.dy) * omega_si**2
@@ -233,9 +209,9 @@ def plan(inputs: ExperimentPlan) -> PlanReport:
         time_to_unity=1.0 / growth if growth > 0.0 else math.inf,
         peak_h=peak_h,
         rigidity_ok=peak_h < RIGIDITY_BOUND,
-        beta_numeric_factor=bound.numeric_factor,
-        beta_h_squared=bound.h_squared,
-        beta_bound_squared=bound.product,
+        beta_numeric_factor=factor,
+        beta_h_squared=peak_h**2,
+        beta_bound_squared=factor * peak_h**2,
         rpm=rpm,
         centripetal_acceleration=centripetal,
     )
@@ -248,28 +224,12 @@ def circular_report(inputs: ExperimentPlan) -> PlanReport:
     return plan(inputs)
 
 
-def beta_bound(inputs: ExperimentPlan, rel_tol: float = 1e-6) -> BetaBound:
-    """Upper bound on particles created in the lowest mode, as factor * h^2.
+def _creation_factor(cavity: Cavity3D, axis: str, rel_tol: float = 1e-6) -> float:
+    """Sum of squared creation magnitudes per unit h, lowest mode, given axis.
 
-    Sums the squared sharp-switching creation magnitude from mode (1,1,1)
-    of the massless cavity over the opposite-parity longitudinal numbers
-    m', doubling the cutoff until the sum changes by less than rel_tol
-    relatively.  h = a Lx / c^2 uses the peak acceleration of the motion.
+    Sharp-switching terms from mode (1,1,1) of the massless cavity to the
+    opposite-parity m'; the cutoff doubles until the sum moves by < rel_tol relatively.
     """
-    length = inputs.axis_length
-    omega_per_m = paraxial_mixing_omega(inputs.wavelength, length, *inputs.pair)
-    accel = inputs.drive_amplitude * (C_LIGHT * omega_per_m) ** 2
-    h = accel * length / C_LIGHT**2
-    factor = _creation_factor(
-        Cavity3D(lx=inputs.lx, ly=inputs.ly, lz=inputs.lz, mu=0.0),
-        inputs.axis,
-        rel_tol,
-    )
-    return BetaBound(numeric_factor=factor, h_squared=h**2, product=factor * h**2)
-
-
-def _creation_factor(cavity: Cavity3D, axis: str, rel_tol: float) -> float:
-    """Sum of squared creation magnitudes per unit h, lowest mode, given axis."""
     cutoff = 64
     total = _creation_partial_sum(cavity, axis, cutoff)
     while cutoff <= 2**22:

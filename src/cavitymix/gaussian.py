@@ -116,6 +116,11 @@ class CovarianceState:
         return self.sigma.shape[0] // 2
 
 
+def _check_squeezing(s: float) -> None:
+    if not 0.0 <= s < math.inf:
+        raise ValueError(f"squeezing parameter must be finite and nonnegative, got {s}")
+
+
 def squeezed_vacuum(n_modes: int, s: float) -> CovarianceState:
     """Product state with every mode squeezed by s along the same quadrature.
 
@@ -123,8 +128,7 @@ def squeezed_vacuum(n_modes: int, s: float) -> CovarianceState:
     this normalization and not diag(e^{2s}, e^{-2s}).  Each block has unit
     determinant, so the state is pure.
     """
-    if s < 0.0:
-        raise ValueError(f"squeezing parameter must be nonnegative, got {s}")
+    _check_squeezing(s)
     diag = np.empty(2 * n_modes)
     diag[0::2] = math.exp(s)
     diag[1::2] = math.exp(-s)
@@ -240,8 +244,7 @@ def first_order_negativity(
     creation entry B[m, n] is negligible against A[m, n]; warns outside
     that regime (|B| > 0.01 |A|).
     """
-    if s < 0.0:
-        raise ValueError(f"squeezing parameter must be nonnegative, got {s}")
+    _check_squeezing(s)
     _check_modes(map_.cavity.n_max, *pair, distinct=True)
     a = map_.a_entry(*pair)
     b = map_.b_entry(*pair)
@@ -281,13 +284,12 @@ def negativity_grid(
     delta_tau_values = np.asarray(delta_tau_values, dtype=float)
     if omega_c_values.size == 0 or delta_tau_values.size == 0:
         raise ValueError("both grid axes must be nonempty")
-    if s < 0.0:
-        raise ValueError(f"squeezing parameter must be nonnegative, got {s}")
-    if np.any(omega_c_values < 0.0):
+    _check_squeezing(s)
+    if not np.all(omega_c_values >= 0.0):
         raise ValueError(f"drive frequencies must be nonnegative, got {omega_c_values.min()}")
     if not np.all(delta_tau_values > 0.0):
         raise ValueError(f"durations must be positive, got {delta_tau_values.min()}")
-    if abs(h0) >= RIGIDITY_BOUND:
+    if not abs(h0) < RIGIDITY_BOUND:
         raise ValueError(
             f"drive violates the rigidity bound |h| < {RIGIDITY_BOUND}: |h0| = {h0}"
         )

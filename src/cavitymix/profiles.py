@@ -226,7 +226,7 @@ class SinusoidalProfile(AccelerationProfile):
 
     def __post_init__(self) -> None:
         self._check_interval()
-        if self.omega_c < 0.0:
+        if not self.omega_c >= 0.0:
             raise ValueError(f"drive frequency must be nonnegative, got {self.omega_c}")
 
     def evaluate(self, tau):
@@ -454,7 +454,7 @@ class WindowedSinusoidProfile(AccelerationProfile):
 
     def __post_init__(self) -> None:
         self._check_interval()
-        if self.omega_c < 0.0:
+        if not self.omega_c >= 0.0:
             raise ValueError(f"drive frequency must be nonnegative, got {self.omega_c}")
         if not self.window_time > 0.0:
             raise ValueError(f"window_time must be positive, got {self.window_time}")

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bogoliubov import StaticCoefficients, _parity_odd_mask
+from .bogoliubov import StaticCoefficients
 from .spectrum import omega_diff_matrix, omega_sum_matrix
 
 
@@ -64,7 +64,7 @@ def catalog_1d(coeffs: StaticCoefficients, max_omega: float) -> list[ResonanceEn
     if max_omega <= 0.0:
         raise ValueError(f"max_omega must be positive, got {max_omega}")
     cavity = coeffs.cavity
-    pairs = np.triu(_parity_odd_mask(cavity.n_max))  # odd m + n, m < n
+    pairs = np.triu(coeffs.odd)  # odd m + n, m < n
     labels = np.argwhere(pairs) + 1
     entries = []
     # mixing sits at w_n - w_m for m < n: the transposed difference matrix

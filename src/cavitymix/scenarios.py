@@ -35,7 +35,7 @@ from __future__ import annotations
 import hashlib
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Any, Callable, ClassVar
@@ -482,7 +482,8 @@ class PlanScenario(_Scenario):
     experiment: ExperimentPlan
 
     def _result(self, tol):
-        return {name: [value] for name, value in plan(self.experiment).as_dict().items()}
+        report = asdict(plan(self.experiment))
+        return {name: [math.nan if value is None else value] for name, value in report.items()}
 
 
 Scenario = EvolveScenario | CatalogScenario | SweepScenario | PlanScenario

@@ -9,12 +9,12 @@ from cavitymix.experiment import (
     CircularMotion,
     ExperimentPlan,
     LinearMotion,
-    beta_bound,
+    _creation_factor,
     circular_report,
     plan,
 )
 from cavitymix.resonance import catalog_1d
-from cavitymix.spectrum import Cavity1D
+from cavitymix.spectrum import Cavity1D, Cavity3D
 
 
 def desktop(motion):
@@ -75,29 +75,26 @@ def test_circular_plan_adds_rotation_figures():
 
 
 def test_beta_bound_factor_against_brute_force():
-    inputs = desktop(LinearMotion(amplitude=1e-6, axis="x"))
-    bound = beta_bound(inputs, rel_tol=1e-8)
+    factor = _creation_factor(Cavity3D(lx=0.01, ly=0.01, lz=0.01), "x", rel_tol=1e-8)
     reference = brute_force_creation_factor(0.01, 0.01, 0.01)
-    assert bound.numeric_factor == pytest.approx(reference, rel=1e-6)
-    assert bound.numeric_factor == pytest.approx(1.01636e-5, rel=1e-4)
-    assert bound.product == pytest.approx(bound.numeric_factor * bound.h_squared, rel=1e-14)
+    assert factor == pytest.approx(reference, rel=1e-6)
+    assert factor == pytest.approx(1.01636e-5, rel=1e-4)
+    report = plan(desktop(LinearMotion(amplitude=1e-6, axis="x")))
+    assert report.beta_bound_squared == report.beta_numeric_factor * report.peak_h**2
     # A 7 m cavity with 1 cm transverse edges, just inside MAX_ELONGATION,
     # driven along its long edge: the creation terms only start to decay
     # beyond m' ~ 1e3, so the sum needs about 2^18 terms.  The brute-force
     # tail beyond 2^21 is about 2e-12 relative.
     for axis, lx, ly in (("x", 7.0, 0.01), ("y", 0.01, 7.0)):
-        inputs = ExperimentPlan(
-            wavelength=600e-9, lx=lx, ly=ly, lz=0.01, motion=LinearMotion(amplitude=1e-6, axis=axis)
-        )
-        bound = beta_bound(inputs, rel_tol=1e-8)
+        factor = _creation_factor(Cavity3D(lx=lx, ly=ly, lz=0.01), axis, rel_tol=1e-8)
         reference = brute_force_creation_factor(lx, ly, 0.01, axis=axis, cutoff=2**21)
-        assert bound.numeric_factor == pytest.approx(reference, rel=1e-6)
+        assert factor == pytest.approx(reference, rel=1e-6)
 
 
 def test_beta_bound_h_is_peak_h():
     inputs = desktop(LinearMotion(amplitude=1e-6, axis="x"))
     report = plan(inputs)
-    assert report.beta_h_squared == pytest.approx(report.peak_h**2, rel=1e-12)
+    assert report.beta_h_squared == report.peak_h**2
     assert math.log10(report.beta_h_squared) == pytest.approx(-23.4, abs=0.05)
     circ = circular_report(desktop(CircularMotion(dx=1e-3, dy=1e-3)))
     assert math.log10(circ.beta_h_squared) == pytest.approx(-17.4, abs=0.05)
@@ -127,12 +124,19 @@ def test_plan_validation():
         ExperimentPlan(
             wavelength=9e-5, lx=0.01, ly=0.01, lz=0.01, motion=LinearMotion(amplitude=1e-6)
         )
-    with pytest.raises(ValueError):
-        desktop(LinearMotion(amplitude=-1e-6))
+    for amplitude in (-1e-6, math.nan):
+        with pytest.raises(ValueError, match="amplitude"):
+            desktop(LinearMotion(amplitude=amplitude))
     with pytest.raises(ValueError):
         desktop(LinearMotion(amplitude=1e-6, axis="z"))
-    with pytest.raises(ValueError):
-        desktop(CircularMotion(dx=-1e-3, dy=1e-3))
+    for dx in (-1e-3, math.nan):
+        with pytest.raises(ValueError, match="dx"):
+            desktop(CircularMotion(dx=dx, dy=1e-3))
+    for name in ("wavelength", "lx"):
+        edges = dict(wavelength=600e-9, lx=0.01, ly=0.01, lz=0.01)
+        edges[name] = math.nan
+        with pytest.raises(ValueError, match=name):
+            ExperimentPlan(**edges, motion=LinearMotion(amplitude=1e-6))
     for pair in ((1, 3), (2, 2), (0, 1)):
         with pytest.raises(ValueError):
             ExperimentPlan(
@@ -178,12 +182,3 @@ def test_zero_amplitude_degenerates_cleanly():
     assert report.peak_h == 0.0
     assert report.beta_h_squared == 0.0
     assert report.rigidity_ok
-
-
-def test_report_as_dict_encodes_missing_fields():
-    report = plan(desktop(LinearMotion(amplitude=1e-6, axis="x")))
-    flat = report.as_dict()
-    assert math.isnan(flat["rpm"]) and math.isnan(flat["centripetal_acceleration"])
-    assert flat["rigidity_ok"] == 1.0
-    circ = circular_report(desktop(CircularMotion(dx=1e-3, dy=1e-3)))
-    assert circ.as_dict()["rpm"] == pytest.approx(circ.rpm, rel=1e-15)

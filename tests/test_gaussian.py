@@ -56,8 +56,9 @@ def test_squeezed_vacuum_is_pure_and_asymmetric():
     assert np.allclose(np.diag(state.sigma), [math.e**0.8, math.e**-0.8] * 2, rtol=1e-14)
     assert np.allclose(symplectic_eigenvalues(state.sigma), 1.0, atol=1e-12)
     assert np.array_equal(squeezed_vacuum(2, 0.0).sigma, np.eye(4))
-    with pytest.raises(ValueError):
-        squeezed_vacuum(2, -0.1)
+    for s in (-0.1, math.nan, math.inf):
+        with pytest.raises(ValueError, match="squeezing"):
+            squeezed_vacuum(2, s)
 
 
 def test_single_mode_squeezer_produces_squeezed_vacuum():
@@ -210,8 +211,9 @@ def test_negativity_invariant_under_free_phases():
 
 def test_first_order_negativity_guard_rails():
     map_ = resonant_map(1e-3)
-    with pytest.raises(ValueError):
-        first_order_negativity(map_, (1, 2), -0.5)
+    for s in (-0.5, math.nan, math.inf):
+        with pytest.raises(ValueError, match="squeezing"):
+            first_order_negativity(map_, (1, 2), s)
     loud = FirstOrderBogoliubovMap(
         cavity=map_.cavity,
         tau0=0.0,
@@ -295,14 +297,18 @@ def test_negativity_grid_keeps_the_profile_checks():
     coeffs = static_coefficients(Cavity1D(length=1.0, mu0=0.0, n_max=2))
     omega_grid = np.array([1.0, math.pi])
     dtau_grid = np.array([5.0, 10.0])
-    with pytest.raises(ValueError):
-        negativity_grid(coeffs, (1, 2), 1.0, 1e-3, np.array([-1.0, 1.0]), dtau_grid)
+    for bad in (-1.0, math.nan):
+        with pytest.raises(ValueError, match="drive frequencies"):
+            negativity_grid(coeffs, (1, 2), 1.0, 1e-3, np.array([bad, 1.0]), dtau_grid)
+    for s in (-0.5, math.nan, math.inf):
+        with pytest.raises(ValueError, match="squeezing"):
+            negativity_grid(coeffs, (1, 2), s, 1e-3, omega_grid, dtau_grid)
     with pytest.raises(ValueError):
         negativity_grid(coeffs, (1, 2), 1.0, 1e-3, omega_grid, np.array([0.0, 5.0]))
     with pytest.raises(ValueError):
         negativity_grid(coeffs, (1, 2), 1.0, 1e-3, omega_grid, np.array([np.nan]))
     # A drive that breaks rigidity, which first_order_map refuses too.
-    for h0 in (5.0, -2.0):
+    for h0 in (5.0, -2.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="rigidity bound"):
             negativity_grid(coeffs, (1, 2), 1.0, h0, omega_grid, dtau_grid)
     # A rounding bound 64 eps |h0| dtau above the default tolerance of 1e-10.

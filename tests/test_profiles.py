@@ -28,6 +28,8 @@ def test_sinusoidal_evaluate_and_sup():
     # The phase crosses pi inside the interval, so the supremum is h0.
     assert sup == pytest.approx(0.3)
     assert prof.evaluate(tau_star) == pytest.approx(-0.3)
+    with pytest.raises(ValueError, match="drive frequency"):
+        SinusoidalProfile(h0=0.3, omega_c=math.nan, tau0=1.0, tauf=4.0)
 
 
 def test_sinusoidal_sup_on_short_arc_is_an_endpoint():
@@ -116,6 +118,8 @@ def test_windowed_sinusoid_envelope():
         WindowedSinusoidProfile(h0=0.2, omega_c=5.0, window_time=6.0, tau0=0.0, tauf=10.0)
     with pytest.raises(ValueError, match="omega_c"):
         WindowedSinusoidProfile(h0=0.01, omega_c=1e300, window_time=1e10, tau0=0.0, tauf=1e11)
+    with pytest.raises(ValueError, match="drive frequency"):
+        WindowedSinusoidProfile(h0=0.2, omega_c=math.nan, window_time=2.0, tau0=0.0, tauf=10.0)
 
 
 def test_rigidity_check_reports_worst_point():

@@ -8,6 +8,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from cavitymix.bogoliubov import first_order_map, static_coefficients
+from cavitymix.experiment import circular_report
 from cavitymix.gaussian import negativity_grid
 from cavitymix.profiles import QuadratureError, SinusoidalProfile
 from cavitymix.scenarios import (
@@ -115,6 +116,13 @@ def test_plan_scenario_single_row():
     assert len(table) == 1
     flat = {name: values[0] for name, values in table.columns.items()}
     assert flat["omega_c_si"] == pytest.approx(4.238216e6, rel=1e-5)
+    # linear motion has no rotation figures: NaN cells, not missing ones
+    assert math.isnan(flat["rpm"]) and math.isnan(flat["centripetal_acceleration"])
+    row = dict(zip(table.columns, table.render().splitlines()[4].split(",")))
+    assert row["rigidity_ok"] == "1"
+    circular = load_scenario(SCENARIO_DIR / "desktop_circular.yaml")
+    rpm = run_scenario(circular).columns["rpm"][0]
+    assert rpm == circular_report(circular.experiment).rpm
 
 
 def test_render_format(tmp_path):
