@@ -14,23 +14,25 @@ Everything downstream needs windowed Fourier transforms of h,
 with delta ranging from near zero up to sums of large mode frequencies.
 Sampling the oscillation is hopeless at the extreme phases that show up in
 laboratory-scale scenarios, so every profile instead reports itself as a
-term table: five flat arrays (a, b, coef, mu, slope), one row per piece
-h = (coef + slope*t) * exp(i*mu*t) on [a, b] of local time t = tau - tau0.
-Each piece integrates against the kernel in closed form, a Filon-type rule
-(Iserles & Norsett, Proc. R. Soc. A 461 (2005) 1383), from one pair of
-exponentials per (delta, piece).  One kernel evaluates a whole batch of
-deltas against the table by broadcasting, a bounded chunk of (delta,
-piece) elements at a time, and switches per element to a series expansion
-where the total phase across a piece is small enough for the direct
-formula to cancel.  `oscillatory_integral` is the one-delta call of that
-kernel; `first_order_map` makes one call for all the distinct deltas of a
-map.
+term table of nodes (t, mu) and pieces h = (start + slope*(t - t_lo)) *
+exp(i*mu*t) between two nodes (t_lo, mu) and (t_hi, mu), of local time
+t = tau - tau0.  Each piece integrates against the kernel in closed form, a
+Filon-type rule (Iserles & Norsett, Proc. R. Soc. A 461 (2005) 1383), from
+the exponentials exp(i*(mu - delta)*t) at its two nodes; pieces that meet
+share their node, so a batch costs one exponential per (delta, node).  One
+kernel evaluates a whole batch of deltas against the table by
+broadcasting, a bounded chunk of elements at a time, and switches per
+(delta, piece) element to expm1 and a series where the phase across the
+piece is below 1/4 and the node form would cancel.  `oscillatory_integral`
+is the one-delta call of that kernel; `first_order_map` makes one call for
+all the distinct deltas of a map.
 
 For `SampledProfile` the table is the piecewise-linear interpolant of the
-samples, one row per panel, built with array operations: the oscillatory
+samples, one node per sample and one piece per panel: the oscillatory
 factor is handled analytically, the data enters linearly per panel.  The
-reported error estimate for all variants is a rounding bound proportional
-to the L1 mass of the integrand; a requested tolerance below it raises
+reported error estimate for all variants is the rounding bound of
+`_rounding_estimate`, proportional to sup|h| on each piece times its span
+and its distance from tau0; a requested tolerance below it raises
 `QuadratureError`.
 """
 
@@ -44,10 +46,20 @@ import numpy as np
 
 RIGIDITY_BOUND = 2.0
 
-# Cross-over for the series branch of the phase primitives.  At 1e-4 the
-# omitted z^5 term is ~1e-23 relative, far below double rounding.
-_SMALL_PHASE = 1e-4
+# Crossover of the small-phase branch, on |z| = |theta|*span of a piece.
+# Above it the node form divides differences of unit exponentials, each
+# within about eps of exact, by theta and theta**2: at |z| = 1/4 that costs
+# up to 2*eps/|z| = 8 eps relative in the base moment and 4*eps/|z|**2 =
+# 64 eps of a slope term's mass, which `_rounding_estimate` covers.  Below
+# it the piece takes its own expm1(z)/z, which does not cancel, and the
+# linear moment's Taylor series through z**12, which truncates below 4e-19
+# relative at |z| = 1/4.
+_SMALL_PHASE = 0.25
 _EPS = float(np.finfo(float).eps)
+
+# integral_0^1 v * exp(z*v) dv = sum_j z**j / (j! (j + 2)), as np.polyval
+# coefficients (highest power first).
+_LINEAR_SERIES = [1.0 / (math.factorial(j) * (j + 2)) for j in range(12, -1, -1)]
 
 
 class QuadratureError(RuntimeError):
@@ -71,56 +83,66 @@ class RigidityReport:
     bound: float = RIGIDITY_BOUND
 
 
-# A term table lists the pieces (coef + slope * t) * exp(i*mu*t) that make up
-# h, each on its own interval [a, b] of local time t = tau - tau0, as the five
-# flat arrays (a, b, coef, mu, slope).  Pieces come in conjugate pairs (or are
-# real) so that h is real.
-_Terms = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+# A term table lists h as pieces (start + slope*(t - t_lo)) * exp(i*mu*t) of
+# local time t = tau - tau0, each between two nodes (t_lo, mu) and (t_hi, mu),
+# as six entries (t, mu, lo, hi, start, slope): the node times and
+# frequencies, then per piece its two node indices and its two coefficients.
+# Pieces that meet at a node share it, so its exponential is formed once; lo
+# and hi are slices where every piece runs between neighbouring nodes.
+# Pieces come in conjugate pairs (or are real) so that h is real.
+_Index = slice | np.ndarray
+_Terms = tuple[np.ndarray, np.ndarray, _Index, _Index, np.ndarray, np.ndarray]
 
-# The kernel evaluates at most this many (delta, piece) elements at once, so
-# its temporaries stay near a megabyte whatever the batch or table size.
-_CHUNK_ELEMENTS = 8192
-
-
-def _table(*pieces: tuple[float, float, complex, float, complex]) -> _Terms:
-    """Term table from (a, b, coef, mu, slope) rows."""
-    a, b, coef, mu, slope = zip(*pieces)
-    return (
-        np.array(a, dtype=float),
-        np.array(b, dtype=float),
-        np.array(coef, dtype=complex),
-        np.array(mu, dtype=float),
-        np.array(slope, dtype=complex),
-    )
+# The kernel evaluates at most this many (delta, node) or (delta, piece)
+# elements at once, whatever the batch or table size.  Each temporary is then
+# at most 32 KiB, and a chunk's temporaries together stay under glibc's
+# 128 KiB mmap and trim thresholds, so a steady loop of calls reuses the same
+# heap pages; at 8192 elements each call mapped or trimmed its temporaries
+# and faulted them in again.
+_CHUNK_ELEMENTS = 2048
 
 
-def _phase_moment(theta, span, linear: bool) -> tuple[np.ndarray, np.ndarray | None]:
-    """integral_0^span u^k * exp(i*theta*u) du for k = 0 and, if `linear`, k = 1.
+def _small_phase(z, span, start, slope=None):
+    """integral_0^span (start + slope*u) * exp(z*u/span) du, for |z| < _SMALL_PHASE.
 
-    Elementwise over `theta` and `span`, which broadcast against each other;
-    the k = 1 moment is None when not `linear`.  Both share one exponential
-    per element.  Elements with |theta|*span < _SMALL_PHASE take the series
-    branch, where the direct formula would cancel.
+    Elementwise, where the node form would cancel; `slope` None stands for
+    zero.  Called inside the kernel's silenced floating-point state.
     """
-    z = 1j * (theta * span)
-    small = np.abs(theta) * span < _SMALL_PHASE
-    itheta = 1j * np.where(small, 1.0, theta)
-    ez = np.exp(z)
-    base = (ez - 1.0) / itheta
-    moment = (ez * (z - 1.0) + 1.0) / itheta**2 if linear else None
-    if small.any():
-        zs, ss = z[small], np.broadcast_to(span, z.shape)[small]
-        base[small] = ss * (1.0 + zs * (0.5 + zs * (1.0 / 6.0 + zs * (1.0 / 24.0 + zs / 120.0))))
-        if linear:
-            moment[small] = (ss * ss) * (
-                0.5 + zs * (1.0 / 3.0 + zs * (0.125 + zs * (1.0 / 30.0 + zs / 144.0)))
-            )
-    return base, moment
+    value = start * np.where(z == 0.0, 1.0, np.expm1(z) / z)
+    if slope is not None:
+        value += slope * span * np.polyval(_LINEAR_SERIES, z)
+    return span * value
 
 
-def _rounding_estimate(mass: float, tol: float) -> float:
-    """Rounding bound 64*eps*mass of a closed-form integral; raises above `tol`."""
-    estimate = 64.0 * _EPS * mass
+def _rounding_estimate(height, right, span, tol: float) -> float:
+    """Rounding bound of the node form, from per-piece arrays; raises above `tol`.
+
+    `height` is sup|h| on each piece (W), `right` its right node (b >= 0) and
+    `span` its length (s).  At first order in u = eps/2, with c =
+    _SMALL_PHASE and |theta| >= c/s in the direct branch, a piece's value
+    q*(E_b*end - E_a*start)/i + q**2*slope*(E_b - E_a), q = 1/theta, is off by
+    at most:
+
+    - node exponentials: exp(i*theta*t) comes from theta*t rounded to
+      u*|theta*t| and is then within 2u, so each carries
+      u*|theta|*t + 2u, times its coefficient |q|*W + q**2*|slope|; with
+      |q| <= s/c and |slope|*s <= 2W that is
+      u*(a + b)*W*(1 + 2/c) + 4u*W*s*(1/c + 2/c**2) <= 18u*b*W + 144u*W*s;
+    - theta = mu - delta rounded to u*|theta|: u*|theta|*|dI/dtheta|, at
+      most 4u*b*W by parts;
+    - the node times themselves, each within u*t of the profile's, moving
+      the piece by at most 2W*u*(a + b) <= 4u*b*W;
+    - the arithmetic of the piece, about ten operations on terms up to
+      W*s*(1 + 4/c): under 160u*W*s;
+    - the sum over P pieces: (P - 1)*u*W*s each.
+
+    The small-phase branch (|theta|*s < c) stays inside the same bound: its
+    node exponential is off by u*c*a/s + 2u relative, expm1 and the series
+    add a few u, and the series' truncation is below u/100.  In total,
+    eps*(13*b*W + (152 + (P - 1)/2)*W*s) summed over the pieces, rounded up
+    to eps*(16*b*W + (160 + P/2)*W*s).
+    """
+    estimate = _EPS * float(np.sum(height * (16.0 * right + (160.0 + 0.5 * span.size) * span)))
     if estimate > tol:
         raise QuadratureError(
             f"rounding-level error estimate {estimate:.3e} exceeds requested tolerance {tol:.3e}"
@@ -131,31 +153,58 @@ def _rounding_estimate(mass: float, tol: float) -> float:
 def _fourier_integrals(terms: _Terms, deltas, tol: float = 1e-10) -> tuple[np.ndarray, float]:
     """I(delta) for every delta of a batch, and the rounding bound they share.
 
-    Broadcasts the deltas against the whole term table, a bounded chunk of
-    deltas at a time.  A piece contributes exp(i*theta*a) times
-    (coef + slope*a) * integral_0^span exp(i*theta*u) du plus slope times the
-    linear moment, with theta = mu - delta; the linear moment is only formed
-    when some slope is non-zero.  Raises `QuadratureError` when the bound
-    exceeds `tol` or a value is not finite; numpy's overflow warnings are
-    silenced, since `_check_finite` reports the same failure.
+    Broadcasts a bounded chunk of deltas at a time against the node table:
+    one exponential E = exp(i*theta*t) per node, theta = mu - delta, and
+    then per piece on [a, b], with D = E_b - E_a and span s,
+
+        (start*D + slope*s*E_b)/(i*theta) + slope*D/theta**2,
+
+    or, where |theta|*s < _SMALL_PHASE, E_a times `_small_phase`.  Where
+    pieces run between neighbouring nodes, E_a and E_b are slices of one
+    node array.  Raises `QuadratureError` when the bound exceeds `tol` or a
+    value is not finite; numpy's floating-point warnings are silenced, since
+    `_check_finite` reports the same failure and a small-phase element
+    replaces its direct value.
     """
-    a, b, coef, mu, slope = terms
-    span = b - a
-    mass = float(np.sum(np.abs(coef) * span + np.abs(slope) * (0.5 * (b * b - a * a))))
-    estimate = _rounding_estimate(mass, tol)
+    t, mu, lo, hi, start, slope = terms
+    span = t[hi] - t[lo]
+    slope_span = slope * span
+    height = np.maximum(np.abs(start), np.abs(start + slope_span))
+    estimate = _rounding_estimate(height, t[hi], span, tol)
     linear = bool(np.any(slope))
+    start_i, slope_span_i = -1j * start, -1j * slope_span
+    reach = span / _SMALL_PHASE  # |1/theta| beyond which a piece takes the small-phase branch
     deltas = np.asarray(deltas, dtype=float).reshape(-1, 1)
     values = np.empty(deltas.shape[0], dtype=complex)
-    rows = max(1, _CHUNK_ELEMENTS // coef.size)
-    with np.errstate(over="ignore", invalid="ignore"):
-        start_value = coef + slope * a
-        for start in range(0, deltas.shape[0], rows):
-            theta = mu - deltas[start : start + rows]
-            base, moment = _phase_moment(theta, span, linear)
-            piece = start_value * base
+    rows = max(1, _CHUNK_ELEMENTS // max(t.size, start.size))
+    with np.errstate(all="ignore"):
+        for first in range(0, deltas.shape[0], rows):
+            chunk = deltas[first : first + rows]
+            theta = mu - chunk
+            inverse = 1.0 / theta[:, lo]
+            theta *= t
+            nodes = np.empty(theta.shape, dtype=complex)
+            np.cos(theta, out=nodes.real)
+            np.sin(theta, out=nodes.imag)
+            ea, eb = nodes[:, lo], nodes[:, hi]
+            diff = eb - ea
+            piece = start_i * diff
             if linear:
-                piece += slope * moment
-            values[start : start + rows] = np.sum(np.exp(1j * (theta * a)) * piece, axis=1)
+                piece += slope_span_i * eb
+                diff *= slope
+                diff *= inverse
+                piece += diff
+            piece *= inverse
+            small = np.abs(inverse) > reach
+            if small.any():
+                row, col = np.nonzero(small)
+                z = 1j * ((mu[lo][col] - chunk[row, 0]) * span[col])
+                piece[small] = ea[small] * _small_phase(
+                    z, span[col], start[col], slope[col] if linear else None
+                )
+            values[first : first + rows] = piece.sum(axis=1)
+            # Free this chunk's temporaries before the next chunk allocates its own.
+            del theta, inverse, nodes, ea, eb, diff, piece, small
     _check_finite(values)
     return values, estimate
 
@@ -260,9 +309,12 @@ class SinusoidalProfile(AccelerationProfile):
         )
 
     def _terms(self) -> _Terms:
+        # Two nodes per term (h0/2) exp(+-i*(omega_c*t + phase)).
         c = 0.5 * self.h0 * cmath.exp(1j * self.phase)
-        s = self.duration
-        return _table((0.0, s, c, self.omega_c, 0), (0.0, s, c.conjugate(), -self.omega_c, 0))
+        s, w = self.duration, self.omega_c
+        t, mu = np.array([0.0, s, 0.0, s]), np.array([w, w, -w, -w])
+        start = np.array([c, c.conjugate()])
+        return t, mu, slice(0, None, 2), slice(1, None, 2), start, np.zeros(2)
 
 
 @dataclass(frozen=True)
@@ -314,9 +366,9 @@ class PiecewiseConstantProfile(AccelerationProfile):
 
     def _terms(self) -> _Terms:
         edges = self._edges()
-        values = np.array([h for _, h in self.segments], dtype=complex)
-        zeros = np.zeros(values.size)
-        return edges[:-1], edges[1:], values, zeros, zeros.astype(complex)
+        values = np.array([h for _, h in self.segments])
+        zeros = np.zeros(edges.size)
+        return edges, zeros, slice(0, -1), slice(1, None), values, zeros[1:]
 
 
 @dataclass(frozen=True)
@@ -367,11 +419,12 @@ class RampProfile(AccelerationProfile):
 
     def _terms(self) -> _Terms:
         r, s, h0 = self.ramp_time, self.duration, self.h0
-        pieces = [(0.0, r, 0.0, 0.0, h0 / r)]
-        if s > 2.0 * r:
-            pieces.append((r, s - r, h0, 0.0, 0.0))
-        pieces.append((s - r, s, h0 * s / r, 0.0, -h0 / r))
-        return _table(*pieces)
+        if s > 2.0 * r:  # ramp up, hold, ramp down
+            nodes, start, slope = [0.0, r, s - r, s], [0.0, h0, h0], [h0 / r, 0.0, -h0 / r]
+        else:  # the two ramps meet at the peak
+            nodes, start, slope = [0.0, r, s], [0.0, h0], [h0 / r, -h0 / r]
+        zeros = np.zeros(len(nodes))
+        return np.array(nodes), zeros, slice(0, -1), slice(1, None), np.array(start), np.array(slope)
 
 
 @dataclass(frozen=True, eq=False)
@@ -426,12 +479,10 @@ class SampledProfile(AccelerationProfile):
         return SampledProfile(tau=tau, h=h)
 
     def _terms(self) -> _Terms:
-        # Panel k is one piece, h = intercept_k + slope_k * t on [t_k, t_{k+1}].
+        # Panel k is one piece, h = h_k + slope_k * (t - t_k) on [t_k, t_{k+1}].
         t = self.tau - self.tau0
-        a, b = t[:-1], t[1:]
-        slope = np.diff(self.h) / (b - a)
-        intercept = self.h[:-1] - slope * a
-        return a, b, intercept.astype(complex), np.zeros(a.size), slope.astype(complex)
+        slope = np.diff(self.h) / np.diff(t)
+        return t, np.zeros(t.size), slice(0, -1), slice(1, None), self.h[:-1], slope
 
 
 @dataclass(frozen=True)
@@ -513,27 +564,31 @@ class WindowedSinusoidProfile(AccelerationProfile):
         )
 
     def _terms(self) -> _Terms:
+        # Each drive term c*exp(i*mu*t) becomes three chains of nodes at the
+        # window edges: mu, held over the plateau, and mu -+ nu with the
+        # switching frequency nu = pi/W, which only switch on and off.
         w, s = self.window_time, self.duration
         nu = math.pi / w
-        drive = (
-            (0.5 * self.h0 * cmath.exp(1j * self.phase), self.omega_c),
-            (0.5 * self.h0 * cmath.exp(-1j * self.phase), -self.omega_c),
-        )
         gate = cmath.exp(1j * nu * s)
-        rising, plateau, falling = [], [], []
-        for c, mu in drive:
-            plateau.append((w, s - w, c, mu, 0))
-            rising += [
-                (0.0, w, 0.5 * c, mu, 0),
-                (0.0, w, -0.25 * c, mu + nu, 0),
-                (0.0, w, -0.25 * c, mu - nu, 0),
+        edges = [0.0, w, s - w, s] if s > 2.0 * w else [0.0, w, s]
+        n = len(edges)
+        drive = 0.5 * self.h0 * cmath.exp(1j * self.phase)
+        chains = []  # (frequency, rising, plateau or None, falling coefficient)
+        for c, mu in ((drive, self.omega_c), (drive.conjugate(), -self.omega_c)):
+            chains += [
+                (mu, 0.5 * c, c, 0.5 * c),
+                (mu + nu, -0.25 * c, None, -0.25 * c * gate.conjugate()),
+                (mu - nu, -0.25 * c, None, -0.25 * c * gate),
             ]
-            falling += [
-                (s - w, s, 0.5 * c, mu, 0),
-                (s - w, s, -0.25 * c * gate, mu - nu, 0),
-                (s - w, s, -0.25 * c * gate.conjugate(), mu + nu, 0),
-            ]
-        return _table(*rising, *(plateau if s > 2.0 * w else []), *falling)
+        pieces = []  # (lo, hi, start)
+        for k, (_, rise, hold, fall) in enumerate(chains):
+            first = k * n
+            pieces += [(first, first + 1, rise), (first + n - 2, first + n - 1, fall)]
+            if hold is not None and n == 4:
+                pieces.append((first + 1, first + 2, hold))
+        lo, hi, start = (np.array(column) for column in zip(*pieces))
+        t, mu = np.array(edges * len(chains)), np.repeat([mu for mu, *_ in chains], n)
+        return t, mu, lo, hi, start, np.zeros(start.size)
 
 
 def validate_rigidity(profile: AccelerationProfile) -> RigidityReport:
@@ -547,13 +602,14 @@ def oscillatory_integral(
 ) -> OscillatoryIntegralResult:
     """integral_{tau0}^{tauf} exp(-i*delta*(tau - tau0)) h(tau) dtau.
 
-    Exact per piece up to rounding; the error estimate is a rounding bound
-    built from the L1 mass of the integrand.  Raises `QuadratureError` when
-    the estimate exceeds `tol` or the value is not finite.
+    Exact per piece up to rounding; the error estimate is the rounding bound
+    of `_rounding_estimate`, and `evaluations` counts the pieces.  Raises
+    `QuadratureError` when the estimate exceeds `tol` or the value is not
+    finite.
     """
     terms = profile._terms()
     values, estimate = _fourier_integrals(terms, [delta], tol)
     return OscillatoryIntegralResult(
-        value=complex(values[0]), error_estimate=estimate, evaluations=terms[2].size
+        value=complex(values[0]), error_estimate=estimate, evaluations=terms[4].size
     )
 

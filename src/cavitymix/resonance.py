@@ -61,7 +61,7 @@ class ResonanceEntry:
 
 def catalog_1d(coeffs: StaticCoefficients, max_omega: float) -> list[ResonanceEntry]:
     """All resonances of a 1D cavity with omega_r up to max_omega, ascending."""
-    if max_omega <= 0.0:
+    if not max_omega > 0.0:
         raise ValueError(f"max_omega must be positive, got {max_omega}")
     cavity = coeffs.cavity
     pairs = np.triu(coeffs.odd)  # odd m + n, m < n

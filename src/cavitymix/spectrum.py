@@ -49,8 +49,8 @@ class Cavity1D:
     def __post_init__(self) -> None:
         if not self.length > 0.0:
             raise ValueError(f"cavity length must be positive, got {self.length}")
-        if self.mu0 < 0.0:
-            raise ValueError(f"field mass must be nonnegative, got {self.mu0}")
+        if not self.mu0 >= 0.0:
+            raise ValueError(f"field mass mu0 must be nonnegative, got {self.mu0}")
         if not isinstance(self.n_max, numbers.Integral) or self.n_max < 2:
             raise ValueError(f"n_max must be an integer >= 2, got {self.n_max}")
         k = math.pi / self.length
@@ -77,8 +77,8 @@ class Cavity3D:
         for name, edge in zip(_AXES, (self.lx, self.ly, self.lz)):
             if not edge > 0.0:
                 raise ValueError(f"cavity edge l{name} must be positive, got {edge}")
-        if self.mu < 0.0:
-            raise ValueError(f"field mass must be nonnegative, got {self.mu}")
+        if not self.mu >= 0.0:
+            raise ValueError(f"field mass mu must be nonnegative, got {self.mu}")
 
 
 def reduce_to_effective_1d(

@@ -19,7 +19,7 @@ from cavitymix.profiles import (
     oscillatory_integral,
 )
 from cavitymix.spectrum import Cavity1D, omega_diff_matrix, omega_sum_matrix
-from conftest import simpson_oscillatory
+from conftest import exact_oscillatory, simpson_oscillatory
 
 ALPHA_12 = 2.0 * math.sqrt(2.0) / math.pi**2
 BETA_12 = 2.0 * math.sqrt(2.0) / (27.0 * math.pi**2)
@@ -196,6 +196,29 @@ def test_map_integrates_each_distinct_delta_once(monkeypatch, mu0):
     ):
         expect = [1j * d * c * integral[d] for d, c in zip(freqs[odd], hat[odd])]
         assert np.max(np.abs(entries[odd] - expect)) <= map_.quadrature_error
+
+
+def test_heavy_field_map_within_quadrature_error_of_exact():
+    # The desktop regime: mu0 L = 1000 puts the mixing deltas at 0.015-0.074,
+    # so |delta| * span is 1.5e-3 to 7.4e-3 on this 0.1 grid (the series
+    # branch) while the sum frequencies near 2000 take the direct one.
+    cavity = Cavity1D(length=1.0, mu0=1000.0, n_max=4)
+    coeffs = static_coefficients(cavity)
+    diffs, sums = omega_diff_matrix(cavity), omega_sum_matrix(cavity)
+    tau = np.linspace(0.0, 20.0, 201)
+    h = 1e-3 * np.cos(abs(diffs[0, 1]) * tau)
+    h += 1e-4 * np.random.default_rng(17).standard_normal(tau.size)
+    prof = SampledProfile(tau=tau, h=h)
+    map_ = first_order_map(coeffs, prof)
+    assert 0.0 < map_.quadrature_error < 1e-10
+    for m, n in zip(*np.nonzero(coeffs.odd)):
+        m, n = int(m) + 1, int(n) + 1
+        for got, freq, coef in (
+            (map_.a_entry(m, n), diffs[m - 1, n - 1], coeffs.alpha_entry(m, n)),
+            (map_.b_entry(m, n), sums[m - 1, n - 1], coeffs.beta_entry(m, n)),
+        ):
+            exact = 1j * freq * coef * exact_oscillatory(prof, freq)
+            assert abs(got - exact) <= map_.quadrature_error
 
 
 def test_map_rejects_rigidity_violation():

@@ -21,8 +21,9 @@ from cavitymix.gaussian import (
     symplectic_from_map,
     symplectic_residual,
 )
-from cavitymix.profiles import QuadratureError, SinusoidalProfile
+from cavitymix.profiles import _SMALL_PHASE, QuadratureError, SinusoidalProfile
 from cavitymix.spectrum import Cavity1D, omega_diff_matrix
+from conftest import exact_oscillatory
 
 
 def rotation(theta):
@@ -249,7 +250,7 @@ def test_negativity_grid_shape_and_resonant_column():
 def test_negativity_grid_matches_per_cell_maps():
     # The broadcast closed form against one first_order_map per cell.  The
     # columns include the resonance itself and a drive a hair off it, where
-    # the kernel takes its small-phase series branch, and a static drive.
+    # the kernel takes its small-phase branch, and a static drive.
     cavity = Cavity1D(length=1.0, mu0=0.4, n_max=4)
     coeffs = static_coefficients(cavity)
     resonance = abs(omega_diff_matrix(cavity)[0, 1])
@@ -264,6 +265,26 @@ def test_negativity_grid_matches_per_cell_maps():
                 warnings.simplefilter("ignore")  # off resonance |B| is not << |A|
                 cell = first_order_negativity(map_, (1, 2), s)
             assert grid[i, j] == pytest.approx(cell, rel=1e-14, abs=0.0)
+
+
+def test_negativity_grid_near_the_resonance_column_matches_exact():
+    # Cells whose |omega_c - |delta|| * dtau falls on both sides of the series
+    # crossover, against the exact integral of the two-term sinusoid.
+    cavity = Cavity1D(length=1.0, mu0=0.0, n_max=4)
+    coeffs = static_coefficients(cavity)
+    delta = omega_diff_matrix(cavity)[0, 1]
+    offsets = np.array([0.0, 0.005, -0.005, 0.012, -0.02, 0.03, -0.06, 0.1])
+    omega_grid = abs(delta) + offsets
+    dtau_grid = np.array([4.0, 10.0, 25.0])
+    phases = np.abs(offsets[None, :]) * dtau_grid[:, None]
+    assert np.any((phases > 0.0) & (phases < _SMALL_PHASE)) and np.any(phases > _SMALL_PHASE)
+    s, h0 = 1.0, 1e-3
+    grid = negativity_grid(coeffs, (1, 2), s, h0, omega_grid, dtau_grid)
+    scale = delta * coeffs.alpha_entry(1, 2) * math.sinh(s)
+    for i, dtau in enumerate(dtau_grid):
+        for j, omega_c in enumerate(omega_grid):
+            exact = exact_oscillatory(SinusoidalProfile(h0, omega_c, 0.0, dtau), delta)
+            assert abs(grid[i, j] - abs((1j * scale * exact).imag)) <= 1e-12 * grid.max()
 
 
 @pytest.mark.parametrize(
@@ -311,7 +332,7 @@ def test_negativity_grid_keeps_the_profile_checks():
     for h0 in (5.0, -2.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="rigidity bound"):
             negativity_grid(coeffs, (1, 2), 1.0, h0, omega_grid, dtau_grid)
-    # A rounding bound 64 eps |h0| dtau above the default tolerance of 1e-10.
+    # A rounding bound, about 177 eps |h0| dtau, above the default tolerance of 1e-10.
     with pytest.raises(QuadratureError):
         negativity_grid(coeffs, (1, 2), 1.0, 1.0, omega_grid, np.array([1e5]))
     # A drive frequency whose phase over the duration is beyond float range.

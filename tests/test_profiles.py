@@ -16,7 +16,8 @@ from cavitymix.profiles import (
     oscillatory_integral,
     validate_rigidity,
 )
-from conftest import simpson_oscillatory, simpson_oscillatory_segmented
+from cavitymix.spectrum import Cavity1D, omega_diff_matrix
+from conftest import exact_oscillatory, simpson_oscillatory, simpson_oscillatory_segmented
 
 
 def test_sinusoidal_evaluate_and_sup():
@@ -180,14 +181,19 @@ def test_sinusoidal_integral_matches_simpson(delta):
     res = oscillatory_integral(prof, delta)
     oracle = simpson_oscillatory(prof, delta)
     assert res.value == pytest.approx(oracle, abs=5e-9)
+    assert abs(res.value - exact_oscillatory(prof, delta)) <= res.error_estimate
 
 
 def test_small_phase_branch_is_continuous():
-    # Values on either side of the series cross-over must agree smoothly.
+    # Values on either side of the small-phase crossover must agree to within
+    # their error estimates: the co-rotating piece's |1 - delta| * 3 is just
+    # below _SMALL_PHASE for one and just above it for the other.
     prof = SinusoidalProfile(h0=0.1, omega_c=1.0, tau0=0.0, tauf=3.0)
-    below = oscillatory_integral(prof, 1.0 - 1e-5 / 3.0).value
-    above = oscillatory_integral(prof, 1.0 + 1e-5 / 3.0).value
-    assert below == pytest.approx(above, abs=2e-6)
+    deltas = (1.0 + _SMALL_PHASE / 3.0) * np.array([1.0 - 1e-15, 1.0 + 1e-15])
+    phases = _piece_phases(prof, deltas)[:, 0]
+    assert phases[0] < _SMALL_PHASE < phases[1]
+    below, above = (oscillatory_integral(prof, delta) for delta in deltas)
+    assert abs(below.value - above.value) <= below.error_estimate + above.error_estimate
 
 
 @pytest.mark.parametrize("delta", [0.3, 2.0, 9.4])
@@ -199,6 +205,7 @@ def test_piecewise_integral_matches_simpson(delta):
     res = oscillatory_integral(prof, delta)
     oracle = simpson_oscillatory_segmented(prof, delta, breakpoints=(0.0, 1.0, 3.5, 5.0))
     assert res.value == pytest.approx(oracle, abs=1e-9)
+    assert abs(res.value - exact_oscillatory(prof, delta)) <= res.error_estimate
 
 
 @pytest.mark.parametrize("delta", [0.5, 3.0, 11.0])
@@ -207,6 +214,7 @@ def test_ramp_integral_matches_simpson(delta):
     res = oscillatory_integral(prof, delta)
     oracle = simpson_oscillatory(prof, delta, min_points=16001)
     assert res.value == pytest.approx(oracle, abs=1e-7)
+    assert abs(res.value - exact_oscillatory(prof, delta)) <= res.error_estimate
 
 
 @pytest.mark.parametrize("delta", [0.9, 4.4])
@@ -224,6 +232,7 @@ def test_sampled_integral_matches_simpson(delta):
 
     oracle = complex(simpson(integrand, x=refined))
     assert res.value == pytest.approx(oracle, abs=1e-9)
+    assert abs(res.value - exact_oscillatory(prof, delta)) <= res.error_estimate
 
 
 @pytest.mark.parametrize("delta", [0.0, 2.0, 5.0, 17.0])
@@ -265,38 +274,46 @@ def test_evaluate_outside_interval_raises():
 
 
 def _crossover_deltas(centre, span):
-    """Deltas with |mu - delta| * span from 1e-6 to 1e-2 for a term at mu = centre."""
-    x = np.logspace(-6.0, -2.0, 9)
+    """Deltas with |mu - delta| * span from 1e-2 to 1e2 times _SMALL_PHASE, for mu = centre."""
+    x = _SMALL_PHASE * np.logspace(-2.0, 2.0, 9)
     return centre + np.concatenate([x, -x[::3]]) / span
+
+
+def _piece_phases(prof, deltas):
+    """|theta| * span of every (delta, piece) element of the batch."""
+    t, mu, lo, hi, _, _ = prof._terms()
+    return np.abs(mu[lo][None, :] - deltas[:, None]) * (t[hi] - t[lo])
 
 
 _NONUNIFORM_TAU = 8.0 * np.linspace(0.0, 1.0, 41) ** 1.5
 _NONUNIFORM_H = 0.03 * np.random.default_rng(7).standard_normal(41)
 
+# (profile, deltas, oracle, tolerance); a tolerance of None is the kernel's
+# own error estimate, checked against the exact integral.
 BATCHED_CASES = {
     "sinusoidal": (
         SinusoidalProfile(h0=0.02, omega_c=2.3, tau0=1.5, tauf=21.5, phase=0.4),
         _crossover_deltas(2.3, 20.0),
-        lambda prof, d: simpson_oscillatory(prof, d),
-        5e-9,
+        exact_oscillatory,
+        None,
     ),
     "piecewise_constant": (
         PiecewiseConstantProfile(segments=((1.0, 0.05), (2.5, -0.02), (1.5, 0.01))),
         _crossover_deltas(0.0, 2.5),
-        lambda prof, d: simpson_oscillatory_segmented(prof, d, breakpoints=(0.0, 1.0, 3.5, 5.0)),
-        1e-9,
+        exact_oscillatory,
+        None,
     ),
     "ramp": (
         RampProfile(h0=0.04, ramp_time=1.3, tau0=0.5, tauf=9.5),
         _crossover_deltas(0.0, 6.4),
-        lambda prof, d: simpson_oscillatory(prof, d, min_points=16001),
-        1e-7,
+        exact_oscillatory,
+        None,
     ),
     "sampled": (
         SampledProfile(tau=_NONUNIFORM_TAU, h=_NONUNIFORM_H),
         _crossover_deltas(0.0, 0.6),
-        lambda prof, d: simpson_oscillatory_segmented(prof, d, breakpoints=_NONUNIFORM_TAU),
-        1e-9,
+        exact_oscillatory,
+        None,
     ),
     "windowed_sinusoid": (
         WindowedSinusoidProfile(
@@ -312,13 +329,12 @@ BATCHED_CASES = {
 @pytest.mark.parametrize("variant", sorted(BATCHED_CASES))
 def test_batched_kernel_straddles_small_phase_crossover(variant):
     prof, deltas, oracle, tol = BATCHED_CASES[variant]
-    a, b, _, mu, _ = prof._terms()
-    small = np.abs(mu[None, :] - deltas[:, None]) * (b - a) < _SMALL_PHASE
+    small = _piece_phases(prof, deltas) < _SMALL_PHASE
     # Both branches in one batch, and in one row of the batch.
     assert np.any(small.any(axis=1) & (~small).any(axis=1))
     values, estimate = _fourier_integrals(prof._terms(), deltas)
     for delta, value in zip(deltas, values):
-        assert value == pytest.approx(oracle(prof, delta), abs=tol)
+        assert abs(value - oracle(prof, delta)) <= (estimate if tol is None else tol)
         # A one-delta call evaluates the same element the same way.
         assert abs(oscillatory_integral(prof, delta).value - value) <= estimate
 
@@ -326,15 +342,100 @@ def test_batched_kernel_straddles_small_phase_crossover(variant):
 def test_ramp_and_its_resampled_trapezoid_agree():
     ramp = RampProfile(h0=0.04, ramp_time=1.3, tau0=0.5, tauf=9.5)
     trapezoid = ramp.restrict(ramp.tau0, ramp.tauf)
-    assert ramp._terms()[0].size == 3
-    assert trapezoid._terms()[0].size == trapezoid.tau.size - 1 == 3
-    trace = SampledProfile(tau=_NONUNIFORM_TAU, h=_NONUNIFORM_H)
-    assert trace._terms()[0].size == _NONUNIFORM_TAU.size - 1
-    x = np.logspace(-7.0, 1.0, 17)
+    assert ramp._terms()[4].size == 3
+    assert trapezoid._terms()[4].size == trapezoid.tau.size - 1 == 3
+    x = _SMALL_PHASE * np.logspace(-6.0, 2.0, 17)
     deltas = np.concatenate([x, -x[::4]])
-    a, b, _, mu, _ = ramp._terms()
-    small = np.abs(mu[None, :] - deltas[:, None]) * (b - a) < _SMALL_PHASE
+    small = _piece_phases(ramp, deltas) < _SMALL_PHASE
     assert small.any() and not small.all()
     ramp_values, ramp_bound = _fourier_integrals(ramp._terms(), deltas)
     sampled_values, sampled_bound = _fourier_integrals(trapezoid._terms(), deltas)
     assert np.all(np.abs(ramp_values - sampled_values) <= ramp_bound + sampled_bound)
+
+
+def _node_table_sizes(prof):
+    """(nodes, pieces) of a profile's term table."""
+    t, mu, lo, hi, start, slope = prof._terms()
+    assert t.shape == mu.shape
+    assert start.shape == slope.shape == t[lo].shape == t[hi].shape
+    return t.size, start.size
+
+
+def test_node_table_sizes_state_the_cost_model():
+    # One exponential per node and delta: N samples, K + 1 plateau edges, four
+    # ramp breakpoints, two nodes per sinusoid term, four window edges for each
+    # of the windowed sinusoid's six frequencies.
+    trace = SampledProfile(tau=_NONUNIFORM_TAU, h=_NONUNIFORM_H)
+    assert _node_table_sizes(trace) == (_NONUNIFORM_TAU.size, _NONUNIFORM_TAU.size - 1)
+    plateaus = PiecewiseConstantProfile(segments=((1.0, 0.05), (2.5, -0.02), (1.5, 0.01)))
+    assert _node_table_sizes(plateaus) == (4, 3)
+    assert _node_table_sizes(RampProfile(h0=0.04, ramp_time=1.3, tau0=0.5, tauf=9.5)) == (4, 3)
+    assert _node_table_sizes(RampProfile(h0=0.04, ramp_time=1.0, tau0=0.0, tauf=2.0)) == (3, 2)
+    sinusoid = SinusoidalProfile(h0=0.02, omega_c=2.3, tau0=1.5, tauf=21.5, phase=0.4)
+    assert _node_table_sizes(sinusoid) == (4, 2)
+    windowed = WindowedSinusoidProfile(
+        h0=0.05, omega_c=5.0, window_time=2.0, tau0=0.0, tauf=12.0, phase=0.3
+    )
+    assert _node_table_sizes(windowed) == (24, 14)
+    no_plateau = WindowedSinusoidProfile(h0=0.05, omega_c=5.0, window_time=2.0, tau0=0.0, tauf=4.0)
+    assert _node_table_sizes(no_plateau) == (18, 12)
+    # Neighbouring pieces share a node, read as slices rather than copies.
+    for prof in (trace, plateaus, RampProfile(h0=0.04, ramp_time=1.3, tau0=0.5, tauf=9.5)):
+        _, _, lo, hi, _, _ = prof._terms()
+        assert (lo, hi) == (slice(0, -1), slice(1, None))
+    for prof in (trace, plateaus, sinusoid, windowed):
+        deltas = np.array([0.0, 0.3, 2.3, 5.0, -7.0])
+        values, estimate = _fourier_integrals(prof._terms(), deltas)
+        for delta, value in zip(deltas, values):
+            one = oscillatory_integral(prof, delta)
+            assert one.evaluations == _node_table_sizes(prof)[1]
+            assert one.error_estimate == estimate
+            assert abs(one.value - value) <= estimate
+
+
+def _sampled_trace(n, duration, seed):
+    rng = np.random.default_rng(seed)
+    tau = np.linspace(0.0, duration, n)
+    tau[1:-1] += rng.uniform(-0.2, 0.2, n - 2) * (duration / (n - 1))
+    h = 1e-3 * np.cos(3.1 * tau) + 1e-4 * rng.standard_normal(n)
+    return SampledProfile(tau=tau, h=h)
+
+
+_X = np.logspace(-6.0, 1.0, 8)
+# The mixing deltas omega_m - omega_n, m + n odd, of a cavity with mu0 L = 1000.
+_HEAVY = omega_diff_matrix(Cavity1D(length=1.0, mu0=1000.0, n_max=4))[[1, 2, 3, 3], [0, 1, 2, 0]]
+_HEAVY_TAU = np.linspace(0.0, 20.0, 201)
+
+ESTIMATE_CASES = {
+    # |delta| * span from 1e-6 to 10, on both sides of the crossover.
+    "sampled": (_sampled_trace(41, 8.0, 7), np.concatenate([_X, -_X]) / 0.2),
+    "ramp": (
+        RampProfile(h0=0.04, ramp_time=1.3, tau0=0.5, tauf=9.5),
+        np.concatenate([_X, -_X]) / 1.3,
+    ),
+    "piecewise_constant": (
+        PiecewiseConstantProfile(segments=((1.0, 0.05), (2.5, -0.02), (1.5, 0.01)), tau0=-1.5),
+        np.concatenate([[0.0], _X, -_X]) / 2.5,
+    ),
+    # Repros where the direct form had cancelled below a crossover of 1e-4.
+    "eleven_samples": (
+        SampledProfile(tau=np.linspace(0, 10, 11), h=1e-3 * np.sin(np.linspace(0, 10, 11))),
+        np.array([1.5e-4, 1e-3, -1e-3]),
+    ),
+    "short_ramp": (RampProfile(1e-3, 1.0, 0.0, 3.0), np.array([1.5e-4, -1.5e-4, 1e-3])),
+    # The desktop regime: a 201-sample trace driven at the lowest mixing delta.
+    "heavy_field": (
+        SampledProfile(tau=_HEAVY_TAU, h=1e-3 * np.cos(_HEAVY[0] * _HEAVY_TAU)),
+        np.concatenate([_HEAVY, -_HEAVY]),
+    ),
+    # 4000 panels with |delta| * t up to 1e4 at the far end.
+    "long_trace": (_sampled_trace(4001, 1000.0, 5), np.array([-10.0, 3.1, 0.02])),
+}
+
+
+@pytest.mark.parametrize("variant", sorted(ESTIMATE_CASES))
+def test_error_estimate_bounds_the_exact_integral(variant):
+    prof, deltas = ESTIMATE_CASES[variant]
+    for delta in deltas:
+        res = oscillatory_integral(prof, delta)
+        assert abs(res.value - exact_oscillatory(prof, delta, dps=40)) <= res.error_estimate

@@ -39,6 +39,8 @@ def test_catalog_is_sorted_and_validates_band():
     assert all(w <= 3.0 * math.pi * (1 + 1e-12) for w in omegas)
     with pytest.raises(ValueError):
         catalog_1d(coeffs, 0.0)
+    with pytest.raises(ValueError, match="max_omega"):
+        catalog_1d(coeffs, math.nan)
 
 
 def test_heavy_field_pushes_mixing_resonance_far_down():

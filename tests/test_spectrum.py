@@ -123,3 +123,10 @@ def test_cavity_validation():
     with pytest.raises(ValueError):
         Cavity3D(lx=1.0, ly=1.0, lz=1.0, mu=-0.1)
 
+
+def test_cavity_refuses_nan_mass_by_field():
+    with pytest.raises(ValueError, match="field mass mu0 must be nonnegative"):
+        Cavity1D(length=1.0, mu0=math.nan, n_max=4)
+    with pytest.raises(ValueError, match="field mass mu must be nonnegative"):
+        Cavity3D(lx=1.0, ly=1.0, lz=1.0, mu=math.nan)
+
