@@ -98,11 +98,15 @@ class CovarianceState:
         sigma = np.array(self.sigma, dtype=float)
         if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1] or sigma.shape[0] % 2:
             raise ValueError(f"covariance must be square of even size, got {sigma.shape}")
-        if np.max(np.abs(sigma - sigma.T)) > SYMMETRY_TOL:
+        if not np.all(np.isfinite(sigma)):
+            raise ValueError("covariance matrix must be finite")
+        if not 0.0 <= self.psd_tol < math.inf:
+            raise ValueError(f"psd_tol must be finite and nonnegative, got {self.psd_tol}")
+        if not np.max(np.abs(sigma - sigma.T)) <= SYMMETRY_TOL:
             raise ValueError("covariance matrix is not symmetric")
         omega = symplectic_form(sigma.shape[0] // 2)
         bound = float(np.min(np.linalg.eigvalsh(sigma + 1j * omega)))
-        if bound < -self.psd_tol:
+        if not -bound <= self.psd_tol:
             raise ValueError(
                 f"sigma + i Omega has eigenvalue {bound}, below -{self.psd_tol}: "
                 "not a bona fide Gaussian state"
@@ -207,18 +211,20 @@ def symplectic_eigenvalues(sigma: np.ndarray) -> np.ndarray:
     sigma = np.asarray(sigma, dtype=float)
     if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1] or sigma.shape[0] % 2:
         raise ValueError(f"expected a square even-sized matrix, got {sigma.shape}")
+    if not np.all(np.isfinite(sigma)):
+        raise ValueError("matrix must be finite")
     n = sigma.shape[0] // 2
     eigs = np.linalg.eigvals(symplectic_form(n) @ sigma)
     scale = max(1.0, float(np.max(np.abs(eigs))))
     worst_real = float(np.max(np.abs(eigs.real)))
-    if worst_real > PAIRING_TOL * scale:
+    if not worst_real <= PAIRING_TOL * scale:
         raise SymplecticPairingError(
             f"eigenvalues of Omega sigma have real part up to {worst_real}; "
             "input is not a covariance matrix"
         )
     imag = np.sort(eigs.imag)
     mismatch = float(np.max(np.abs(imag + imag[::-1])))
-    if mismatch > PAIRING_TOL * scale:
+    if not mismatch <= PAIRING_TOL * scale:
         raise SymplecticPairingError(
             f"eigenvalues of Omega sigma fail conjugate pairing by {mismatch}"
         )

@@ -246,6 +246,8 @@ class AccelerationProfile:
     def _check_interval(self) -> None:
         if not self.tauf > self.tau0:
             raise ValueError(f"profile interval must have tauf > tau0, got [{self.tau0}, {self.tauf}]")
+        if not -math.inf < self.tau0 < self.tauf < math.inf:
+            raise ValueError(f"profile interval must be finite, got [{self.tau0}, {self.tauf}]")
 
     def _local(self, tau) -> np.ndarray:
         """tau -> t = tau - tau0, validating the domain."""
@@ -277,6 +279,8 @@ class SinusoidalProfile(AccelerationProfile):
         self._check_interval()
         if not self.omega_c >= 0.0:
             raise ValueError(f"drive frequency must be nonnegative, got {self.omega_c}")
+        if not math.isfinite(self.phase):
+            raise ValueError(f"phase must be finite, got {self.phase}")
 
     def evaluate(self, tau):
         t = self._local(tau)
@@ -447,6 +451,8 @@ class SampledProfile(AccelerationProfile):
             raise ValueError("tau and h must be 1-d arrays of equal length")
         if tau.size < 2:
             raise ValueError("at least two samples required")
+        if not np.all(np.isfinite(tau)):
+            raise ValueError("sample times tau must be finite")
         if not np.all(np.diff(tau) > 0.0):
             raise ValueError("sample grid must be strictly increasing in tau")
         tau.setflags(write=False)

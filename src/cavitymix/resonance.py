@@ -15,6 +15,12 @@ coefficient grows linearly in the drive duration with slope
 the factor 1/2 coming from the cosine amplitude convention.  Off resonance
 both coefficients stay bounded uniformly in the duration.
 
+`catalog_1d` lists these resonances as a `ResonanceCatalog`: read-only
+columns built by array operations and ordered by one lexsort, with no
+Python object per resonance, so its cost is O(n_max^2 log n_max) array
+work.  Indexing or iterating the catalog builds a `ResonanceEntry` for
+each row it reaches.
+
 The paraxial helpers cover a transversally loaded rectangular cavity whose
 quanta have wavelength lambda much smaller than the edges: the transverse
 momentum 2 pi / lambda acts as a large effective mass, and the mixing
@@ -31,6 +37,8 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,32 +67,75 @@ class ResonanceEntry:
     growth_per_h0: float
 
 
-def catalog_1d(coeffs: StaticCoefficients, max_omega: float) -> list[ResonanceEntry]:
-    """All resonances of a 1D cavity with omega_r up to max_omega, ascending."""
+@dataclass(frozen=True, eq=False)
+class ResonanceCatalog:
+    """Resonances as read-only columns, one row per resonance.
+
+    Rows ascend in (omega_r, kind, m, n), with `kind` holding the
+    `ResonanceKind` value strings and (m, n) the 1-based pair, m < n.  The
+    fields, in order, are the columns of the `resonance_catalog` CSV.  The
+    catalog is also a sequence: `len`, integer indexing and iteration give
+    one `ResonanceEntry` per row, built on access.
+    """
+
+    kind: np.ndarray
+    m: np.ndarray
+    n: np.ndarray
+    omega_r: np.ndarray
+    coefficient: np.ndarray
+    growth_per_h0: np.ndarray
+
+    def __post_init__(self):
+        for column in vars(self).values():
+            column.setflags(write=False)
+
+    def __len__(self) -> int:
+        return self.omega_r.size
+
+    def __getitem__(self, index: int) -> ResonanceEntry:
+        i = operator.index(index)
+        if not -len(self) <= i < len(self):
+            raise IndexError(f"resonance index {index} out of range for {len(self)} entries")
+        return ResonanceEntry(
+            kind=ResonanceKind(str(self.kind[i])),
+            pair=(int(self.m[i]), int(self.n[i])),
+            omega_r=float(self.omega_r[i]),
+            coefficient=float(self.coefficient[i]),
+            growth_per_h0=float(self.growth_per_h0[i]),
+        )
+
+    def __iter__(self) -> Iterator[ResonanceEntry]:
+        return map(self.__getitem__, range(len(self)))
+
+
+def catalog_1d(coeffs: StaticCoefficients, max_omega: float) -> ResonanceCatalog:
+    """All resonances of a 1D cavity with omega_r up to max_omega, ascending.
+
+    The odd pairs m < n give the mixing rows and then the creation rows;
+    the rows within max_omega are put in order by one lexsort.
+    """
     if not max_omega > 0.0:
         raise ValueError(f"max_omega must be positive, got {max_omega}")
     cavity = coeffs.cavity
     pairs = np.triu(coeffs.odd)  # odd m + n, m < n
-    labels = np.argwhere(pairs) + 1
-    entries = []
+    rows, cols = np.nonzero(pairs)
     # mixing sits at w_n - w_m for m < n: the transposed difference matrix
-    for kind, omega, coef in (
-        (ResonanceKind.MODE_MIXING, omega_diff_matrix(cavity).T, coeffs.alpha_hat),
-        (ResonanceKind.PARTICLE_CREATION, omega_sum_matrix(cavity), coeffs.beta_hat),
-    ):
-        keep = omega[pairs] <= max_omega
-        omega_r, coef = omega[pairs][keep], np.abs(coef[pairs][keep])
-        entries += [
-            ResonanceEntry(kind=kind, pair=tuple(pair), omega_r=w, coefficient=c, growth_per_h0=g)
-            for pair, w, c, g in zip(
-                labels[keep].tolist(),
-                omega_r.tolist(),
-                coef.tolist(),
-                (omega_r * coef / 2.0).tolist(),
-            )
-        ]
-    entries.sort(key=lambda e: (e.omega_r, e.kind.value, e.pair))
-    return entries
+    omega = np.concatenate([omega_diff_matrix(cavity).T[pairs], omega_sum_matrix(cavity)[pairs]])
+    coefficient = np.abs(np.concatenate([coeffs.alpha_hat[pairs], coeffs.beta_hat[pairs]]))
+    kinds = [ResonanceKind.MODE_MIXING.value, ResonanceKind.PARTICLE_CREATION.value]
+    kind = np.repeat(kinds, rows.size)
+    m, n = np.tile(rows + 1, 2), np.tile(cols + 1, 2)
+    keep = np.flatnonzero(omega <= max_omega)
+    keep = keep[np.lexsort((n[keep], m[keep], kind[keep], omega[keep]))]
+    omega, coefficient = omega[keep], coefficient[keep]
+    return ResonanceCatalog(
+        kind=kind[keep],
+        m=m[keep],
+        n=n[keep],
+        omega_r=omega,
+        coefficient=coefficient,
+        growth_per_h0=omega * coefficient / 2.0,
+    )
 
 
 def displacement_h0(omega_r: float, displacement: float, length: float) -> float:

@@ -416,15 +416,8 @@ class CatalogScenario(_Scenario):
     max_omega: float
 
     def _result(self, tol):
-        entries = catalog_1d(static_coefficients(self.cavity), self.max_omega)
-        return {
-            "kind": [e.kind.value for e in entries],
-            "m": [e.pair[0] for e in entries],
-            "n": [e.pair[1] for e in entries],
-            "omega_r": [e.omega_r for e in entries],
-            "coefficient": [e.coefficient for e in entries],
-            "growth_per_h0": [e.growth_per_h0 for e in entries],
-        }
+        catalog = catalog_1d(static_coefficients(self.cavity), self.max_omega)
+        return dict(vars(catalog))  # the catalog's fields are the CSV columns, in order
 
 
 @dataclass(frozen=True, eq=False)

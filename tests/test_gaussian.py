@@ -113,6 +113,10 @@ def test_symplectic_eigenvalues_reject_non_covariance():
         symplectic_eigenvalues(np.diag([1.0, -1.0, 1.0, 1.0]))
     with pytest.raises(ValueError):
         symplectic_eigenvalues(np.eye(3))
+    nan_sigma = np.full((4, 4), math.nan)
+    for refuse in (symplectic_eigenvalues, negativity):
+        with pytest.raises(ValueError, match="finite"):
+            refuse(nan_sigma)
 
 
 def test_covariance_state_validation():
@@ -122,6 +126,15 @@ def test_covariance_state_validation():
         CovarianceState(sigma=bad)
     with pytest.raises(ValueError):
         CovarianceState(sigma=0.5 * np.eye(2))  # violates the uncertainty bound
+    # NaN compares False with every bound, so each guard must fail closed.
+    for value in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            CovarianceState(sigma=np.full((2, 2), value))
+        with pytest.raises(ValueError, match="finite"):
+            CovarianceState(sigma=np.diag([1.0, 1.0, value, 1.0]))
+    for tol in (math.nan, math.inf, -1e-10):
+        with pytest.raises(ValueError, match="psd_tol"):
+            CovarianceState(sigma=0.5 * np.eye(2), psd_tol=tol)
     state = squeezed_vacuum(2, 0.0)
     with pytest.raises(ValueError):
         state.sigma[0, 0] = 3.0

@@ -69,6 +69,28 @@ def test_piecewise_constant_validation():
         PiecewiseConstantProfile(segments=((0.0, 1.0),))
     with pytest.raises(ValueError, match="tauf > tau0"):
         PiecewiseConstantProfile(segments=((1.0, 1e-3),), tau0=math.nan)
+    with pytest.raises(ValueError, match="interval must be finite"):
+        PiecewiseConstantProfile(segments=((math.inf, 1e-3),))
+
+
+def test_profiles_refuse_non_finite_times_and_phases():
+    # Under -W error a numpy warning from the kernel would be what is raised.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for make in (
+            lambda: SinusoidalProfile(h0=1e-3, omega_c=1.0, tau0=0.0, tauf=math.inf),
+            lambda: SinusoidalProfile(h0=1e-3, omega_c=1.0, tau0=-math.inf, tauf=1.0),
+            lambda: RampProfile(h0=1e-3, ramp_time=1.0, tau0=0.0, tauf=math.inf),
+            lambda: WindowedSinusoidProfile(1e-3, 1.0, 1.0, tau0=-math.inf, tauf=5.0),
+        ):
+            with pytest.raises(ValueError, match="interval must be finite"):
+                make()
+        for phase in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="phase must be finite"):
+                SinusoidalProfile(h0=1e-3, omega_c=1.0, tau0=0.0, tauf=10.0, phase=phase)
+        for bad in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="sample times tau must be finite"):
+                SampledProfile(tau=[0.0, 1.0, bad], h=[0.0, 1e-3, 0.0])
 
 
 def test_ramp_shape_and_sup():

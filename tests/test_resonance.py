@@ -2,8 +2,10 @@ import math
 
 import pytest
 
+import cavitymix.resonance
 from cavitymix.bogoliubov import static_coefficients
 from cavitymix.resonance import (
+    ResonanceEntry,
     ResonanceKind,
     catalog_1d,
     displacement_h0,
@@ -11,7 +13,15 @@ from cavitymix.resonance import (
     paraxial_mixing_omega,
     paraxial_validity_ratio,
 )
-from cavitymix.spectrum import Cavity1D, Cavity3D, omega_diff_matrix, reduce_to_effective_1d
+from cavitymix.scenarios import load_scenario, run_scenario
+from cavitymix.spectrum import (
+    Cavity1D,
+    Cavity3D,
+    omega_diff_matrix,
+    omega_sum_matrix,
+    reduce_to_effective_1d,
+)
+from conftest import SCENARIO_DIR
 
 
 def test_catalog_of_unit_massless_cavity():
@@ -41,6 +51,70 @@ def test_catalog_is_sorted_and_validates_band():
         catalog_1d(coeffs, 0.0)
     with pytest.raises(ValueError, match="max_omega"):
         catalog_1d(coeffs, math.nan)
+
+
+def _catalog_by_brute_force(coeffs, max_omega):
+    # One entry per odd pair m < n and kind, kept within max_omega, sorted by
+    # the key the catalog has always used.
+    cavity = coeffs.cavity
+    diff, total = omega_diff_matrix(cavity), omega_sum_matrix(cavity)
+    entries = []
+    for m in range(1, cavity.n_max + 1):
+        for n in range(m + 1, cavity.n_max + 1):
+            if (m + n) % 2 == 0:
+                continue
+            for kind, omega_r, coefficient in (
+                (ResonanceKind.MODE_MIXING, float(diff[n - 1, m - 1]), coeffs.alpha_entry(m, n)),
+                (ResonanceKind.PARTICLE_CREATION, float(total[m - 1, n - 1]), coeffs.beta_entry(m, n)),
+            ):
+                if omega_r <= max_omega:
+                    coefficient = abs(coefficient)
+                    entries.append(
+                        ResonanceEntry(kind, (m, n), omega_r, coefficient, omega_r * coefficient / 2.0)
+                    )
+    return sorted(entries, key=lambda e: (e.omega_r, e.kind.value, e.pair))
+
+
+def test_catalog_columns_keep_the_entry_order():
+    for mu0, n_max, max_omega in (
+        (0.0, 12, 12.0 * math.pi),  # the massless ladder: exact ties at each k pi
+        (0.7, 40, 60.0),
+        (100.0, 3, 250.0),
+    ):
+        coeffs = static_coefficients(Cavity1D(length=1.0, mu0=mu0, n_max=n_max))
+        catalog = catalog_1d(coeffs, max_omega)
+        expected = _catalog_by_brute_force(coeffs, max_omega)
+        assert {e.kind for e in expected} == set(ResonanceKind)
+        assert list(catalog) == expected
+        assert len(catalog) == len(expected)
+        assert catalog[-1] == expected[-1] and catalog[-len(expected)] == expected[0]
+        for bad in (len(expected), -len(expected) - 1):
+            with pytest.raises(IndexError):
+                catalog[bad]
+        for column in (catalog.kind, catalog.m, catalog.omega_r, catalog.growth_per_h0):
+            assert not column.flags.writeable
+    empty = catalog_1d(static_coefficients(Cavity1D(length=1.0, mu0=0.0, n_max=6)), 0.1)
+    assert len(empty) == 0
+    assert list(empty) == []
+    with pytest.raises(IndexError):
+        empty[0]
+
+
+def test_catalog_builds_no_entry_until_one_is_read(monkeypatch):
+    # The cost model: catalog_1d, len and the catalog scenario read the
+    # columns alone and build no Python object per resonance.
+    def refuse(*args, **kwargs):
+        raise AssertionError("a ResonanceEntry was built")
+
+    monkeypatch.setattr(cavitymix.resonance, "ResonanceEntry", refuse)
+    coeffs = static_coefficients(Cavity1D(length=1.0, mu0=0.7, n_max=40))
+    catalog = catalog_1d(coeffs, 60.0)
+    assert len(catalog) > 0
+    table = run_scenario(load_scenario(SCENARIO_DIR / "catalog_low_band.yaml"))
+    assert len(table) == 21
+    table.render()
+    with pytest.raises(AssertionError, match="ResonanceEntry"):
+        catalog[0]
 
 
 def test_heavy_field_pushes_mixing_resonance_far_down():
