@@ -23,17 +23,26 @@ share their node, so a batch costs one exponential per (delta, node).  One
 kernel evaluates a whole batch of deltas against the table by
 broadcasting, a bounded chunk of elements at a time, and switches per
 (delta, piece) element to expm1 and a series where the phase across the
-piece is below 1/4 and the node form would cancel.  `oscillatory_integral`
-is the one-delta call of that kernel; `first_order_map` makes one call for
-all the distinct deltas of a map.
+piece is below 1/4 and the node form would cancel.
+
+A uniformly sampled trace has a cheaper form.  When the table is one mu = 0
+chain of nodes at t_k = k*dt, a delta with |delta|*dt >= 1/4 is summed by
+parts per node instead of per piece, and the node exponentials split as
+exp(-i*delta*(j*M + r)*dt) = A_j*B_r with M ~ sqrt(N), the factorisation
+behind the chirp-z transform (Rabiner, Schafer & Rader, IEEE Trans. Audio
+Electroacoust. 17 (1969) 86).  Such a delta costs 2*sqrt(N) exponentials
+and one small matrix product; every other (delta, table) pair costs one
+exponential per (delta, node).  `oscillatory_integral` is the one-delta
+call of that kernel; `first_order_map` makes one call for all the distinct
+deltas of a map.
 
 For `SampledProfile` the table is the piecewise-linear interpolant of the
 samples, one node per sample and one piece per panel: the oscillatory
 factor is handled analytically, the data enters linearly per panel.  The
-reported error estimate for all variants is the rounding bound of
-`_rounding_estimate`, proportional to sup|h| on each piece times its span
-and its distance from tau0; a requested tolerance below it raises
-`QuadratureError`.
+reported error estimate is a rounding bound derived for each path,
+`_rounding_estimate` per piece and `_node_sum_estimate` per node, each
+growing with the table's values times the nodes' distance from tau0; a
+requested tolerance below it raises `QuadratureError`.
 """
 
 from __future__ import annotations
@@ -101,6 +110,13 @@ _Terms = tuple[np.ndarray, np.ndarray, _Index, _Index, np.ndarray, np.ndarray]
 # and faulted them in again.
 _CHUNK_ELEMENTS = 2048
 
+# A uniform chain (`_uniform_chain`) has its node times within this many eps
+# of T of k*dt, T the last node time: a linspace grid lands within it when
+# |tau0| <= T.  Below _UNIFORM_MIN_NODES nodes the node sum's fixed cost per
+# call outweighs what it saves over the per-piece kernel.
+_UNIFORM_GAP = 4.0
+_UNIFORM_MIN_NODES = 32
+
 
 def _small_phase(z, span, start, slope=None):
     """integral_0^span (start + slope*u) * exp(z*u/span) du, for |z| < _SMALL_PHASE.
@@ -112,6 +128,15 @@ def _small_phase(z, span, start, slope=None):
     if slope is not None:
         value += slope * span * np.polyval(_LINEAR_SERIES, z)
     return span * value
+
+
+def _within(estimate: float, tol: float) -> float:
+    """`estimate`, or `QuadratureError` when it exceeds `tol`."""
+    if estimate > tol:
+        raise QuadratureError(
+            f"rounding-level error estimate {estimate:.3e} exceeds requested tolerance {tol:.3e}"
+        )
+    return estimate
 
 
 def _rounding_estimate(height, right, span, tol: float) -> float:
@@ -142,16 +167,96 @@ def _rounding_estimate(height, right, span, tol: float) -> float:
     eps*(13*b*W + (152 + (P - 1)/2)*W*s) summed over the pieces, rounded up
     to eps*(16*b*W + (160 + P/2)*W*s).
     """
-    estimate = _EPS * float(np.sum(height * (16.0 * right + (160.0 + 0.5 * span.size) * span)))
-    if estimate > tol:
-        raise QuadratureError(
-            f"rounding-level error estimate {estimate:.3e} exceeds requested tolerance {tol:.3e}"
-        )
-    return estimate
+    return _within(
+        _EPS * float(np.sum(height * (16.0 * right + (160.0 + 0.5 * span.size) * span))), tol
+    )
+
+
+def _node_sum_estimate(t, gap, weights, start, jump, end, q_max, sizes, tol: float) -> float:
+    """Rounding bound of `_node_sums` for every delta with |q| <= q_max; raises above `tol`.
+
+    Per node: the times t_k, gap_k = |t_k - fl(k*dt)| and the rows
+    `weights` = [w1; w2] (a1 = |w1|, a2 = |w2|); per piece: `start`, the
+    step D = slope*s across it (`jump`) and `end`, so that its height is
+    W = max(|start|, |end|).  `q_max` is Q = max|q| = 1/min|delta| <=
+    dt/_SMALL_PHASE and `sizes` is M + J.  Node k enters the sum with the
+    coefficient c_k = -i*q*w1_k + q**2*w2_k, theta = -delta = 1/q, so
+    |theta*c_k| <= a1_k + Q*a2_k =: a_k and |c_k| <= Q*a_k.  At first order
+    in u = eps/2 the value is off by at most:
+
+    - node times: the table's t_k are within u*t_k of the profile's, and
+      moving node k by d moves the integral by at most d*(a1_k + (|D_{k-1}|
+      + |D_k|)/2): its two pieces' boundary values differ by w1_k, and each
+      piece's linear part shifts by at most |D|/2; summed,
+      u*sum_k t_k*a1_k + u*sum_p |D_p|*(t_p + t_{p+1})/2;
+    - steps: a slope taken as a quotient of differences puts the end of its
+      piece within 2u*|D| of the profile's value, moving the piece by
+      u*|D|*s;
+    - phases and gaps: r*dt and j*M*dt are each rounded once, and theta
+      times them once more, so the sum's effective E_k = A_j*B_r is
+      exp(i*theta*k*dt) within 2u*|theta|*k*dt + 4u (cos and sin within
+      about u each); k*dt lies within gap_k + u*t_k of t_k.  A phase error
+      of E_k costs |theta*c_k| times it, and the 4u costs |c_k| times it:
+      (3u*t_k + gap_k)*a_k + 4u*Q*a_k;
+    - weights: w1 = end - start with end = start + D is off by
+      u*(|D| + |end| + |w1|) <= 4u*(W_{k-1} + W_k), which costs Q times
+      it, 8u*Q*sum_p W_p in all; w2 is off by u*a2, costing u*Q*a_k;
+    - the sums: each inner sum of B @ [w1 | w2] takes 2M real products per
+      component (zeros of the block table included), so it is off by at
+      most 2M*u of sum_r |w_r*B_r| in any order; each product with A costs
+      3u and the J-term sum (J - 1)*u: under 3u*(M + J) + 3u of |c_k| in
+      all.  q and the final q*(q*S2 - i*S1) cost 5u: (3*(M + J) + 8)*u*Q*a_k
+      with the rest;
+    - the q**2 terms: at |delta|*dt >= 1/4, q**2*a2_k <= 16*dt**2*(|slope_{k-1}|
+      + |slope_k|) <= 64*W*dt, so the by-parts sum cancels at most that
+      much and every term above already charges its rounding against it.
+
+    In total u*(sum_k t_k*(a1_k + 3*a_k) + sum_p |D_p|*((t_p + t_{p+1})/2 + s_p)
+    + (3*(M + J) + 13)*Q*sum_k a_k + 8*Q*sum_p W_p) + sum_k gap_k*a_k (the 13
+    gathers the 4u of the exponentials, the u of w2 and the 8u above), with
+    (t_p + t_{p+1})/2 + s_p <= 1.5*t_{p+1}; the 13 is rounded up to 16, which
+    covers the second-order terms while u*(M + J) and u*|delta|*T are far
+    below 1.
+    """
+    (t_a1, gap_a1), (t_a2, gap_a2) = np.abs(weights) @ np.stack([t, gap], axis=1)
+    sum_a1, sum_a2 = np.abs(weights).sum(axis=1)
+    rounding = (
+        4.0 * t_a1
+        + 3.0 * q_max * t_a2
+        + 1.5 * np.dot(np.abs(jump), t[1:])
+        + (3.0 * sizes + 16.0) * q_max * (sum_a1 + q_max * sum_a2)
+        + 8.0 * q_max * np.sum(np.maximum(np.abs(start), np.abs(end)))
+    )
+    return _within(float(0.5 * _EPS * rounding + gap_a1 + q_max * gap_a2), tol)
 
 
 def _fourier_integrals(terms: _Terms, deltas, tol: float = 1e-10) -> tuple[np.ndarray, float]:
-    """I(delta) for every delta of a batch, and the rounding bound they share.
+    """I(delta) for every delta of a batch, and a rounding bound that covers each.
+
+    On a uniform chain (`_uniform_chain`) a delta with |delta|*dt >=
+    _SMALL_PHASE takes `_node_sums`; every other delta, and every delta of
+    any other table, takes `_piece_integrals`.  The returned bound is the
+    larger of the bounds of the paths taken.  Raises `QuadratureError` when a
+    bound exceeds `tol` or a value is not finite.
+    """
+    deltas = np.asarray(deltas, dtype=float).ravel()
+    chain = _uniform_chain(terms)
+    far = None if chain is None else np.abs(deltas) * chain[0] >= _SMALL_PHASE
+    if far is None or not far.any():
+        values, estimate = _piece_integrals(terms, deltas, tol)
+    elif far.all():
+        values, estimate = _node_sums(terms, *chain, deltas, tol)
+    else:
+        values = np.empty(deltas.size, dtype=complex)
+        values[far], node_estimate = _node_sums(terms, *chain, deltas[far], tol)
+        values[~far], piece_estimate = _piece_integrals(terms, deltas[~far], tol)
+        estimate = max(node_estimate, piece_estimate)
+    _check_finite(values)
+    return values, estimate
+
+
+def _piece_integrals(terms: _Terms, deltas: np.ndarray, tol: float) -> tuple[np.ndarray, float]:
+    """I(delta) per piece, for any table, with the bound of `_rounding_estimate`.
 
     Broadcasts a bounded chunk of deltas at a time against the node table:
     one exponential E = exp(i*theta*t) per node, theta = mu - delta, and
@@ -161,23 +266,22 @@ def _fourier_integrals(terms: _Terms, deltas, tol: float = 1e-10) -> tuple[np.nd
 
     or, where |theta|*s < _SMALL_PHASE, E_a times `_small_phase`.  Where
     pieces run between neighbouring nodes, E_a and E_b are slices of one
-    node array.  Raises `QuadratureError` when the bound exceeds `tol` or a
-    value is not finite; numpy's floating-point warnings are silenced, since
+    node array.  numpy's floating-point warnings are silenced, since
     `_check_finite` reports the same failure and a small-phase element
     replaces its direct value.
     """
     t, mu, lo, hi, start, slope = terms
-    span = t[hi] - t[lo]
-    slope_span = slope * span
-    height = np.maximum(np.abs(start), np.abs(start + slope_span))
-    estimate = _rounding_estimate(height, t[hi], span, tol)
-    linear = bool(np.any(slope))
-    start_i, slope_span_i = -1j * start, -1j * slope_span
-    reach = span / _SMALL_PHASE  # |1/theta| beyond which a piece takes the small-phase branch
-    deltas = np.asarray(deltas, dtype=float).reshape(-1, 1)
+    deltas = deltas.reshape(-1, 1)
     values = np.empty(deltas.shape[0], dtype=complex)
     rows = max(1, _CHUNK_ELEMENTS // max(t.size, start.size))
     with np.errstate(all="ignore"):
+        span = t[hi] - t[lo]
+        slope_span = slope * span
+        height = np.maximum(np.abs(start), np.abs(start + slope_span))
+        estimate = _rounding_estimate(height, t[hi], span, tol)
+        linear = bool(np.any(slope))
+        start_i, slope_span_i = -1j * start, -1j * slope_span
+        reach = span / _SMALL_PHASE  # |1/theta| beyond which a piece takes the small-phase branch
         for first in range(0, deltas.shape[0], rows):
             chunk = deltas[first : first + rows]
             theta = mu - chunk
@@ -205,7 +309,87 @@ def _fourier_integrals(terms: _Terms, deltas, tol: float = 1e-10) -> tuple[np.nd
             values[first : first + rows] = piece.sum(axis=1)
             # Free this chunk's temporaries before the next chunk allocates its own.
             del theta, inverse, nodes, ea, eb, diff, piece, small
-    _check_finite(values)
+    return values, estimate
+
+
+def _uniform_chain(terms: _Terms) -> tuple[float, np.ndarray] | None:
+    """(dt, gap) when the table is one uniform mu = 0 chain, else None.
+
+    A uniform chain has at least _UNIFORM_MIN_NODES nodes, mu = 0 at every
+    node, pieces between neighbouring nodes (the slices lo = [0, -1),
+    hi = [1, N)), and node times t_k with gap_k = |t_k - fl(k*dt)| at most
+    _UNIFORM_GAP * eps * T, where dt = T/(N - 1) and T is the last node time.
+    """
+    t, mu, lo, hi, _, _ = terms
+    if not (
+        t.size >= _UNIFORM_MIN_NODES
+        and isinstance(lo, slice)
+        and (lo, hi) == (slice(0, -1), slice(1, None))
+        and not np.any(mu)
+    ):
+        return None
+    step = t[-1] / (t.size - 1)
+    gap = np.abs(t - np.arange(t.size) * step)
+    return (step, gap) if np.max(gap) <= _UNIFORM_GAP * _EPS * t[-1] else None
+
+
+def _node_sums(
+    terms: _Terms, step: float, gap: np.ndarray, deltas: np.ndarray, tol: float
+) -> tuple[np.ndarray, float]:
+    """I(delta) on a uniform chain by the by-parts node sum, each |delta|*dt >= _SMALL_PHASE.
+
+    With q = -1/delta, summing each piece's integral by parts gathers it at
+    the nodes: I = -i*q*sum_k w1_k*E_k + q**2*sum_k w2_k*E_k, where
+    E_k = exp(-i*delta*t_k), w1_k = (value at t_k from the left) - (value
+    from the right) and w2_k = slope_{k-1} - slope_k (zero beyond the ends).
+    Node k = j*M + r has E_k = A_j*B_r, with the coarse exponentials
+    A_j = exp(-i*delta*j*M*dt) and the fine B_r = exp(-i*delta*r*dt),
+    M = ceil(sqrt(N)), so a delta takes M + J ~ 2*sqrt(N) exponentials.
+    Each chunk of deltas makes one matrix product for the inner sums
+    B @ [w1 | w2] (the weights as M x 2J tables) and then a J-term sum of
+    products with A.
+    No exponential or value is shared between delta and -delta.
+    """
+    t, _, _, _, start, slope = terms
+    n = t.size
+    fine = math.isqrt(n - 1) + 1
+    coarse = -(-n // fine)
+    # A chunk holds R*(M + J) exponentials and R*2J inner sums.
+    rows = max(1, _CHUNK_ELEMENTS // (2 * max(fine, coarse)))
+    values = np.empty(deltas.size, dtype=complex)
+    with np.errstate(all="ignore"):
+        jump = slope * (t[1:] - t[:-1])
+        end = start + jump
+        weights = np.zeros((2, coarse * fine))
+        w1, w2 = weights[0, :n], weights[1, :n]
+        w1[1:] = end
+        w1[:-1] -= start
+        w2[1:] = slope
+        w2[:-1] -= slope
+        q_max = 1.0 / float(np.min(np.abs(deltas)))
+        estimate = _node_sum_estimate(
+            t, gap, weights[:, :n], start, jump, end, q_max, fine + coarse, tol
+        )
+        # [w1 | w2] as M x 2J real weights, each on the diagonal of a 2 x 2
+        # block: the real product of the exponentials' (cos, sin) pairs with
+        # it gives the complex sums as (real, imag) pairs.  A complex product
+        # would touch a second BLAS kernel, about 0.4 MB more resident memory.
+        table = np.zeros((fine, 2, 2 * coarse, 2))
+        table[:, 0, :, 0] = table[:, 1, :, 1] = weights.reshape(2 * coarse, fine).T
+        table = table.reshape(2 * fine, 4 * coarse)
+        # The fine times r*dt, then the coarse times j*M*dt, each rounded once.
+        times = np.concatenate([np.arange(fine), np.arange(coarse) * fine]) * step
+        for first in range(0, deltas.size, rows):
+            chunk = deltas[first : first + rows]
+            phase = -chunk[:, None] * times
+            nodes = np.empty(phase.shape, dtype=complex)
+            np.cos(phase, out=nodes.real)
+            np.sin(phase, out=nodes.imag)
+            sums = (nodes[:, :fine].view(float) @ table).view(complex).reshape(-1, 2, coarse)
+            s1, s2 = (sums * nodes[:, None, fine:]).sum(axis=2).T
+            q = -1.0 / chunk
+            values[first : first + rows] = q * (q * s2 - 1j * s1)
+            del phase, nodes, sums, s1, s2, q
     return values, estimate
 
 
@@ -277,8 +461,8 @@ class SinusoidalProfile(AccelerationProfile):
 
     def __post_init__(self) -> None:
         self._check_interval()
-        if not self.omega_c >= 0.0:
-            raise ValueError(f"drive frequency must be nonnegative, got {self.omega_c}")
+        if not 0.0 <= self.omega_c < math.inf:
+            raise ValueError(f"drive frequency must be finite and nonnegative, got {self.omega_c}")
         if not math.isfinite(self.phase):
             raise ValueError(f"phase must be finite, got {self.phase}")
 
@@ -487,7 +671,8 @@ class SampledProfile(AccelerationProfile):
     def _terms(self) -> _Terms:
         # Panel k is one piece, h = h_k + slope_k * (t - t_k) on [t_k, t_{k+1}].
         t = self.tau - self.tau0
-        slope = np.diff(self.h) / np.diff(t)
+        with np.errstate(all="ignore"):  # an overflowing slope is the kernel's to report
+            slope = np.diff(self.h) / np.diff(t)
         return t, np.zeros(t.size), slice(0, -1), slice(1, None), self.h[:-1], slope
 
 
@@ -511,8 +696,8 @@ class WindowedSinusoidProfile(AccelerationProfile):
 
     def __post_init__(self) -> None:
         self._check_interval()
-        if not self.omega_c >= 0.0:
-            raise ValueError(f"drive frequency must be nonnegative, got {self.omega_c}")
+        if not 0.0 <= self.omega_c < math.inf:
+            raise ValueError(f"drive frequency must be finite and nonnegative, got {self.omega_c}")
         if not self.window_time > 0.0:
             raise ValueError(f"window_time must be positive, got {self.window_time}")
         if self.duration < 2.0 * self.window_time:

@@ -4,8 +4,10 @@ import warnings
 import numpy as np
 import pytest
 
+from cavitymix.bogoliubov import first_order_map, static_coefficients
 from cavitymix.profiles import (
     _SMALL_PHASE,
+    _UNIFORM_MIN_NODES,
     PiecewiseConstantProfile,
     QuadratureError,
     RampProfile,
@@ -13,6 +15,9 @@ from cavitymix.profiles import (
     SinusoidalProfile,
     WindowedSinusoidProfile,
     _fourier_integrals,
+    _node_sums,
+    _piece_integrals,
+    _uniform_chain,
     oscillatory_integral,
     validate_rigidity,
 )
@@ -91,6 +96,21 @@ def test_profiles_refuse_non_finite_times_and_phases():
         for bad in (math.inf, math.nan):
             with pytest.raises(ValueError, match="sample times tau must be finite"):
                 SampledProfile(tau=[0.0, 1.0, bad], h=[0.0, 1e-3, 0.0])
+        for omega_c in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError, match="drive frequency"):
+                SinusoidalProfile(h0=1e-3, omega_c=omega_c, tau0=0.0, tauf=1.0)
+            with pytest.raises(ValueError, match="drive frequency"):
+                WindowedSinusoidProfile(1e-3, omega_c, 1.0, tau0=0.0, tauf=5.0)
+
+
+def test_overflowing_sample_slope_is_a_quadrature_error():
+    # 0.05 / 1e-310 overflows; the kernel reports it, numpy stays quiet.
+    prof = SampledProfile(tau=[0.0, 1e-310, 1.0], h=[0.0, 0.05, 0.0])
+    coeffs = static_coefficients(Cavity1D(length=1.0, mu0=0.0, n_max=4))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(QuadratureError):
+            first_order_map(coeffs, prof)
 
 
 def test_ramp_shape_and_sup():
@@ -310,6 +330,15 @@ def _piece_phases(prof, deltas):
 _NONUNIFORM_TAU = 8.0 * np.linspace(0.0, 1.0, 41) ** 1.5
 _NONUNIFORM_H = 0.03 * np.random.default_rng(7).standard_normal(41)
 
+
+def _uniform_trace(n, tau0, duration, seed):
+    """A noisy drive sampled at n equally spaced times on [tau0, tau0 + duration]."""
+    rng = np.random.default_rng(seed)
+    tau = np.linspace(tau0, tau0 + duration, n)
+    h = 1e-3 * np.cos(3.1 * tau) + 1e-4 * rng.standard_normal(n)
+    return SampledProfile(tau=tau, h=h)
+
+
 # (profile, deltas, oracle, tolerance); a tolerance of None is the kernel's
 # own error estimate, checked against the exact integral.
 BATCHED_CASES = {
@@ -345,6 +374,13 @@ BATCHED_CASES = {
         lambda prof, d: simpson_oscillatory(prof, d, min_points=24001),
         1e-8,
     ),
+    # dt = 0.125: near rows take the per-piece kernel, far rows the node sum.
+    "uniform_trace": (
+        _uniform_trace(401, 0.0, 50.0, 3),
+        _crossover_deltas(0.0, 0.125),
+        exact_oscillatory,
+        None,
+    ),
 }
 
 
@@ -352,8 +388,12 @@ BATCHED_CASES = {
 def test_batched_kernel_straddles_small_phase_crossover(variant):
     prof, deltas, oracle, tol = BATCHED_CASES[variant]
     small = _piece_phases(prof, deltas) < _SMALL_PHASE
-    # Both branches in one batch, and in one row of the batch.
-    assert np.any(small.any(axis=1) & (~small).any(axis=1))
+    if _uniform_chain(prof._terms()) is None:
+        # Both branches in one batch, and in one row of the batch.
+        assert np.any(small.any(axis=1) & (~small).any(axis=1))
+    else:
+        # Equal spans make each row near or far as a whole: both in one batch.
+        assert small.all(axis=1).any() and (~small).all(axis=1).any()
     values, estimate = _fourier_integrals(prof._terms(), deltas)
     for delta, value in zip(deltas, values):
         assert abs(value - oracle(prof, delta)) <= (estimate if tol is None else tol)
@@ -386,7 +426,8 @@ def _node_table_sizes(prof):
 def test_node_table_sizes_state_the_cost_model():
     # One exponential per node and delta: N samples, K + 1 plateau edges, four
     # ramp breakpoints, two nodes per sinusoid term, four window edges for each
-    # of the windowed sinusoid's six frequencies.
+    # of the windowed sinusoid's six frequencies.  A uniform trace of N samples
+    # takes 2*sqrt(N) per far delta instead (test_uniform_chain_selection).
     trace = SampledProfile(tau=_NONUNIFORM_TAU, h=_NONUNIFORM_H)
     assert _node_table_sizes(trace) == (_NONUNIFORM_TAU.size, _NONUNIFORM_TAU.size - 1)
     plateaus = PiecewiseConstantProfile(segments=((1.0, 0.05), (2.5, -0.02), (1.5, 0.01)))
@@ -452,6 +493,14 @@ ESTIMATE_CASES = {
     ),
     # 4000 panels with |delta| * t up to 1e4 at the far end.
     "long_trace": (_sampled_trace(4001, 1000.0, 5), np.array([-10.0, 3.1, 0.02])),
+    # The node sum: the same span and deltas on a uniform grid, a grid off
+    # tau0 = 0 whose N is not a perfect square, and the smallest chain.
+    "uniform_long_trace": (_uniform_trace(4001, 0.0, 1000.0, 5), np.array([-10.0, 3.1])),
+    "uniform_shifted": (_uniform_trace(1001, -3.7, 30.0, 6), np.array([-9.0, 12.5, 200.0])),
+    "uniform_smallest": (
+        _uniform_trace(_UNIFORM_MIN_NODES, 0.0, 10.0, 7),
+        np.array([1.0, -7.0, 50.0]),
+    ),
 }
 
 
@@ -461,3 +510,54 @@ def test_error_estimate_bounds_the_exact_integral(variant):
     for delta in deltas:
         res = oscillatory_integral(prof, delta)
         assert abs(res.value - exact_oscillatory(prof, delta, dps=40)) <= res.error_estimate
+
+
+def test_uniform_chain_selection():
+    uniform = _uniform_trace(401, 0.0, 50.0, 3)
+    step, _ = _uniform_chain(uniform._terms())
+    assert step == 0.125
+    # Every delta of the uniform estimate cases is a far row of the node sum.
+    for name in ("uniform_long_trace", "uniform_shifted", "uniform_smallest"):
+        prof, far_deltas = ESTIMATE_CASES[name]
+        chain_step, _ = _uniform_chain(prof._terms())
+        assert np.all(np.abs(far_deltas) * chain_step >= _SMALL_PHASE)
+    jittered_tau = uniform.tau.copy()
+    jittered_tau[200] += 1e-9 * step
+    jittered = SampledProfile(tau=jittered_tau, h=uniform.h)
+    short = _uniform_trace(_UNIFORM_MIN_NODES - 1, 0.0, 10.0, 7)
+    analytic = [BATCHED_CASES[name][0] for name in BATCHED_CASES if name != "uniform_trace"]
+    equal_ramp = RampProfile(h0=0.04, ramp_time=1.0, tau0=0.0, tauf=3.0)
+    equal_plateaus = PiecewiseConstantProfile(segments=((1.0, 0.05), (1.0, -0.02), (1.0, 0.01)))
+    deltas = _crossover_deltas(0.0, step)
+    for prof in [jittered, short, equal_ramp, equal_plateaus, *analytic]:
+        terms = prof._terms()
+        assert _uniform_chain(terms) is None
+        values, estimate = _fourier_integrals(terms, deltas)
+        piece_values, piece_estimate = _piece_integrals(terms, deltas, 1e-10)
+        assert np.array_equal(values, piece_values) and estimate == piece_estimate
+    # On the uniform trace, far rows take the node sum and near rows the
+    # per-piece kernel, bit for bit; the estimate covers both.
+    terms = uniform._terms()
+    far = np.abs(deltas) * step >= _SMALL_PHASE
+    assert far.any() and not far.all()
+    values, estimate = _fourier_integrals(terms, deltas)
+    node_values, node_estimate = _node_sums(terms, *_uniform_chain(terms), deltas[far], 1e-10)
+    piece_values, piece_estimate = _piece_integrals(terms, deltas[~far], 1e-10)
+    assert np.array_equal(values[far], node_values)
+    assert np.array_equal(values[~far], piece_values)
+    assert estimate == max(node_estimate, piece_estimate)
+    assert node_estimate < piece_estimate
+
+
+def test_uniform_trace_one_delta_calls_agree_with_the_batch():
+    # A heavy field's mixing deltas are near rows at dt = 0.125, its creation deltas far.
+    prof = _uniform_trace(401, 0.0, 50.0, 11)
+    coeffs = static_coefficients(Cavity1D(length=1.0, mu0=20.0, n_max=12))
+    values, estimate = _fourier_integrals(prof._terms(), coeffs.deltas)
+    assert np.any(np.abs(coeffs.deltas) * 0.125 >= _SMALL_PHASE)
+    assert np.any(np.abs(coeffs.deltas) * 0.125 < _SMALL_PHASE)
+    for delta, value in zip(coeffs.deltas, values):
+        one = oscillatory_integral(prof, delta)
+        assert one.evaluations == 400
+        assert one.error_estimate <= estimate
+        assert abs(one.value - value) <= estimate
