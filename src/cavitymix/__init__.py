@@ -8,73 +8,58 @@ which converts a concrete optical-cavity setup to SI rates.
 
 __version__ = "0.1.0"
 
-from .bogoliubov import (
-    FIRST_ORDER_SUP_H,
-    FirstOrderBogoliubovMap,
-    IdentityReport,
-    StaticCoefficients,
-    compose,
-    first_order_map,
-    static_coefficients,
-    verify_first_order_identities,
-)
-from .experiment import (
-    CircularMotion,
-    ExperimentPlan,
-    LinearMotion,
-    PlanReport,
-    circular_report,
-    plan,
-)
-from .gaussian import (
-    CovarianceState,
-    SymplecticPairingError,
-    TwoModeReduction,
-    apply_symplectic,
-    first_order_negativity,
-    negativity,
-    negativity_grid,
-    partial_transpose,
-    reduce_to_pair,
-    squeezed_vacuum,
-    symplectic_eigenvalues,
-    symplectic_form,
-    symplectic_from_map,
-    symplectic_residual,
-)
-from .profiles import (
-    RIGIDITY_BOUND,
-    AccelerationProfile,
-    OscillatoryIntegralResult,
-    PiecewiseConstantProfile,
-    QuadratureError,
-    RampProfile,
-    RigidityReport,
-    SampledProfile,
-    SinusoidalProfile,
-    WindowedSinusoidProfile,
-    oscillatory_integral,
-    validate_rigidity,
-)
-from .resonance import (
-    ResonanceCatalog,
-    ResonanceEntry,
-    ResonanceKind,
-    catalog_1d,
-    displacement_h0,
-    paraxial_mixing_growth,
-    paraxial_mixing_omega,
-    paraxial_validity_ratio,
-)
-from .scenarios import ResultTable, ScenarioError, load_scenario, run_scenario
-from .spectrum import (
-    Cavity1D,
-    Cavity3D,
-    omega_diff_matrix,
-    omega_sum_matrix,
-    omega_vector,
-    reduce_to_effective_1d,
-)
+# Each public name by the submodule that defines it.  A name is imported on
+# first use (PEP 562) and then cached as a module global, so `import
+# cavitymix` loads neither numpy nor any submodule, and a scenario run loads
+# only the modules of its kind.
+_SOURCES = {
+    "bogoliubov": (
+        "FIRST_ORDER_SUP_H", "FirstOrderBogoliubovMap", "IdentityReport", "StaticCoefficients",
+        "compose", "first_order_map", "static_coefficients", "verify_first_order_identities",
+    ),
+    "experiment": (
+        "CircularMotion", "ExperimentPlan", "LinearMotion", "PlanReport", "circular_report", "plan",
+    ),
+    "gaussian": (
+        "CovarianceState", "SymplecticPairingError", "TwoModeReduction", "apply_symplectic",
+        "first_order_negativity", "negativity", "negativity_grid", "partial_transpose",
+        "reduce_to_pair", "squeezed_vacuum", "symplectic_eigenvalues", "symplectic_form",
+        "symplectic_from_map", "symplectic_residual",
+    ),
+    "profiles": (
+        "AccelerationProfile", "OscillatoryIntegralResult", "PiecewiseConstantProfile",
+        "QuadratureError", "RampProfile", "RigidityReport", "SampledProfile", "SinusoidalProfile",
+        "WindowedSinusoidProfile", "oscillatory_integral", "validate_rigidity",
+    ),
+    "resonance": (
+        "ResonanceCatalog", "ResonanceEntry", "ResonanceKind", "catalog_1d", "displacement_h0",
+        "paraxial_mixing_growth", "paraxial_mixing_omega", "paraxial_validity_ratio",
+    ),
+    "scenarios": ("ResultTable", "ScenarioError", "load_scenario", "run_scenario"),
+    "spectrum": (
+        "RIGIDITY_BOUND", "Cavity1D", "Cavity3D", "omega_diff_matrix", "omega_sum_matrix",
+        "omega_vector", "reduce_to_effective_1d",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _SOURCES.items() for name in names}
+
+
+def __getattr__(name: str):
+    source = name if name in _SOURCES else _MODULE_OF.get(name)
+    if source is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # The import statement's path, which `python -X importtime` records;
+    # it binds the submodule as a global of this package.
+    __import__(f"{__name__}.{source}")
+    if name == source:  # the submodule itself, as `cavitymix.profiles`
+        return globals()[name]
+    value = globals()[name] = getattr(globals()[source], name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_MODULE_OF})
+
 
 __all__ = [
     "__version__",

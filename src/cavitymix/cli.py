@@ -5,10 +5,13 @@ Two subcommands:
     cavitymix run <scenario.yaml> [--out PATH] [--nmax N] [--tol T]
     cavitymix validate <scenario.yaml>
 
-Exit codes: 0 on success, 1 for parse or validation errors and for an
-output path that cannot be written (diagnostics on stderr, one per line),
-2 for numerical failures inside an otherwise valid run (quadrature not
-converging, symplectic spectrum not pairing).
+Exit codes: 0 on success, 1 for command-line, parse or validation errors
+and for an output path that cannot be written (diagnostics on stderr, one
+per line), 2 for numerical failures inside an otherwise valid run
+(quadrature not converging, symplectic spectrum not pairing).
+
+Only `scenarios` is imported up front; each run loads the modules of its
+scenario's kind.
 """
 
 from __future__ import annotations
@@ -16,13 +19,19 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .gaussian import SymplecticPairingError
-from .profiles import QuadratureError
 from .scenarios import DEFAULT_TOL, ScenarioError, load_scenario, run_scenario
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors exit 1, as other input errors do."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cavitymix",
         description="Mode mixing and entanglement in a rigid accelerated cavity.",
     )
@@ -63,11 +72,17 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         table = run_scenario(scenario, tol=args.tol)
-    except QuadratureError as exc:
-        print(f"numerical failure (profiles quadrature): {exc}", file=sys.stderr)
-        return 2
-    except SymplecticPairingError as exc:
-        print(f"numerical failure (gaussian spectrum): {exc}", file=sys.stderr)
+    except RuntimeError as exc:
+        # imported here, so that a run loads only the modules of its kind
+        from .gaussian import SymplecticPairingError
+        from .profiles import QuadratureError
+
+        if isinstance(exc, QuadratureError):
+            print(f"numerical failure (profiles quadrature): {exc}", file=sys.stderr)
+        elif isinstance(exc, SymplecticPairingError):
+            print(f"numerical failure (gaussian spectrum): {exc}", file=sys.stderr)
+        else:
+            raise
         return 2
 
     out_path = args.out if args.out is not None else scenario.output_path

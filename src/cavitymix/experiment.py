@@ -40,14 +40,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .profiles import RIGIDITY_BOUND
 from .resonance import (
     displacement_h0,
     paraxial_mixing_growth,
     paraxial_mixing_omega,
     paraxial_validity_ratio,
 )
-from .spectrum import Cavity3D, omega_vector, reduce_to_effective_1d
+from .spectrum import RIGIDITY_BOUND, Cavity3D, omega_vector, reduce_to_effective_1d
 
 C_LIGHT = 2.99792458e8
 WAVELENGTH_EDGE_FACTOR = 100.0

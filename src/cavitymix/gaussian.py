@@ -42,13 +42,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bogoliubov import FirstOrderBogoliubovMap, StaticCoefficients
-from .profiles import (
-    RIGIDITY_BOUND,
-    _CHUNK_ELEMENTS,
-    _check_finite,
-    _rounding_estimate,
-)
-from .spectrum import _check_modes, omega_diff_matrix
+from .profiles import _CHUNK_ELEMENTS, _check_finite, _rounding_estimate
+from .spectrum import RIGIDITY_BOUND, _check_modes, omega_diff_matrix
 
 SYMMETRY_TOL = 1e-12
 PSD_TOL = 1e-10

@@ -53,7 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-RIGIDITY_BOUND = 2.0
+from .spectrum import RIGIDITY_BOUND
 
 # Crossover of the small-phase branch, on |z| = |theta|*span of a piece.
 # Above it the node form divides differences of unit exponentials, each

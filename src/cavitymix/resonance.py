@@ -40,11 +40,14 @@ import math
 import operator
 from collections.abc import Iterator
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .bogoliubov import StaticCoefficients
 from .spectrum import omega_diff_matrix, omega_sum_matrix
+
+if TYPE_CHECKING:
+    from .bogoliubov import StaticCoefficients
 
 
 class ResonanceKind(enum.Enum):

@@ -20,6 +20,8 @@ explicit lists or {start, stop, count} grids.  Physics preconditions
 (rigidity, paraxial validity, the pair inside the truncation) are checked
 too, so a failing scenario never starts a computation.  Each kind loads
 into its own frozen dataclass, holding only the fields the kind uses.
+Only `spectrum` is imported with this module: a block's class is imported
+when it first builds, and a kind's compute module when the kind runs.
 
 A result table holds one column per header name, a list or an array as
 the kind computes it.  It is written as CSV with a header row and three
@@ -35,30 +37,21 @@ from __future__ import annotations
 import hashlib
 import math
 import operator
+import sys
+import time
 from dataclasses import asdict, dataclass
-from datetime import datetime, timezone
 from pathlib import Path
-from typing import Any, Callable, ClassVar
+from typing import TYPE_CHECKING, Any, Callable, ClassVar
 
 import numpy as np
 import yaml
 
 from . import __version__
-from .bogoliubov import first_order_map, static_coefficients
-from .experiment import CircularMotion, ExperimentPlan, LinearMotion, plan
-from .gaussian import negativity_grid
-from .profiles import (
-    RIGIDITY_BOUND,
-    AccelerationProfile,
-    PiecewiseConstantProfile,
-    RampProfile,
-    SampledProfile,
-    SinusoidalProfile,
-    WindowedSinusoidProfile,
-    validate_rigidity,
-)
-from .resonance import catalog_1d
-from .spectrum import Cavity1D
+from .spectrum import RIGIDITY_BOUND, Cavity1D
+
+if TYPE_CHECKING:
+    from .experiment import ExperimentPlan
+    from .profiles import AccelerationProfile
 
 DEFAULT_TOL = 1e-10
 
@@ -99,7 +92,7 @@ class ResultTable:
         return len(next(iter(self.columns.values()), ()))
 
     def render(self) -> str:
-        stamp = self.generated or datetime.now(timezone.utc).isoformat(timespec="seconds")
+        stamp = self.generated or time.strftime("%Y-%m-%dT%H:%M:%S+00:00", time.gmtime())
         arrays = [np.asarray(values) for values in self.columns.values()]
         row_format = ",".join(_FORMATS.get(array.dtype.kind, "%.17g") for array in arrays)
         lines = [
@@ -294,8 +287,19 @@ def _convert(raw, kind, where: str, diags: list[str]):
     return built if check is None else check(built)
 
 
+def _deferred(name: str) -> Callable:
+    """A builder of the package's class `name`, whose module loads on the first build."""
+
+    def build(**fields):
+        return getattr(sys.modules[__package__], name)(**fields)
+
+    return build
+
+
 def _rigid(profile: AccelerationProfile) -> AccelerationProfile:
     """`profile`, once it is shown to keep the rigidity bound."""
+    from .profiles import validate_rigidity
+
     report = validate_rigidity(profile)
     if not report.ok:
         raise ValueError(
@@ -317,13 +321,17 @@ _TAU0 = Field("tau0", _number, 0.0)
 _TAUF = Field("tauf", _number)
 _PHASE = Field("phase", _number, None)
 _PROFILE = Block(tag="variant", variants={
-    "sinusoidal": Block((_H0, _OMEGA_C, _TAU0, _TAUF, _PHASE), SinusoidalProfile),
-    "piecewise_constant": Block((Field("segments", _segments), _TAU0), PiecewiseConstantProfile),
-    "ramp": Block((_H0, Field("ramp_time", _number, bounds=_POSITIVE), _TAU0, _TAUF), RampProfile),
-    "sampled": Block((Field("tau", _numbers), Field("h", _numbers)), SampledProfile),
+    "sinusoidal": Block((_H0, _OMEGA_C, _TAU0, _TAUF, _PHASE), _deferred("SinusoidalProfile")),
+    "piecewise_constant": Block(
+        (Field("segments", _segments), _TAU0), _deferred("PiecewiseConstantProfile")
+    ),
+    "ramp": Block(
+        (_H0, Field("ramp_time", _number, bounds=_POSITIVE), _TAU0, _TAUF), _deferred("RampProfile")
+    ),
+    "sampled": Block((Field("tau", _numbers), Field("h", _numbers)), _deferred("SampledProfile")),
     "windowed_sinusoid": Block(
         (_H0, _OMEGA_C, Field("window_time", _number, bounds=_POSITIVE), _TAU0, _TAUF, _PHASE),
-        WindowedSinusoidProfile,
+        _deferred("WindowedSinusoidProfile"),
     ),
 }, check=_rigid)
 
@@ -348,10 +356,10 @@ _MOTION = Block(tag="type", variants={
     "linear": Block((
         Field("amplitude", _number, bounds=_AMPLITUDE),
         Field("axis", _text, None, choices=("x", "y")),
-    ), LinearMotion),
+    ), _deferred("LinearMotion")),
     "circular": Block(
         (Field("dx", _number, bounds=_AMPLITUDE), Field("dy", _number, bounds=_AMPLITUDE)),
-        CircularMotion,
+        _deferred("CircularMotion"),
     ),
 })
 _EXPERIMENT = Block((
@@ -359,7 +367,7 @@ _EXPERIMENT = Block((
     Field("motion", _MOTION),
     Field("pair", _pair, None),
     Field("transverse", _pair, None),
-), ExperimentPlan)
+), _deferred("ExperimentPlan"))
 
 _OUTPUT = Field("output", Block((
     Field("path", _text, None),
@@ -395,6 +403,8 @@ class EvolveScenario(_Scenario):
     profile: AccelerationProfile
 
     def _result(self, tol):
+        from .bogoliubov import first_order_map, static_coefficients
+
         map_ = first_order_map(static_coefficients(self.cavity), self.profile, tol=tol)
         m, n = np.indices(map_.a_hat.shape).reshape(2, -1) + 1
         a, b = map_.a_hat.ravel(), map_.b_hat.ravel()
@@ -416,6 +426,9 @@ class CatalogScenario(_Scenario):
     max_omega: float
 
     def _result(self, tol):
+        from .bogoliubov import static_coefficients
+        from .resonance import catalog_1d
+
         catalog = catalog_1d(static_coefficients(self.cavity), self.max_omega)
         return dict(vars(catalog))  # the catalog's fields are the CSV columns, in order
 
@@ -455,6 +468,9 @@ class SweepScenario(_Scenario):
         return diags
 
     def _result(self, tol):
+        from .bogoliubov import static_coefficients
+        from .gaussian import negativity_grid
+
         coeffs = static_coefficients(self.cavity)
         grid = negativity_grid(
             coeffs, self.pair, self.squeezing, self.h0, self.omega_c_values, self.delta_tau_values
@@ -475,6 +491,8 @@ class PlanScenario(_Scenario):
     experiment: ExperimentPlan
 
     def _result(self, tol):
+        from .experiment import plan
+
         report = asdict(plan(self.experiment))
         return {name: [math.nan if value is None else value] for name, value in report.items()}
 

@@ -32,6 +32,9 @@ import numpy as np
 
 _AXES = ("x", "y", "z")
 
+# The strict bound on sup |h| = sup |aL| that keeps the cavity rigid (see `profiles`).
+RIGIDITY_BOUND = 2.0
+
 # The static coefficients take fourth powers of the length, the frequencies
 # and the gaps between them; each of those scales must lie within
 # [1/_SCALE_LIMIT, _SCALE_LIMIT] for the powers to stay normal floats.

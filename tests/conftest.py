@@ -7,6 +7,7 @@ pieces, against the exact integral worked out in mpmath.
 """
 
 import itertools
+import os
 from pathlib import Path
 
 import mpmath
@@ -22,6 +23,20 @@ from cavitymix.profiles import (
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SCENARIO_DIR = REPO_ROOT / "scenarios"
+
+
+def child_env():
+    """The inherited env with an absolute src first on PYTHONPATH.
+
+    A child interpreter may run in a temporary cwd, where a relative entry
+    such as `PYTHONPATH=src` no longer resolves; the absolute path makes it
+    import the checkout under test rather than any installed copy.
+    """
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(REPO_ROOT / "src"), env.get("PYTHONPATH")])
+    )
+    return env
 
 
 def simpson_oscillatory(profile, delta, points_per_period=60, min_points=4001):

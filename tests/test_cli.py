@@ -1,24 +1,12 @@
-import os
 import subprocess
 import sys
 
 import pytest
 
-from conftest import REPO_ROOT, SCENARIO_DIR
-
-
-def child_env():
-    """The inherited env with an absolute src first on PYTHONPATH.
-
-    The child runs in a temporary cwd, where a relative entry such as
-    `PYTHONPATH=src` no longer resolves; the absolute path makes it import
-    the checkout under test rather than any installed copy.
-    """
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(REPO_ROOT / "src"), env.get("PYTHONPATH")])
-    )
-    return env
+from cavitymix import cli
+from cavitymix.gaussian import SymplecticPairingError
+from cavitymix.profiles import QuadratureError
+from conftest import REPO_ROOT, SCENARIO_DIR, child_env
 
 
 def run_cli(*args, cwd):
@@ -223,3 +211,41 @@ def test_usage_error_is_not_success(tmp_path):
     assert result.returncode != 0
     # the parser itself refused the command, not a failing import
     assert "invalid choice" in result.stderr and "explode" in result.stderr
+
+
+def test_bad_option_value_exits_one(tmp_path):
+    result = run_cli(
+        "run", str(SCENARIO_DIR / "evolve_resonant.yaml"), "--nmax", "abc", cwd=tmp_path
+    )
+    assert result.returncode == 1
+    assert "--nmax" in result.stderr
+    assert "numerical failure" not in result.stderr
+
+
+def test_missing_subcommand_exits_one_and_help_exits_zero(tmp_path):
+    assert run_cli(cwd=tmp_path).returncode == 1
+    assert run_cli("--help", cwd=tmp_path).returncode == 0
+
+
+@pytest.mark.parametrize(
+    "error, where",
+    [(SymplecticPairingError, "gaussian spectrum"), (QuadratureError, "profiles quadrature")],
+)
+def test_numerical_failure_exits_two(tmp_path, monkeypatch, capsys, error, where):
+    def fail(scenario, tol):
+        raise error("injected")
+
+    monkeypatch.setattr(cli, "run_scenario", fail)
+    out = tmp_path / "never.csv"
+    assert cli.main(["run", str(SCENARIO_DIR / "desktop_linear.yaml"), "--out", str(out)]) == 2
+    assert f"numerical failure ({where}): injected" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_other_runtime_errors_propagate(monkeypatch):
+    def fail(scenario, tol):
+        raise RuntimeError("not numerical")
+
+    monkeypatch.setattr(cli, "run_scenario", fail)
+    with pytest.raises(RuntimeError, match="not numerical"):
+        cli.main(["run", str(SCENARIO_DIR / "desktop_linear.yaml")])

@@ -1,5 +1,6 @@
 import copy
 import math
+import re
 
 import numpy as np
 import pytest
@@ -152,6 +153,12 @@ def test_render_format(tmp_path):
     out = tmp_path / "t.csv"
     table.write(out)
     assert out.read_text(encoding="utf-8") == text
+
+
+def test_render_stamps_utc_time_to_the_second():
+    table = ResultTable(columns={"a": [1]}, scenario_digest="0" * 64)
+    stamp = table.render().splitlines()[2]
+    assert re.fullmatch(r"# generated: \d{4}-\d\d-\d\dT\d\d:\d\d:\d\d\+00:00", stamp), stamp
 
 
 def test_table_rejects_ragged_rows():
