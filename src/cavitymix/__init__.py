@@ -8,10 +8,15 @@ which converts a concrete optical-cavity setup to SI rates.
 
 __version__ = "0.1.0"
 
-# Each public name by the submodule that defines it.  A name is imported on
-# first use (PEP 562) and then cached as a module global, so `import
-# cavitymix` loads neither numpy nor any submodule, and a scenario run loads
-# only the modules of its kind.
+# Every scenario kind needs numpy (through `spectrum`) and PyYAML (through
+# the scenario loader), so the root loads both up front.  What waits for
+# first use is the package's own modules: each public name below is imported
+# from its submodule on first use (PEP 562) and then cached as a module
+# global, so a scenario run loads only the modules of its kind.
+import numpy as _numpy  # noqa: F401
+import yaml as _yaml  # noqa: F401
+
+# Each public name by the submodule that defines it.
 _SOURCES = {
     "bogoliubov": (
         "FIRST_ORDER_SUP_H", "FirstOrderBogoliubovMap", "IdentityReport", "StaticCoefficients",
@@ -58,67 +63,7 @@ def __getattr__(name: str):
 
 
 def __dir__() -> list[str]:
-    return sorted({*globals(), *_MODULE_OF})
+    return sorted({*globals(), *_SOURCES, *_MODULE_OF})
 
 
-__all__ = [
-    "__version__",
-    "FIRST_ORDER_SUP_H",
-    "RIGIDITY_BOUND",
-    "AccelerationProfile",
-    "Cavity1D",
-    "Cavity3D",
-    "CircularMotion",
-    "CovarianceState",
-    "ExperimentPlan",
-    "FirstOrderBogoliubovMap",
-    "IdentityReport",
-    "LinearMotion",
-    "OscillatoryIntegralResult",
-    "PiecewiseConstantProfile",
-    "PlanReport",
-    "QuadratureError",
-    "RampProfile",
-    "ResonanceCatalog",
-    "ResonanceEntry",
-    "ResonanceKind",
-    "ResultTable",
-    "RigidityReport",
-    "SampledProfile",
-    "ScenarioError",
-    "SinusoidalProfile",
-    "StaticCoefficients",
-    "SymplecticPairingError",
-    "TwoModeReduction",
-    "WindowedSinusoidProfile",
-    "apply_symplectic",
-    "catalog_1d",
-    "circular_report",
-    "compose",
-    "displacement_h0",
-    "first_order_map",
-    "first_order_negativity",
-    "load_scenario",
-    "negativity",
-    "negativity_grid",
-    "omega_diff_matrix",
-    "omega_sum_matrix",
-    "omega_vector",
-    "oscillatory_integral",
-    "paraxial_mixing_growth",
-    "paraxial_mixing_omega",
-    "paraxial_validity_ratio",
-    "partial_transpose",
-    "plan",
-    "reduce_to_effective_1d",
-    "reduce_to_pair",
-    "run_scenario",
-    "squeezed_vacuum",
-    "static_coefficients",
-    "symplectic_eigenvalues",
-    "symplectic_form",
-    "symplectic_from_map",
-    "symplectic_residual",
-    "validate_rigidity",
-    "verify_first_order_identities",
-]
+__all__ = ["__version__", *_MODULE_OF]

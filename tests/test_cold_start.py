@@ -23,10 +23,14 @@ def loaded_modules(code, cwd):
     return set(json.loads(result.stdout.splitlines()[-1]))
 
 
-def test_import_loads_no_submodule_and_no_numpy(tmp_path):
-    loaded = loaded_modules("import cavitymix", tmp_path)
-    assert "numpy" not in loaded
+def test_import_loads_no_submodule(tmp_path):
+    # dir() names every submodule without importing it.
+    code = "import cavitymix\nassert {'profiles', 'gaussian'} <= set(dir(cavitymix))"
+    loaded = loaded_modules(code, tmp_path)
     assert {name for name in loaded if name.startswith("cavitymix.")} == set()
+    # Every kind needs numpy and yaml, so the root loads both, and a bare
+    # import's `-X importtime` listing times them, as the bench reads it.
+    assert {"numpy", "yaml"} <= loaded
 
 
 # Per shipped kind, the package modules its run must leave unloaded.
