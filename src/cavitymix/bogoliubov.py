@@ -151,31 +151,13 @@ class FirstOrderBogoliubovMap:
         _check_modes(self.cavity.n_max, m, n)
         return complex(self.b_hat[m - 1, n - 1])
 
-    def alpha_matrix(self, include_free_phases: bool = True) -> np.ndarray:
-        """Full alpha = exp(i w dtau) (1 + A), optionally without the phases."""
-        base = np.eye(self.cavity.n_max, dtype=complex) + self.a_hat
-        if not include_free_phases:
-            return base
-        return np.exp(1j * self.phases)[:, None] * base
+    def alpha_matrix(self) -> np.ndarray:
+        """Full alpha = exp(i w dtau) (1 + A)."""
+        return np.exp(1j * self.phases)[:, None] * (np.eye(self.cavity.n_max) + self.a_hat)
 
-    def beta_matrix(self, include_free_phases: bool = True) -> np.ndarray:
-        if not include_free_phases:
-            return self.b_hat.copy()
+    def beta_matrix(self) -> np.ndarray:
+        """Full beta = exp(i w dtau) B."""
         return np.exp(1j * self.phases)[:, None] * self.b_hat
-
-    @classmethod
-    def identity(cls, cavity: Cavity1D, at_time: float = 0.0) -> "FirstOrderBogoliubovMap":
-        """Zero-duration map: the neutral element of composition."""
-        n = cavity.n_max
-        return cls(
-            cavity=cavity,
-            tau0=at_time,
-            tauf=at_time,
-            a_hat=np.zeros((n, n), dtype=complex),
-            b_hat=np.zeros((n, n), dtype=complex),
-            phases=np.zeros(n),
-            quadrature_error=0.0,
-        )
 
 
 def first_order_map(

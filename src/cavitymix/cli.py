@@ -45,7 +45,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "--tol",
         type=float,
         default=DEFAULT_TOL,
-        help=f"quadrature tolerance for evolve scenarios (default {DEFAULT_TOL:g})",
+        help=(
+            "quadrature tolerance for evolve and negativity_sweep scenarios "
+            f"(default {DEFAULT_TOL:g})"
+        ),
     )
 
     val_p = sub.add_parser("validate", help="check a scenario file without running it")

@@ -14,18 +14,23 @@ reproduces the closed form N = |Im A[m, n]| sinh s exactly at first order,
 which is the anchor the convention is chosen against (a diag(e^{2s},
 e^{-2s}) block would land on sinh 2s instead).
 
-A first-order Bogoliubov map restricted to a mode pair acts on the pair's
-quadratures by the real 4x4 matrix built from the complex 2x2 blocks of
-alpha and beta,
+A Bogoliubov map with complex n x n blocks alpha and beta acts on the
+quadratures of all n modes, in this layout (Weedbrook et al., Rev. Mod.
+Phys. 84 (2012) 621), by the real 2n x 2n matrix
 
     S[block i, block j] = [[Re(alpha + beta)_ij, -Im(alpha - beta)_ij],
                            [Im(alpha + beta)_ij,  Re(alpha - beta)_ij]],
 
 which for beta = 0 and alpha = e^{i theta} reduces to a rotation by theta.
-S is symplectic up to O(h^2); apply_symplectic widens the bona-fide
-tolerance of the output state accordingly.  Restricting to the pair is
-justified at first order: a pure state stays pure and the reduced state of
-two modes depends only on the coefficients mixing those two modes.
+A mode pair's 4x4 is the slice (q_m, p_m, q_n, p_n) of S, the same index
+reduce_to_pair takes from sigma.  The gate `symplectic_from_map` slices S
+of alpha = 1 + A and beta = B: it leaves out the free phases, local
+rotations under which the symplectic spectrum of any reduction's partial
+transpose is invariant; the map's `alpha_matrix()` and `beta_matrix()`
+carry them.  S is symplectic up to O(h^2); apply_symplectic widens the
+bona-fide tolerance of the output state accordingly.  Restricting to the
+pair is justified at first order: a pure state stays pure and the reduced
+state of two modes depends only on the coefficients mixing those two modes.
 
 Entanglement of a two-mode reduction is quantified by the smallest
 symplectic eigenvalue nu of the partial transpose P sigma P with
@@ -155,36 +160,36 @@ class TwoModeReduction:
         return CovarianceState(sigma=self.sigma_red)
 
 
+def _quadratures(n_modes: int, pair: tuple[int, int]):
+    """np.ix_ index of the (1-based) pair's quadratures (q_m, p_m, q_n, p_n)."""
+    m, n = pair
+    _check_modes(n_modes, m, n, distinct=True)
+    idx = [2 * m - 2, 2 * m - 1, 2 * n - 2, 2 * n - 1]
+    return np.ix_(idx, idx)
+
+
+def _symplectic(alpha, beta) -> np.ndarray:
+    """Real 2n x 2n quadrature matrix of the complex n x n blocks alpha, beta."""
+    plus = alpha + beta
+    minus = alpha - beta
+    n = plus.shape[0]
+    s = np.empty((2 * n, 2 * n))
+    s[0::2, 0::2] = plus.real
+    s[0::2, 1::2] = -minus.imag
+    s[1::2, 0::2] = plus.imag
+    s[1::2, 1::2] = minus.real
+    return s
+
+
 def reduce_to_pair(state: CovarianceState, pair: tuple[int, int]) -> TwoModeReduction:
     """Discard all modes except the (1-based) pair."""
-    m, n = pair
-    _check_modes(state.n_modes, m, n, distinct=True)
-    idx = [2 * m - 2, 2 * m - 1, 2 * n - 2, 2 * n - 1]
-    return TwoModeReduction(pair=pair, sigma_red=state.sigma[np.ix_(idx, idx)].copy())
+    return TwoModeReduction(pair=pair, sigma_red=state.sigma[_quadratures(state.n_modes, pair)])
 
 
-def symplectic_from_map(
-    map_: FirstOrderBogoliubovMap,
-    pair: tuple[int, int],
-    include_free_phases: bool = False,
-) -> np.ndarray:
-    """4x4 quadrature action of the map restricted to the (1-based) pair.
-
-    With include_free_phases off the blocks come from alpha = 1 + A and
-    beta = B alone; the omitted phases are local rotations, under which the
-    symplectic spectrum of any reduction's partial transpose is invariant.
-    """
-    m, n = pair
-    _check_modes(map_.cavity.n_max, m, n, distinct=True)
-    block = np.ix_([m - 1, n - 1], [m - 1, n - 1])
-    alpha = map_.alpha_matrix(include_free_phases=include_free_phases)[block]
-    beta = map_.beta_matrix(include_free_phases=include_free_phases)[block]
-    s = np.empty((4, 4))
-    s[0::2, 0::2] = (alpha + beta).real
-    s[0::2, 1::2] = -(alpha - beta).imag
-    s[1::2, 0::2] = (alpha + beta).imag
-    s[1::2, 1::2] = (alpha - beta).real
-    return s
+def symplectic_from_map(map_: FirstOrderBogoliubovMap, pair: tuple[int, int]) -> np.ndarray:
+    """4x4 quadrature action of the phase-free map 1 + A, B on the (1-based) pair."""
+    index = _quadratures(map_.cavity.n_max, pair)
+    return _symplectic(np.eye(map_.cavity.n_max) + map_.a_hat, map_.b_hat)[index]
 
 
 def partial_transpose(sigma_red: np.ndarray) -> np.ndarray:
@@ -264,6 +269,7 @@ def negativity_grid(
     h0: float,
     omega_c_values: np.ndarray,
     delta_tau_values: np.ndarray,
+    tol: float = 1e-10,
 ) -> np.ndarray:
     """First-order negativity under a cosine drive, over a frequency/duration grid.
 
@@ -277,10 +283,9 @@ def negativity_grid(
     needs only the real part, sin(theta*dtau)/theta per piece.  The grid
     makes the checks a per-cell profile and `oscillatory_integral` would
     make: ValueError for a negative frequency or a non-positive duration,
-    QuadratureError when the rounding bound exceeds the default tolerance
-    1e-10 or a cell is not finite.  A drive with |h0| at or above the
-    rigidity bound is refused with ValueError, as `first_order_map` refuses
-    it.
+    QuadratureError when the rounding bound exceeds `tol` or a cell is not
+    finite.  A drive with |h0| at or above the rigidity bound is refused
+    with ValueError, as `first_order_map` refuses it.
     """
     omega_c_values = np.asarray(omega_c_values, dtype=float)
     delta_tau_values = np.asarray(delta_tau_values, dtype=float)
@@ -301,7 +306,7 @@ def negativity_grid(
     scale = delta * coeffs.alpha_entry(m, n)
     # h0 cos(omega_c t) on [0, dtau] is the piece pair (h0/2) exp(+-i omega_c t).
     longest = np.full(2, float(np.max(delta_tau_values)))
-    _rounding_estimate(np.full(2, 0.5 * abs(h0)), longest, longest, 1e-10)
+    _rounding_estimate(np.full(2, 0.5 * abs(h0)), longest, longest, tol)
     # A cell is |Im(i*scale*I)| = |scale * Re I|, and Re I is (h0/2) times the
     # sum over theta = +-omega_c - delta of integral_0^dtau cos(theta*u) du.
     weight = abs(0.5 * h0 * scale) * math.sinh(s)

@@ -37,6 +37,7 @@ from __future__ import annotations
 import hashlib
 import math
 import operator
+import re
 import sys
 import time
 from dataclasses import asdict, dataclass
@@ -65,6 +66,21 @@ _SQUEEZING_LIMIT = 100.0
 # observable universe, which keeps every figure of the plan a finite float.
 _SI_MAX = 1e27
 _SI_LENGTH = ((">=", 1e-35), ("<=", _SI_MAX))
+
+
+class _Loader(yaml.SafeLoader):
+    """SafeLoader that also reads the YAML 1.2 e-notation floats 1e-3 and 1.0e3.
+
+    PyYAML resolves floats by YAML 1.1, which needs a dot and a signed
+    exponent, so it would load both as strings.
+    """
+
+
+_Loader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)[eE][-+]?[0-9]+$"),
+    list("-+.0123456789"),
+)
 
 
 class ScenarioError(Exception):
@@ -473,7 +489,8 @@ class SweepScenario(_Scenario):
 
         coeffs = static_coefficients(self.cavity)
         grid = negativity_grid(
-            coeffs, self.pair, self.squeezing, self.h0, self.omega_c_values, self.delta_tau_values
+            coeffs, self.pair, self.squeezing, self.h0, self.omega_c_values, self.delta_tau_values,
+            tol=tol,
         )
         # grid is indexed [delta_tau, omega_c]; the rows run omega_c outer
         omega_c, delta_tau = np.meshgrid(self.omega_c_values, self.delta_tau_values, indexing="ij")
@@ -515,7 +532,7 @@ def load_scenario(path: str | Path, n_max: int | None = None) -> Scenario:
         raise ScenarioError([f"{path}: {exc}"]) from exc
     digest = hashlib.sha256(raw).hexdigest()
     try:
-        data = yaml.safe_load(raw)
+        data = yaml.load(raw, Loader=_Loader)
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""

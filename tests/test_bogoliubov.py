@@ -6,7 +6,6 @@ import pytest
 
 from cavitymix import bogoliubov
 from cavitymix.bogoliubov import (
-    FirstOrderBogoliubovMap,
     compose,
     first_order_map,
     static_coefficients,
@@ -250,7 +249,7 @@ def test_alpha_matrix_carries_free_phases():
     prof = SinusoidalProfile(h0=1e-4, omega_c=2.0, tau0=0.0, tauf=3.0)
     map_ = first_order_map(coeffs, prof)
     alpha = map_.alpha_matrix()
-    bare = map_.alpha_matrix(include_free_phases=False)
+    bare = np.eye(3) + map_.a_hat
     for k in range(3):
         phase = np.exp(1j * (k + 1) * math.pi * 3.0)
         assert alpha[k, k] == pytest.approx(phase * bare[k, k], rel=1e-12)
@@ -259,27 +258,14 @@ def test_alpha_matrix_carries_free_phases():
     assert beta[0, 1] == pytest.approx(np.exp(1j * math.pi * 3.0) * map_.b_entry(1, 2), rel=1e-12)
 
 
-def test_identity_map_is_neutral():
-    cavity = unit_cavity(4)
-    coeffs = static_coefficients(cavity)
-    prof = SinusoidalProfile(h0=1e-3, omega_c=1.3, tau0=0.0, tauf=7.0)
-    map_ = first_order_map(coeffs, prof)
-    left = compose(FirstOrderBogoliubovMap.identity(cavity, at_time=0.0), map_)
-    right = compose(map_, FirstOrderBogoliubovMap.identity(cavity, at_time=7.0))
-    for other in (left, right):
-        assert np.allclose(other.a_hat, map_.a_hat, atol=1e-15)
-        assert np.allclose(other.b_hat, map_.b_hat, atol=1e-15)
-        assert np.allclose(other.phases, map_.phases, atol=1e-15)
-
-
 def test_compose_validates_cavity_and_continuity():
-    cav_a = unit_cavity(3)
+    prof = SinusoidalProfile(h0=1e-3, omega_c=1.3, tau0=0.0, tauf=1.0)
+    map_a = first_order_map(static_coefficients(unit_cavity(3)), prof)
     cav_b = Cavity1D(length=2.0, mu0=0.0, n_max=3)
-    map_a = FirstOrderBogoliubovMap.identity(cav_a)
-    map_b = FirstOrderBogoliubovMap.identity(cav_b)
+    map_b = first_order_map(static_coefficients(cav_b), prof)
     with pytest.raises(ValueError, match="cavities"):
         compose(map_a, map_b)
-    late = FirstOrderBogoliubovMap.identity(cav_a, at_time=1.0)
+    late = first_order_map(static_coefficients(unit_cavity(3)), prof.restrict(0.5, 1.0))
     with pytest.raises(ValueError, match="starts at"):
         compose(map_a, late)
 

@@ -123,6 +123,16 @@ def test_unreachable_tolerance_exits_two(tmp_path):
     assert "quadrature" in result.stderr
 
 
+def test_sweep_unreachable_tolerance_exits_two(tmp_path):
+    result = run_cli(
+        "run", str(SCENARIO_DIR / "negativity_ridge.yaml"), "--out", "nr.csv", "--tol", "1e-30",
+        cwd=tmp_path,
+    )
+    assert result.returncode == 2
+    assert "numerical failure (profiles quadrature)" in result.stderr
+    assert not (tmp_path / "nr.csv").exists()
+
+
 def test_overflowing_drive_exits_two_without_warnings(tmp_path):
     scenario = tmp_path / "fast_drive.yaml"
     scenario.write_text(

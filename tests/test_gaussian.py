@@ -9,6 +9,8 @@ from cavitymix.bogoliubov import FirstOrderBogoliubovMap, first_order_map, stati
 from cavitymix.gaussian import (
     CovarianceState,
     SymplecticPairingError,
+    _quadratures,
+    _symplectic,
     apply_symplectic,
     first_order_negativity,
     negativity,
@@ -159,21 +161,16 @@ def resonant_map(h0, dtau=2.0, n_max=2):
 
 
 def test_symplectic_from_map_identity_and_phases():
-    cavity = Cavity1D(length=1.0, mu0=0.0, n_max=2)
-    neutral = FirstOrderBogoliubovMap.identity(cavity)
-    assert np.allclose(symplectic_from_map(neutral, (1, 2)), np.eye(4), atol=1e-15)
-    # With free phases on, the blocks are the mode rotations.
-    phased = FirstOrderBogoliubovMap(
-        cavity=cavity,
-        tau0=0.0,
-        tauf=1.0,
-        a_hat=np.zeros((2, 2), dtype=complex),
-        b_hat=np.zeros((2, 2), dtype=complex),
-        phases=np.array([0.3, 1.1]),
+    cavity = Cavity1D(length=1.0, mu0=0.0, n_max=3)
+    zero = np.zeros((3, 3), dtype=complex)
+    free = FirstOrderBogoliubovMap(
+        cavity=cavity, tau0=0.0, tauf=1.0, a_hat=zero, b_hat=zero, phases=np.array([0.3, 1.1, 2.0])
     )
-    s = symplectic_from_map(phased, (1, 2), include_free_phases=True)
-    assert np.allclose(s[:2, :2], rotation(0.3), atol=1e-15)
-    assert np.allclose(s[2:, 2:], rotation(1.1), atol=1e-15)
+    assert np.array_equal(symplectic_from_map(free, (1, 3)), np.eye(4))
+    # With the free phases, the blocks of the full matrix are the mode rotations.
+    s = _symplectic(free.alpha_matrix(), free.beta_matrix())
+    for k, theta in enumerate(free.phases):
+        assert np.allclose(s[2 * k : 2 * k + 2, 2 * k : 2 * k + 2], rotation(theta), atol=1e-15)
     assert np.allclose(s[:2, 2:], 0.0, atol=1e-15)
 
 
@@ -215,12 +212,35 @@ def test_negativity_invariant_under_free_phases():
     map_ = resonant_map(1e-3, dtau=2.7)
     red = reduce_to_pair(squeezed_vacuum(2, s), (1, 2))
     plain = negativity(apply_symplectic(red.state(), symplectic_from_map(map_, (1, 2))).sigma)
-    phased = negativity(
-        apply_symplectic(
-            red.state(), symplectic_from_map(map_, (1, 2), include_free_phases=True)
-        ).sigma
-    )
+    phased_gate = _symplectic(map_.alpha_matrix(), map_.beta_matrix())[_quadratures(2, (1, 2))]
+    phased = negativity(apply_symplectic(red.state(), phased_gate).sigma)
     assert phased == pytest.approx(plain, abs=1e-10)
+
+
+@pytest.mark.parametrize("mu0", [0.0, 2.5])
+@pytest.mark.parametrize("n_max", [2, 5, 16])
+def test_pair_gate_is_a_slice_of_the_full_matrix(mu0, n_max):
+    # The layout steps past first order and the all-mode gate pipeline rest
+    # on: the pair gate is the full matrix's (q_m, p_m, q_n, p_n) slice, the
+    # free rotation R factors off the phased matrix, and squeezing every
+    # mode, applying the full gate and reducing to the pair reproduces the
+    # closed-form negativity.
+    cavity = Cavity1D(length=1.0, mu0=mu0, n_max=n_max)
+    coeffs = static_coefficients(cavity)
+    omega_c = float(coeffs.omega[1] - coeffs.omega[0])  # the (1, 2) mixing resonance
+    map_ = first_order_map(coeffs, SinusoidalProfile(5e-5, omega_c, 0.0, 10.0))
+    full = _symplectic(np.eye(n_max) + map_.a_hat, map_.b_hat)
+    pairs = [(1, 2), (2, 1), (1, n_max), (n_max, 1)]
+    for pair in pairs + ([(2, n_max), (n_max, 2)] if n_max > 3 else []):
+        index = _quadratures(n_max, pair)
+        assert np.array_equal(symplectic_from_map(map_, pair), full[index])
+    rotation_all = _symplectic(np.diag(np.exp(1j * map_.phases)), 0)
+    phased = _symplectic(map_.alpha_matrix(), map_.beta_matrix())
+    assert np.max(np.abs(rotation_all @ full - phased)) <= 1e-15
+    s = 0.8
+    out = apply_symplectic(squeezed_vacuum(n_max, s), full)
+    pipeline = negativity(reduce_to_pair(out, (1, 2)).sigma_red)
+    assert pipeline == pytest.approx(first_order_negativity(map_, (1, 2), s), abs=5e-6)
 
 
 def test_first_order_negativity_guard_rails():

@@ -388,6 +388,15 @@ def test_profile_variants_round_trip(tmp_path):
         load_scenario(path)
 
 
+def test_e_notation_numbers_load_as_floats(tmp_path):
+    # YAML 1.1 reads 1e-3 and 1e1 (no dot, unsigned exponent) as strings.
+    text = "kind: evolve\ncavity: {length: 1.0, n_max: 4}\nprofile: {variant: sinusoidal, %s}\n"
+    short = load_scenario(write(tmp_path, text % "h0: 1e-3, omega_c: 3.0, tauf: 1e1"))
+    full = load_scenario(write(tmp_path, text % "h0: 1.0e-3, omega_c: 3.0, tauf: 10.0", "b.yaml"))
+    assert short.profile == full.profile
+    assert (short.profile.h0, short.profile.tauf) == (1.0e-3, 10.0)
+
+
 def test_profile_construction_error_is_diagnosed(tmp_path):
     path = write(
         tmp_path,
