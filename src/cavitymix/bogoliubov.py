@@ -50,7 +50,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .profiles import AccelerationProfile, _fourier_integrals, validate_rigidity
+from .profiles import (
+    AccelerationProfile,
+    RigidityReport,
+    _fourier_integrals,
+    _require_rigid,
+    validate_rigidity,
+)
 from .spectrum import Cavity1D, _check_modes, omega_diff_matrix, omega_sum_matrix, omega_vector
 
 FIRST_ORDER_SUP_H = 0.1
@@ -160,6 +166,17 @@ class FirstOrderBogoliubovMap:
         return np.exp(1j * self.phases)[:, None] * self.b_hat
 
 
+def _first_order_drive(report: RigidityReport) -> None:
+    """Refuse a non-rigid drive; warn, at the caller's caller, above FIRST_ORDER_SUP_H."""
+    _require_rigid(report)
+    if report.sup_h > FIRST_ORDER_SUP_H:
+        warnings.warn(
+            f"sup |h| = {report.sup_h:.3g} exceeds {FIRST_ORDER_SUP_H}; "
+            "first-order accuracy degrades as O(h^2)",
+            stacklevel=3,
+        )
+
+
 def first_order_map(
     coeffs: StaticCoefficients,
     profile: AccelerationProfile,
@@ -170,18 +187,7 @@ def first_order_map(
     Raises ValueError when the profile breaks the rigidity bound; warns when
     sup |h| exceeds 0.1, where the neglected O(h^2) terms start to matter.
     """
-    report = validate_rigidity(profile)
-    if not report.ok:
-        raise ValueError(
-            f"profile violates the rigidity bound |h| < {report.bound}: "
-            f"|h({report.tau_at_sup})| = {report.sup_h}"
-        )
-    if report.sup_h > FIRST_ORDER_SUP_H:
-        warnings.warn(
-            f"sup |h| = {report.sup_h:.3g} exceeds {FIRST_ORDER_SUP_H}; "
-            "first-order accuracy degrades as O(h^2)",
-            stacklevel=2,
-        )
+    _first_order_drive(validate_rigidity(profile))
     cavity = coeffs.cavity
     n_max = cavity.n_max
     values, estimate = _fourier_integrals(profile._terms(), coeffs.deltas, tol)

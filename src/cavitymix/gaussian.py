@@ -46,8 +46,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bogoliubov import FirstOrderBogoliubovMap, StaticCoefficients
-from .profiles import _CHUNK_ELEMENTS, _check_finite, _rounding_estimate
+from .bogoliubov import FirstOrderBogoliubovMap, StaticCoefficients, _first_order_drive
+from .profiles import _CHUNK_ELEMENTS, RigidityReport, _check_finite, _rounding_estimate
 from .spectrum import RIGIDITY_BOUND, _check_modes, omega_diff_matrix
 
 SYMMETRY_TOL = 1e-12
@@ -188,8 +188,10 @@ def reduce_to_pair(state: CovarianceState, pair: tuple[int, int]) -> TwoModeRedu
 
 def symplectic_from_map(map_: FirstOrderBogoliubovMap, pair: tuple[int, int]) -> np.ndarray:
     """4x4 quadrature action of the phase-free map 1 + A, B on the (1-based) pair."""
-    index = _quadratures(map_.cavity.n_max, pair)
-    return _symplectic(np.eye(map_.cavity.n_max) + map_.a_hat, map_.b_hat)[index]
+    m, n = pair
+    _check_modes(map_.cavity.n_max, m, n, distinct=True)
+    modes = np.ix_([m - 1, n - 1], [m - 1, n - 1])
+    return _symplectic(np.eye(2) + map_.a_hat[modes], map_.b_hat[modes])
 
 
 def partial_transpose(sigma_red: np.ndarray) -> np.ndarray:
@@ -284,8 +286,8 @@ def negativity_grid(
     makes the checks a per-cell profile and `oscillatory_integral` would
     make: ValueError for a negative frequency or a non-positive duration,
     QuadratureError when the rounding bound exceeds `tol` or a cell is not
-    finite.  A drive with |h0| at or above the rigidity bound is refused
-    with ValueError, as `first_order_map` refuses it.
+    finite.  A drive with |h0| at or above the rigidity bound is refused,
+    and one above 0.1 warned about, as `first_order_map` does.
     """
     omega_c_values = np.asarray(omega_c_values, dtype=float)
     delta_tau_values = np.asarray(delta_tau_values, dtype=float)
@@ -296,10 +298,8 @@ def negativity_grid(
         raise ValueError(f"drive frequencies must be nonnegative, got {omega_c_values.min()}")
     if not np.all(delta_tau_values > 0.0):
         raise ValueError(f"durations must be positive, got {delta_tau_values.min()}")
-    if not abs(h0) < RIGIDITY_BOUND:
-        raise ValueError(
-            f"drive violates the rigidity bound |h| < {RIGIDITY_BOUND}: |h0| = {h0}"
-        )
+    # h0 cos(omega_c t) reaches |h0| at t = 0, whatever the cell.
+    _first_order_drive(RigidityReport(abs(h0) < RIGIDITY_BOUND, abs(h0), 0.0))
     m, n = pair
     _check_modes(coeffs.cavity.n_max, m, n, distinct=True)
     delta = omega_diff_matrix(coeffs.cavity)[m - 1, n - 1]

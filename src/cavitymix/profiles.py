@@ -241,16 +241,15 @@ def _fourier_integrals(terms: _Terms, deltas, tol: float = 1e-10) -> tuple[np.nd
     """
     deltas = np.asarray(deltas, dtype=float).ravel()
     chain = _uniform_chain(terms)
-    far = None if chain is None else np.abs(deltas) * chain[0] >= _SMALL_PHASE
-    if far is None or not far.any():
-        values, estimate = _piece_integrals(terms, deltas, tol)
-    elif far.all():
-        values, estimate = _node_sums(terms, *chain, deltas, tol)
-    else:
-        values = np.empty(deltas.size, dtype=complex)
-        values[far], node_estimate = _node_sums(terms, *chain, deltas[far], tol)
+    far = np.abs(deltas) * chain[0] >= _SMALL_PHASE if chain else np.zeros(deltas.size, bool)
+    n_far = np.count_nonzero(far)
+    values = np.empty(deltas.size, dtype=complex)
+    estimate = 0.0
+    if n_far:
+        values[far], estimate = _node_sums(terms, *chain, deltas[far], tol)
+    if n_far < deltas.size:
         values[~far], piece_estimate = _piece_integrals(terms, deltas[~far], tol)
-        estimate = max(node_estimate, piece_estimate)
+        estimate = max(estimate, piece_estimate)
     _check_finite(values)
     return values, estimate
 
@@ -399,12 +398,42 @@ def _check_finite(values: np.ndarray) -> None:
         raise QuadratureError("not finite: a phase or term of the profile exceeds float range")
 
 
+def _require_finite(name: str, value: float) -> None:
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
+
+
+def _check_drive(h0: float, omega_c: float, phase: float) -> None:
+    """The checks of a cosine drive's amplitude, frequency and phase."""
+    _require_finite("h0", h0)
+    if not 0.0 <= omega_c < math.inf:
+        raise ValueError(f"drive frequency must be finite and nonnegative, got {omega_c}")
+    _require_finite("phase", phase)
+
+
+def _cosine_peak(h0, omega_c, phase, a, b) -> tuple[float, float]:
+    """(sup |h0*cos(omega_c*t + phase)| over a <= t <= b, a t attaining it).
+
+    |cos| peaks at the multiples of pi; without one in reach the larger end
+    wins, `a` on a tie.  A static drive (omega_c = 0) takes its value at `a`.
+    """
+    lo, hi = phase + omega_c * a, phase + omega_c * b
+    if omega_c == 0.0:
+        return abs(h0 * math.cos(lo)), a
+    k = math.ceil(lo / math.pi)
+    if k * math.pi <= hi:
+        return abs(h0), (k * math.pi - phase) / omega_c
+    if abs(math.cos(lo)) >= abs(math.cos(hi)):
+        return abs(h0 * math.cos(lo)), a
+    return abs(h0 * math.cos(hi)), b
+
+
 class AccelerationProfile:
     """Interface shared by every profile variant.
 
-    Concrete profiles provide the interval [tau0, tauf], pointwise
-    evaluation, the supremum of |h| (with its location), restriction to a
-    subinterval, and the term table consumed by `oscillatory_integral`.
+    Concrete profiles provide the interval [tau0, tauf], h of local time
+    (`_h`, which `evaluate` wraps), the supremum of |h| (with its location),
+    restriction to a subinterval, and the term table of `oscillatory_integral`.
     """
 
     tau0: float
@@ -415,6 +444,15 @@ class AccelerationProfile:
         return self.tauf - self.tau0
 
     def evaluate(self, tau):
+        """h(tau): a float for a scalar tau, else an array of tau's shape."""
+        t = np.asarray(tau, dtype=float)
+        if np.any(t < self.tau0) or np.any(t > self.tauf):
+            raise ValueError(f"tau outside the profile interval [{self.tau0}, {self.tauf}]")
+        out = self._h(t - self.tau0)
+        return float(out) if np.isscalar(tau) else out
+
+    def _h(self, t: np.ndarray) -> np.ndarray:
+        """h at the local times t = tau - tau0, each in [0, duration]."""
         raise NotImplementedError
 
     def sup_abs(self) -> tuple[float, float]:
@@ -432,15 +470,6 @@ class AccelerationProfile:
             raise ValueError(f"profile interval must have tauf > tau0, got [{self.tau0}, {self.tauf}]")
         if not -math.inf < self.tau0 < self.tauf < math.inf:
             raise ValueError(f"profile interval must be finite, got [{self.tau0}, {self.tauf}]")
-
-    def _local(self, tau) -> np.ndarray:
-        """tau -> t = tau - tau0, validating the domain."""
-        t = np.asarray(tau, dtype=float)
-        if np.any(t < self.tau0) or np.any(t > self.tauf):
-            raise ValueError(
-                f"tau outside the profile interval [{self.tau0}, {self.tauf}]"
-            )
-        return t - self.tau0
 
     def _check_restriction(self, a: float, b: float) -> None:
         if not (self.tau0 <= a < b <= self.tauf):
@@ -461,30 +490,16 @@ class SinusoidalProfile(AccelerationProfile):
 
     def __post_init__(self) -> None:
         self._check_interval()
-        if not 0.0 <= self.omega_c < math.inf:
-            raise ValueError(f"drive frequency must be finite and nonnegative, got {self.omega_c}")
-        if not math.isfinite(self.phase):
-            raise ValueError(f"phase must be finite, got {self.phase}")
+        _check_drive(self.h0, self.omega_c, self.phase)
 
-    def evaluate(self, tau):
-        t = self._local(tau)
-        out = self.h0 * np.cos(self.omega_c * t + self.phase)
-        return float(out) if np.isscalar(tau) else out
+    def _h(self, t):
+        return self.h0 * np.cos(self.omega_c * t + self.phase)
 
     def sup_abs(self) -> tuple[float, float]:
         if self.h0 == 0.0:
             return 0.0, self.tau0
-        if self.omega_c == 0.0:
-            return abs(self.h0 * math.cos(self.phase)), self.tau0
-        # |cos| peaks at multiples of pi; otherwise at an endpoint.
-        lo = self.phase
-        hi = self.phase + self.omega_c * self.duration
-        k = math.ceil(lo / math.pi)
-        if k * math.pi <= hi:
-            tau_star = self.tau0 + (k * math.pi - lo) / self.omega_c
-            return abs(self.h0), tau_star
-        ends = [(abs(self.h0 * math.cos(lo)), self.tau0), (abs(self.h0 * math.cos(hi)), self.tauf)]
-        return max(ends)
+        sup, t = _cosine_peak(self.h0, self.omega_c, self.phase, 0.0, self.duration)
+        return sup, self.tau0 + t
 
     def restrict(self, a: float, b: float) -> "SinusoidalProfile":
         self._check_restriction(a, b)
@@ -516,31 +531,28 @@ class PiecewiseConstantProfile(AccelerationProfile):
         segs = tuple((float(d), float(h)) for d, h in self.segments)
         if not segs:
             raise ValueError("at least one (duration, h) segment required")
-        for i, (d, _) in enumerate(segs):
+        for i, (d, h) in enumerate(segs):
             if not d > 0.0:
                 raise ValueError(f"segment {i} duration must be positive, got {d}")
+            _require_finite(f"segment {i} value h", h)
         object.__setattr__(self, "segments", segs)
         self._check_interval()
 
     @property
     def tauf(self) -> float:  # type: ignore[override]
-        return self.tau0 + sum(d for d, _ in self.segments)
+        return self.tau0 + float(self._edges()[-1])
 
     def _edges(self) -> np.ndarray:
         return np.concatenate([[0.0], np.cumsum([d for d, _ in self.segments])])
 
-    def evaluate(self, tau):
-        t = self._local(tau)
-        edges = self._edges()
+    def _h(self, t):
         values = np.array([h for _, h in self.segments])
-        idx = np.clip(np.searchsorted(edges, t, side="right") - 1, 0, len(values) - 1)
-        out = values[idx]
-        return float(out) if np.isscalar(tau) else out
+        idx = np.clip(np.searchsorted(self._edges(), t, side="right") - 1, 0, len(values) - 1)
+        return values[idx]
 
     def sup_abs(self) -> tuple[float, float]:
-        edges = self._edges()
         best = max(range(len(self.segments)), key=lambda i: abs(self.segments[i][1]))
-        return abs(self.segments[best][1]), self.tau0 + edges[best]
+        return abs(self.segments[best][1]), float(self.tau0 + self._edges()[best])
 
     def restrict(self, a: float, b: float) -> "PiecewiseConstantProfile":
         self._check_restriction(a, b)
@@ -575,6 +587,7 @@ class RampProfile(AccelerationProfile):
 
     def __post_init__(self) -> None:
         self._check_interval()
+        _require_finite("h0", self.h0)
         if not self.ramp_time > 0.0:
             raise ValueError(f"ramp_time must be positive, got {self.ramp_time}")
         if self.duration < 2.0 * self.ramp_time:
@@ -586,13 +599,9 @@ class RampProfile(AccelerationProfile):
         s = self.duration
         return np.unique([0.0, self.ramp_time, s - self.ramp_time, s])
 
-    def evaluate(self, tau):
-        t = self._local(tau)
+    def _h(self, t):
         r, s = self.ramp_time, self.duration
-        up = t / r
-        down = (s - t) / r
-        out = self.h0 * np.minimum(1.0, np.minimum(up, down))
-        return float(out) if np.isscalar(tau) else out
+        return self.h0 * np.minimum(1.0, np.minimum(t / r, (s - t) / r))
 
     def sup_abs(self) -> tuple[float, float]:
         return abs(self.h0), self.tau0 + self.ramp_time
@@ -637,6 +646,8 @@ class SampledProfile(AccelerationProfile):
             raise ValueError("at least two samples required")
         if not np.all(np.isfinite(tau)):
             raise ValueError("sample times tau must be finite")
+        if not np.all(np.isfinite(h)):
+            raise ValueError("sample values h must be finite")
         if not np.all(np.diff(tau) > 0.0):
             raise ValueError("sample grid must be strictly increasing in tau")
         tau.setflags(write=False)
@@ -652,10 +663,8 @@ class SampledProfile(AccelerationProfile):
     def tauf(self) -> float:  # type: ignore[override]
         return float(self.tau[-1])
 
-    def evaluate(self, tau):
-        t = self._local(tau) + self.tau0
-        out = np.interp(t, self.tau, self.h)
-        return float(out) if np.isscalar(tau) else out
+    def _h(self, t):
+        return np.interp(t + self.tau0, self.tau, self.h)
 
     def sup_abs(self) -> tuple[float, float]:
         idx = int(np.argmax(np.abs(self.h)))
@@ -696,8 +705,7 @@ class WindowedSinusoidProfile(AccelerationProfile):
 
     def __post_init__(self) -> None:
         self._check_interval()
-        if not 0.0 <= self.omega_c < math.inf:
-            raise ValueError(f"drive frequency must be finite and nonnegative, got {self.omega_c}")
+        _check_drive(self.h0, self.omega_c, self.phase)
         if not self.window_time > 0.0:
             raise ValueError(f"window_time must be positive, got {self.window_time}")
         if self.duration < 2.0 * self.window_time:
@@ -722,12 +730,8 @@ class WindowedSinusoidProfile(AccelerationProfile):
         env = np.where(falling, 0.5 * (1.0 - np.cos(np.pi * (s - t) / w)), env)
         return env
 
-    def evaluate(self, tau):
-        t = self._local(tau)
-        out = self.h0 * self._envelope(np.asarray(t, dtype=float)) * np.cos(
-            self.omega_c * t + self.phase
-        )
-        return float(out) if np.isscalar(tau) else out
+    def _h(self, t):
+        return self.h0 * self._envelope(t) * np.cos(self.omega_c * t + self.phase)
 
     def sup_abs(self) -> tuple[float, float]:
         """(|h0|, tau): an upper bound on sup |h| that never under-estimates.
@@ -739,15 +743,8 @@ class WindowedSinusoidProfile(AccelerationProfile):
         |h0 cos(phase)|, reached all along the plateau.
         """
         w = self.window_time
-        lo = self.phase + self.omega_c * w
-        hi = self.phase + self.omega_c * (self.duration - w)
-        if self.omega_c == 0.0:
-            return abs(self.h0 * math.cos(self.phase)), self.tau0 + w
-        k = math.ceil(lo / math.pi)
-        if k * math.pi <= hi:
-            return abs(self.h0), self.tau0 + (k * math.pi - self.phase) / self.omega_c
-        t_end = w if abs(math.cos(lo)) >= abs(math.cos(hi)) else self.duration - w
-        return abs(self.h0), self.tau0 + t_end
+        sup, t = _cosine_peak(self.h0, self.omega_c, self.phase, w, self.duration - w)
+        return (sup if self.omega_c == 0.0 else abs(self.h0)), self.tau0 + t
 
     def restrict(self, a: float, b: float) -> "AccelerationProfile":
         raise NotImplementedError(
@@ -786,6 +783,15 @@ def validate_rigidity(profile: AccelerationProfile) -> RigidityReport:
     """Strict check of sup |h| < 2 with the worst point reported."""
     sup_h, tau_star = profile.sup_abs()
     return RigidityReport(ok=sup_h < RIGIDITY_BOUND, sup_h=sup_h, tau_at_sup=tau_star)
+
+
+def _require_rigid(report: RigidityReport) -> None:
+    """ValueError unless `report` keeps the bound: the map, loader and grid refuse here."""
+    if not report.ok:
+        raise ValueError(
+            f"rigidity bound |h| < {report.bound:g} violated: "
+            f"sup|h| = {report.sup_h:g} at tau = {report.tau_at_sup:g}"
+        )
 
 
 def oscillatory_integral(

@@ -314,14 +314,9 @@ def _deferred(name: str) -> Callable:
 
 def _rigid(profile: AccelerationProfile) -> AccelerationProfile:
     """`profile`, once it is shown to keep the rigidity bound."""
-    from .profiles import validate_rigidity
+    from .profiles import _require_rigid, validate_rigidity
 
-    report = validate_rigidity(profile)
-    if not report.ok:
-        raise ValueError(
-            f"rigidity bound |h| < {report.bound:g} violated: "
-            f"sup|h| = {report.sup_h:g} at tau = {report.tau_at_sup:g}"
-        )
+    _require_rigid(validate_rigidity(profile))
     return profile
 
 

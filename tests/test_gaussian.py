@@ -347,6 +347,20 @@ def test_pair_entry_points_refuse_bad_labels(entry_point, pair, match):
         calls[entry_point]()
 
 
+def test_negativity_grid_warns_beyond_first_order_as_the_map_does():
+    coeffs = static_coefficients(Cavity1D(length=1.0, mu0=0.0, n_max=2))
+    omega_grid, dtau_grid = np.array([1.0, math.pi]), np.array([5.0, 10.0])
+    with pytest.warns(UserWarning, match="first-order") as grid_warning:
+        negativity_grid(coeffs, (1, 2), 1.0, 0.2, omega_grid, dtau_grid)
+    with pytest.warns(UserWarning, match="first-order") as map_warning:
+        first_order_map(coeffs, SinusoidalProfile(0.2, math.pi, 0.0, 10.0))
+    assert [str(w.message) for w in grid_warning] == [str(w.message) for w in map_warning]
+    assert grid_warning[0].filename == __file__
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        negativity_grid(coeffs, (1, 2), 1.0, 1e-3, omega_grid, dtau_grid)
+
+
 def test_negativity_grid_keeps_the_profile_checks():
     coeffs = static_coefficients(Cavity1D(length=1.0, mu0=0.0, n_max=2))
     omega_grid = np.array([1.0, math.pi])
@@ -366,7 +380,7 @@ def test_negativity_grid_keeps_the_profile_checks():
         with pytest.raises(ValueError, match="rigidity bound"):
             negativity_grid(coeffs, (1, 2), 1.0, h0, omega_grid, dtau_grid)
     # A rounding bound, about 177 eps |h0| dtau, above the default tolerance of 1e-10.
-    with pytest.raises(QuadratureError):
+    with pytest.raises(QuadratureError), pytest.warns(UserWarning, match="first-order"):
         negativity_grid(coeffs, (1, 2), 1.0, 1.0, omega_grid, np.array([1e5]))
     # A drive frequency whose phase over the duration is beyond float range.
     with warnings.catch_warnings():

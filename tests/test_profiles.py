@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from cavitymix.bogoliubov import first_order_map, static_coefficients
+from cavitymix.gaussian import negativity_grid
 from cavitymix.profiles import (
     _SMALL_PHASE,
     _UNIFORM_MIN_NODES,
@@ -21,6 +22,7 @@ from cavitymix.profiles import (
     oscillatory_integral,
     validate_rigidity,
 )
+from cavitymix.scenarios import ScenarioError, load_scenario
 from cavitymix.spectrum import Cavity1D, omega_diff_matrix
 from conftest import exact_oscillatory, simpson_oscillatory, simpson_oscillatory_segmented
 
@@ -101,6 +103,24 @@ def test_profiles_refuse_non_finite_times_and_phases():
                 SinusoidalProfile(h0=1e-3, omega_c=omega_c, tau0=0.0, tauf=1.0)
             with pytest.raises(ValueError, match="drive frequency"):
                 WindowedSinusoidProfile(1e-3, omega_c, 1.0, tau0=0.0, tauf=5.0)
+        # A non-finite amplitude or value would pass the rigidity check (NaN
+        # compares false) and fail only later, in the kernel.
+        for bad in (math.nan, math.inf, -math.inf):
+            for make, match in (
+                (lambda: SinusoidalProfile(bad, 1.0, 0.0, 10.0), "h0 must be finite"),
+                (lambda: RampProfile(bad, 1.0, 0.0, 5.0), "h0 must be finite"),
+                (lambda: WindowedSinusoidProfile(bad, 1.0, 1.0, 0.0, 5.0), "h0 must be finite"),
+                (
+                    lambda: PiecewiseConstantProfile(((1.0, 0.5), (1.0, bad))),
+                    "segment 1 value h must be finite",
+                ),
+                (
+                    lambda: SampledProfile(tau=[0.0, 1.0, 2.0], h=[0.0, bad, 0.0]),
+                    "sample values h must be finite",
+                ),
+            ):
+                with pytest.raises(ValueError, match=match):
+                    make()
 
 
 def test_overflowing_sample_slope_is_a_quadrature_error():
@@ -309,10 +329,57 @@ def test_quadrature_error_signalling():
     assert 0.0 < res.error_estimate < 1e-12
 
 
-def test_evaluate_outside_interval_raises():
-    prof = SinusoidalProfile(h0=0.1, omega_c=1.0, tau0=0.0, tauf=1.0)
-    with pytest.raises(ValueError):
-        prof.evaluate(1.5)
+@pytest.mark.parametrize(
+    "prof",
+    [
+        SinusoidalProfile(h0=0.1, omega_c=1.0, tau0=0.5, tauf=1.5),
+        PiecewiseConstantProfile(segments=((0.5, 0.1), (0.5, -0.05)), tau0=0.5),
+        RampProfile(h0=0.1, ramp_time=0.25, tau0=0.5, tauf=1.5),
+        SampledProfile(tau=[0.5, 1.0, 1.5], h=[0.0, 0.1, 0.0]),
+        WindowedSinusoidProfile(0.1, 3.0, 0.25, tau0=0.5, tauf=1.5),
+    ],
+    ids=lambda prof: type(prof).__name__,
+)
+def test_evaluate_outside_interval_raises(prof):
+    for tau in (0.25, 1.75, np.array([1.0, 2.0]), np.array([[0.0], [1.0]])):
+        with pytest.raises(ValueError, match="outside the profile interval"):
+            prof.evaluate(tau)
+    assert type(prof.evaluate(1.0)) is float
+    assert [type(x) for x in prof.sup_abs()] == [float, float]
+    grid = np.linspace(0.5, 1.5, 6).reshape(2, 3)
+    values = prof.evaluate(grid)
+    assert isinstance(values, np.ndarray) and values.shape == grid.shape
+    assert values[0, 0] == prof.evaluate(0.5) and values[1, 2] == prof.evaluate(1.5)
+
+
+def test_plateau_end_is_the_term_table_last_node():
+    # Summing the durations twice, once by Python and once by cumsum, can
+    # give two ends: sum is compensated from Python 3.12, cumsum is not.
+    prof = PiecewiseConstantProfile(segments=((0.1, 1e-3),) * 10)
+    assert prof.tauf - prof.tau0 == prof._terms()[0][-1]
+
+
+def test_map_loader_and_grid_share_one_rigidity_refusal(tmp_path):
+    # h0 = 2.5 breaks the bound at tau = 0 for the map's profile and the
+    # loader's, and for the grid's cosine drive, which starts at its peak.
+    coeffs = static_coefficients(Cavity1D(length=1.0, mu0=0.0, n_max=2))
+    scenario = tmp_path / "rigid.yaml"
+    scenario.write_text(
+        "kind: evolve\n"
+        "cavity: {length: 1.0}\n"
+        "profile: {variant: sinusoidal, h0: 2.5, omega_c: 3.0, tauf: 5.0}\n",
+        encoding="utf-8",
+    )
+    want = "rigidity bound |h| < 2 violated: sup|h| = 2.5 at tau = 0"
+    with pytest.raises(ValueError) as refused:
+        first_order_map(coeffs, SinusoidalProfile(2.5, 3.0, 0.0, 5.0))
+    assert str(refused.value) == want
+    with pytest.raises(ValueError) as refused:
+        negativity_grid(coeffs, (1, 2), 1.0, 2.5, np.array([3.0]), np.array([5.0]))
+    assert str(refused.value) == want
+    with pytest.raises(ScenarioError) as refused:
+        load_scenario(scenario)
+    assert refused.value.diagnostics == [f"profile: {want}"]
 
 
 def _crossover_deltas(centre, span):

@@ -4,10 +4,12 @@ The benchmark checks the same CSVs, but only when it runs; here a reordered
 or drifted row fails the suite.  The `# generated` timestamp is skipped.
 The column header, the row count and the label columns (`kind`, `m`, `n`)
 must match exactly, every other cell to 1e-12 relative (NaN matches NaN).
-The reference files are only read.
+The reference files are only read.  Each scenario runs with warnings turned
+into errors, so a shipped scenario that starts to warn fails here.
 """
 
 import math
+import warnings
 
 import pytest
 
@@ -32,7 +34,10 @@ def _close(x, y):
 
 @pytest.mark.parametrize("name", sorted(p.stem for p in SCENARIO_DIR.glob("*.yaml")))
 def test_shipped_scenario_matches_reference(name):
-    got = _content_lines(run_scenario(load_scenario(SCENARIO_DIR / f"{name}.yaml")).render())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        table = run_scenario(load_scenario(SCENARIO_DIR / f"{name}.yaml"))
+    got = _content_lines(table.render())
     want = _content_lines((REFERENCE_DIR / f"{name}.csv").read_text(encoding="utf-8"))
     assert got[0] == want[0], "column header"
     assert len(got) == len(want), "row count"
