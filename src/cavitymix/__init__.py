@@ -47,6 +47,7 @@ _SOURCES = {
     ),
 }
 _MODULE_OF = {name: module for module, names in _SOURCES.items() for name in names}
+_MISSING = object()  # the default of a value type's required field
 
 
 def __getattr__(name: str):
@@ -64,6 +65,57 @@ def __getattr__(name: str):
 
 def __dir__() -> list[str]:
     return sorted({*globals(), *_SOURCES, *_MODULE_OF})
+
+
+class _Value:
+    """Base of the package's immutable value types; it generates no code.
+
+    Fields are a subclass's own non-`ClassVar` annotations; class attributes are defaults.
+    `__post_init__` may normalise one with `object.__setattr__`; `eq=False` means identity.
+    """
+
+    _fields: dict[str, object] = {}  # name: default or _MISSING, in order
+
+    def __init_subclass__(cls, eq: bool = True) -> None:
+        own = {name: vars(cls).get(name, _MISSING) for name, kind in cls.__annotations__.items()
+               if not str(kind).startswith(("ClassVar", "typing.ClassVar"))}
+        cls._fields = {**cls._fields, **own}  # after the bases' fields
+        if not eq:
+            cls.__eq__, cls.__hash__ = object.__eq__, object.__hash__
+
+    def __init__(self, *args, **kwargs) -> None:
+        fields, store = iter(self._fields.items()), object.__setattr__  # vars() would slow reads
+        for value, (name, _) in zip(args, fields):  # args first: no field is skipped
+            if name in kwargs:
+                raise TypeError(f"{type(self).__name__}() got multiple values for {name!r}")
+            store(self, name, value)
+        for name, default in fields:
+            value = kwargs.pop(name, default)
+            if value is _MISSING:
+                raise TypeError(f"{type(self).__name__}() missing argument {name!r}")
+            store(self, name, value)
+        if kwargs or len(args) > len(self._fields):
+            extra = [*kwargs, *args[len(self._fields) :]]
+            raise TypeError(f"{type(self).__name__}() got unexpected arguments {extra}")
+        self.__post_init__()
+
+    def __post_init__(self) -> None:
+        pass
+
+    def __setattr__(self, name: str, value=None) -> None:
+        raise AttributeError(f"{type(self).__name__} field {name!r} cannot change")
+
+    __delattr__ = __setattr__
+
+    def __repr__(self) -> str:
+        items = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({items})"
+
+    def __eq__(self, other):  # an instance holds exactly its fields
+        return vars(self) == vars(other) if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(vars(self).values()))
 
 
 __all__ = ["__version__", *_MODULE_OF]

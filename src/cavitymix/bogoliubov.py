@@ -45,19 +45,20 @@ I(delta) gives for a concatenated profile.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
-from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .profiles import (
-    AccelerationProfile,
-    RigidityReport,
-    _fourier_integrals,
-    _require_rigid,
-    validate_rigidity,
-)
+from . import _Value
 from .spectrum import Cavity1D, _check_modes, omega_diff_matrix, omega_sum_matrix, omega_vector
+
+if TYPE_CHECKING:
+    from .profiles import AccelerationProfile, RigidityReport
+
+# The root imports `profiles` on first access (PEP 562): a catalog run loads no kernel.
+_package = sys.modules[__package__]
 
 FIRST_ORDER_SUP_H = 0.1
 IDENTITY_TOLERANCE = 1e-10
@@ -68,8 +69,7 @@ def _parity_odd_mask(n_max: int) -> np.ndarray:
     return (n[:, None] + n[None, :]) % 2 == 1
 
 
-@dataclass(frozen=True, eq=False)
-class StaticCoefficients:
+class StaticCoefficients(_Value, eq=False):
     """Per-unit-h overlap coefficients of a cavity, with cached frequencies.
 
     The last four fields serve `first_order_map`.  `odd` masks the entries
@@ -128,8 +128,7 @@ def static_coefficients(cavity: Cavity1D) -> StaticCoefficients:
     )
 
 
-@dataclass(frozen=True, eq=False)
-class FirstOrderBogoliubovMap:
+class FirstOrderBogoliubovMap(_Value, eq=False):
     """Linear-order Bogoliubov transformation over one acceleration interval.
 
     `a_hat` and `b_hat` are the perturbations defined above; `phases` holds
@@ -168,7 +167,7 @@ class FirstOrderBogoliubovMap:
 
 def _first_order_drive(report: RigidityReport) -> None:
     """Refuse a non-rigid drive; warn, at the caller's caller, above FIRST_ORDER_SUP_H."""
-    _require_rigid(report)
+    _package.profiles._require_rigid(report)
     if report.sup_h > FIRST_ORDER_SUP_H:
         warnings.warn(
             f"sup |h| = {report.sup_h:.3g} exceeds {FIRST_ORDER_SUP_H}; "
@@ -187,10 +186,10 @@ def first_order_map(
     Raises ValueError when the profile breaks the rigidity bound; warns when
     sup |h| exceeds 0.1, where the neglected O(h^2) terms start to matter.
     """
-    _first_order_drive(validate_rigidity(profile))
+    _first_order_drive(_package.profiles.validate_rigidity(profile))
     cavity = coeffs.cavity
     n_max = cavity.n_max
-    values, estimate = _fourier_integrals(profile._terms(), coeffs.deltas, tol)
+    values, estimate = _package.profiles._fourier_integrals(profile._terms(), coeffs.deltas, tol)
     entries = coeffs.entry_scale * values[coeffs.delta_index]
     half = entries.size // 2
     a_hat = np.zeros((n_max, n_max), dtype=complex)  # even entries are exact parity zeros
@@ -240,8 +239,7 @@ def compose(
     )
 
 
-@dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(_Value):
     """Residuals of the structural identities of a first-order map."""
 
     anti_hermiticity_residual: float

@@ -36,10 +36,10 @@ quantitative well before that point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
+from . import _Value
 from .resonance import (
     displacement_h0,
     paraxial_mixing_growth,
@@ -57,8 +57,7 @@ PARAXIAL_MIN_RATIO = 1e4
 MAX_ELONGATION = 1e3
 
 
-@dataclass(frozen=True)
-class LinearMotion:
+class LinearMotion(_Value):
     """Harmonic oscillation of amplitude `amplitude` (m) along one axis."""
 
     amplitude: float
@@ -71,8 +70,7 @@ class LinearMotion:
             raise ValueError(f"amplitude must be nonnegative, got {self.amplitude}")
 
 
-@dataclass(frozen=True)
-class CircularMotion:
+class CircularMotion(_Value):
     """Circular (dx = dy) or elliptic harmonic motion in the x-y plane (m)."""
 
     dx: float
@@ -84,8 +82,7 @@ class CircularMotion:
                 raise ValueError(f"{name} must be nonnegative, got {value}")
 
 
-@dataclass(frozen=True)
-class ExperimentPlan:
+class ExperimentPlan(_Value):
     """Geometry, stored-quanta wavelength, motion, and the mixed mode pair.
 
     `transverse` holds the inert quantum numbers (n along y, p along z) of
@@ -158,8 +155,7 @@ class ExperimentPlan:
         return self.motion.amplitude if isinstance(self.motion, LinearMotion) else self.motion.dx
 
 
-@dataclass(frozen=True)
-class PlanReport:
+class PlanReport(_Value):
     """Derived predictions; rpm and centripetal only for circular motion.
 
     Particles created in the lowest mode number at most beta_bound_squared

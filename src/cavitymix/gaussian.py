@@ -42,10 +42,10 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
+from . import _Value
 from .bogoliubov import FirstOrderBogoliubovMap, StaticCoefficients, _first_order_drive
 from .profiles import _CHUNK_ELEMENTS, RigidityReport, _check_finite, _rounding_estimate
 from .spectrum import RIGIDITY_BOUND, _check_modes, omega_diff_matrix
@@ -82,8 +82,7 @@ def symplectic_residual(s: np.ndarray) -> float:
     return float(np.max(np.abs(s @ omega @ s.T - omega)))
 
 
-@dataclass(frozen=True, eq=False)
-class CovarianceState:
+class CovarianceState(_Value, eq=False):
     """N-mode Gaussian state with zero first moments: its covariance matrix.
 
     `psd_tol` is the tolerance of the bona-fide check (eigenvalues of
@@ -149,8 +148,7 @@ def apply_symplectic(state: CovarianceState, s: np.ndarray) -> CovarianceState:
     return CovarianceState(sigma=s @ state.sigma @ s.T, psd_tol=tol)
 
 
-@dataclass(frozen=True, eq=False)
-class TwoModeReduction:
+class TwoModeReduction(_Value, eq=False):
     """Reduced 4x4 covariance of one mode pair, labels 1-based."""
 
     pair: tuple[int, int]

@@ -49,10 +49,10 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
+from . import _Value
 from .spectrum import RIGIDITY_BOUND
 
 # Crossover of the small-phase branch, on |z| = |theta|*span of a piece.
@@ -75,15 +75,13 @@ class QuadratureError(RuntimeError):
     """An oscillatory integral could not meet the requested tolerance."""
 
 
-@dataclass(frozen=True)
-class OscillatoryIntegralResult:
+class OscillatoryIntegralResult(_Value):
     value: complex
     error_estimate: float
     evaluations: int
 
 
-@dataclass(frozen=True)
-class RigidityReport:
+class RigidityReport(_Value):
     """Outcome of the strict sup|h| < 2 check."""
 
     ok: bool
@@ -416,13 +414,14 @@ def _cosine_peak(h0, omega_c, phase, a, b) -> tuple[float, float]:
 
     |cos| peaks at the multiples of pi; without one in reach the larger end
     wins, `a` on a tie.  A static drive (omega_c = 0) takes its value at `a`.
+    A peak's time is clamped into [a, b], past which its division can round.
     """
     lo, hi = phase + omega_c * a, phase + omega_c * b
     if omega_c == 0.0:
         return abs(h0 * math.cos(lo)), a
     k = math.ceil(lo / math.pi)
     if k * math.pi <= hi:
-        return abs(h0), (k * math.pi - phase) / omega_c
+        return abs(h0), min(max((k * math.pi - phase) / omega_c, a), b)
     if abs(math.cos(lo)) >= abs(math.cos(hi)):
         return abs(h0 * math.cos(lo)), a
     return abs(h0 * math.cos(hi)), b
@@ -478,8 +477,7 @@ class AccelerationProfile:
             )
 
 
-@dataclass(frozen=True)
-class SinusoidalProfile(AccelerationProfile):
+class SinusoidalProfile(AccelerationProfile, _Value):
     """h(tau) = h0 * cos(omega_c*(tau - tau0) + phase)."""
 
     h0: float
@@ -499,7 +497,7 @@ class SinusoidalProfile(AccelerationProfile):
         if self.h0 == 0.0:
             return 0.0, self.tau0
         sup, t = _cosine_peak(self.h0, self.omega_c, self.phase, 0.0, self.duration)
-        return sup, self.tau0 + t
+        return sup, min(self.tau0 + t, self.tauf)  # tau0 + duration can round past tauf
 
     def restrict(self, a: float, b: float) -> "SinusoidalProfile":
         self._check_restriction(a, b)
@@ -520,8 +518,7 @@ class SinusoidalProfile(AccelerationProfile):
         return t, mu, slice(0, None, 2), slice(1, None, 2), start, np.zeros(2)
 
 
-@dataclass(frozen=True)
-class PiecewiseConstantProfile(AccelerationProfile):
+class PiecewiseConstantProfile(AccelerationProfile, _Value):
     """Constant plateaus h_k held for the listed durations, in order."""
 
     segments: tuple[tuple[float, float], ...]
@@ -571,8 +568,7 @@ class PiecewiseConstantProfile(AccelerationProfile):
         return edges, zeros, slice(0, -1), slice(1, None), values, zeros[1:]
 
 
-@dataclass(frozen=True)
-class RampProfile(AccelerationProfile):
+class RampProfile(AccelerationProfile, _Value):
     """Trapezoid pulse: linear ramp 0 -> h0 over ramp_time, hold, ramp back.
 
     h vanishes at both ends of the interval, so the map coefficients decay
@@ -624,8 +620,7 @@ class RampProfile(AccelerationProfile):
         return np.array(nodes), zeros, slice(0, -1), slice(1, None), np.array(start), np.array(slope)
 
 
-@dataclass(frozen=True, eq=False)
-class SampledProfile(AccelerationProfile):
+class SampledProfile(AccelerationProfile, _Value, eq=False):
     """Piecewise-linear interpolant of (tau, h) samples.
 
     The grid must be strictly increasing; a uniform grid is typical but not
@@ -685,8 +680,7 @@ class SampledProfile(AccelerationProfile):
         return t, np.zeros(t.size), slice(0, -1), slice(1, None), self.h[:-1], slope
 
 
-@dataclass(frozen=True)
-class WindowedSinusoidProfile(AccelerationProfile):
+class WindowedSinusoidProfile(AccelerationProfile, _Value):
     """Sinusoidal drive with raised-cosine switch-on and switch-off ramps.
 
     The envelope rises as (1 - cos(pi*t/W))/2 over the first window_time W,
@@ -744,7 +738,7 @@ class WindowedSinusoidProfile(AccelerationProfile):
         """
         w = self.window_time
         sup, t = _cosine_peak(self.h0, self.omega_c, self.phase, w, self.duration - w)
-        return (sup if self.omega_c == 0.0 else abs(self.h0)), self.tau0 + t
+        return (sup if self.omega_c == 0.0 else abs(self.h0)), min(self.tau0 + t, self.tauf)
 
     def restrict(self, a: float, b: float) -> "AccelerationProfile":
         raise NotImplementedError(

@@ -39,11 +39,11 @@ import enum
 import math
 import operator
 from collections.abc import Iterator
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
+from . import _Value
 from .spectrum import omega_diff_matrix, omega_sum_matrix
 
 if TYPE_CHECKING:
@@ -55,8 +55,7 @@ class ResonanceKind(enum.Enum):
     PARTICLE_CREATION = "particle_creation"
 
 
-@dataclass(frozen=True)
-class ResonanceEntry:
+class ResonanceEntry(_Value):
     """One resonance: drive here and the paired coefficient grows linearly.
 
     `growth_per_h0` is the slope of the coefficient magnitude per unit h0
@@ -70,8 +69,7 @@ class ResonanceEntry:
     growth_per_h0: float
 
 
-@dataclass(frozen=True, eq=False)
-class ResonanceCatalog:
+class ResonanceCatalog(_Value, eq=False):
     """Resonances as read-only columns, one row per resonance.
 
     Rows ascend in (omega_r, kind, m, n), with `kind` holding the

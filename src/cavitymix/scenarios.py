@@ -19,7 +19,7 @@ of bounds, a missing or an unknown field.  Ranges (omega_c, delta_tau) are
 explicit lists or {start, stop, count} grids.  Physics preconditions
 (rigidity, paraxial validity, the pair inside the truncation) are checked
 too, so a failing scenario never starts a computation.  Each kind loads
-into its own frozen dataclass, holding only the fields the kind uses.
+into its own immutable value type, holding only the fields the kind uses.
 Only `spectrum` is imported with this module: a block's class is imported
 when it first builds, and a kind's compute module when the kind runs.
 
@@ -40,14 +40,13 @@ import operator
 import re
 import sys
 import time
-from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, ClassVar
 
 import numpy as np
 import yaml
 
-from . import __version__
+from . import _Value, __version__
 from .spectrum import RIGIDITY_BOUND, Cavity1D
 
 if TYPE_CHECKING:
@@ -91,8 +90,7 @@ class ScenarioError(Exception):
         super().__init__("\n".join(self.diagnostics))
 
 
-@dataclass(frozen=True, eq=False)
-class ResultTable:
+class ResultTable(_Value, eq=False):
     """One column per header name, in header order, plus the CSV metadata."""
 
     columns: dict[str, list | np.ndarray]
@@ -134,8 +132,7 @@ _POSITIVE = ((">", 0.0),)
 _NONNEGATIVE = ((">=", 0.0),)
 
 
-@dataclass(frozen=True)
-class Field:
+class Field(_Value):
     """One row of a field table.
 
     `type` converts the YAML value (raising ValueError) or is a nested
@@ -154,8 +151,7 @@ class Field:
     dest: str = ""
 
 
-@dataclass(frozen=True)
-class Block:
+class Block(_Value):
     """A mapping checked against `fields`, then passed to `build` as keywords.
 
     Without `build` a block yields the dict of its fields that passed.  With
@@ -386,8 +382,7 @@ _OUTPUT = Field("output", Block((
 )), None)
 
 
-@dataclass(frozen=True, eq=False)
-class _Scenario:
+class _Scenario(_Value, eq=False):
     """What every kind carries.
 
     A kind's `blocks` is its top-level field table; the fields of a block
@@ -403,7 +398,6 @@ class _Scenario:
         return []
 
 
-@dataclass(frozen=True, eq=False)
 class EvolveScenario(_Scenario):
     """The first-order map of one profile: one row per ordered mode pair."""
 
@@ -423,7 +417,6 @@ class EvolveScenario(_Scenario):
                 "re_b_hat": b.real, "im_b_hat": b.imag}
 
 
-@dataclass(frozen=True, eq=False)
 class CatalogScenario(_Scenario):
     """Every mixing and creation resonance up to `max_omega`."""
 
@@ -444,7 +437,6 @@ class CatalogScenario(_Scenario):
         return dict(vars(catalog))  # the catalog's fields are the CSV columns, in order
 
 
-@dataclass(frozen=True, eq=False)
 class SweepScenario(_Scenario):
     """The negativity of a squeezed pair over a drive-frequency/duration grid."""
 
@@ -493,7 +485,6 @@ class SweepScenario(_Scenario):
                 "negativity": grid.T.ravel()}
 
 
-@dataclass(frozen=True, eq=False)
 class PlanScenario(_Scenario):
     """The SI figures of a desktop experiment: a single row."""
 
@@ -505,7 +496,7 @@ class PlanScenario(_Scenario):
     def _result(self, tol):
         from .experiment import plan
 
-        report = asdict(plan(self.experiment))
+        report = vars(plan(self.experiment))  # the report's fields are the CSV columns, in order
         return {name: [math.nan if value is None else value] for name, value in report.items()}
 
 

@@ -26,9 +26,10 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
 
 import numpy as np
+
+from . import _Value
 
 _AXES = ("x", "y", "z")
 
@@ -41,8 +42,7 @@ RIGIDITY_BOUND = 2.0
 _SCALE_LIMIT = 1e75
 
 
-@dataclass(frozen=True)
-class Cavity1D:
+class Cavity1D(_Value):
     """Rigid 1+1 Dirichlet cavity: width, field mass, mode truncation."""
 
     length: float
@@ -67,8 +67,7 @@ class Cavity1D:
             )
 
 
-@dataclass(frozen=True)
-class Cavity3D:
+class Cavity3D(_Value):
     """Rigid 3+1 rectangular Dirichlet cavity."""
 
     lx: float

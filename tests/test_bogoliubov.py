@@ -4,7 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from cavitymix import bogoliubov
+from cavitymix import profiles
 from cavitymix.bogoliubov import (
     compose,
     first_order_map,
@@ -175,13 +175,13 @@ def test_map_integrates_each_distinct_delta_once(monkeypatch, mu0):
     cavity = Cavity1D(length=1.0, mu0=mu0, n_max=50)
     coeffs = static_coefficients(cavity)
     asked = []
-    kernel = bogoliubov._fourier_integrals
+    kernel = profiles._fourier_integrals
 
     def recording_kernel(terms, deltas, tol):
         asked.append(np.array(deltas))
         return kernel(terms, deltas, tol)
 
-    monkeypatch.setattr(bogoliubov, "_fourier_integrals", recording_kernel)
+    monkeypatch.setattr(profiles, "_fourier_integrals", recording_kernel)
     map_ = first_order_map(coeffs, prof)
     (deltas,) = asked
     assert np.unique(deltas).size == deltas.size

@@ -36,7 +36,7 @@ def test_import_loads_no_submodule(tmp_path):
 # Per shipped kind, the package modules its run must leave unloaded.
 UNUSED = {
     "evolve_resonant": {"gaussian", "experiment", "resonance"},
-    "catalog_low_band": {"gaussian", "experiment"},
+    "catalog_low_band": {"gaussian", "experiment", "profiles"},
     "negativity_ridge": {"experiment", "resonance"},
     "desktop_linear": {"profiles", "bogoliubov", "gaussian"},
 }
@@ -49,10 +49,11 @@ def test_run_loads_only_its_kinds_modules(tmp_path, scenario):
         "from cavitymix.cli import main\n"
         f"assert main(['run', {str(path)!r}, '--out', 'out.csv']) == 0"
     )
+    modules = loaded_modules(code, tmp_path)
     loaded = {
-        name.removeprefix("cavitymix.")
-        for name in loaded_modules(code, tmp_path)
-        if name.startswith("cavitymix.")
+        name.removeprefix("cavitymix.") for name in modules if name.startswith("cavitymix.")
     }
     assert {"cli", "scenarios", "spectrum"} <= loaded
     assert not loaded & UNUSED[scenario], sorted(loaded)
+    # The value types are plain classes: no run generates dataclass methods.
+    assert "dataclasses" not in modules

@@ -206,6 +206,41 @@ def test_windowed_rigidity_bound_never_under_estimates():
     assert abs(prof.evaluate(report.tau_at_sup)) == pytest.approx(2.01, rel=1e-9)
 
 
+def _peak_at_end_drives(count, seed):
+    """Sinusoids and windowed drives whose cosine peaks where the (plateau's) interval ends."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        tau0, duration = rng.uniform(-50.0, 50.0), rng.uniform(0.1, 20.0)
+        phase, k = rng.uniform(-3.0, 3.0), int(rng.integers(1, 7))
+        yield SinusoidalProfile(0.01, (k * math.pi - phase) / duration, tau0, tau0 + duration, phase)
+        window = rng.uniform(0.01, 0.5) * duration
+        omega_c = (k * math.pi - phase) / (duration - window)
+        yield WindowedSinusoidProfile(0.01, omega_c, window, tau0, tau0 + duration, phase)
+
+
+def test_peak_time_stays_inside_the_interval():
+    # The peak's time (k*pi - phase)/omega_c can round one ulp past the
+    # interval, where evaluate refuses it; the peak value stays |h0|.
+    peaks = [
+        SinusoidalProfile(
+            0.01, 0.2708147413998397, -2.57513396358344, 3.8538390898467556, 1.4005319786585568
+        ),
+        *_peak_at_end_drives(2000, seed=23),
+    ]
+    # tau0 + (tauf - tau0) rounds past tauf; the drive is largest at that end.
+    ends = [
+        SinusoidalProfile(0.01, 1.0, -1.0, 3 * 2.0**-54, 2.0),
+        WindowedSinusoidProfile(0.01, 1.0, 2.0**-60, -1.0, 3 * 2.0**-54, 2.0),
+    ]
+    for prof in peaks + ends:
+        report = validate_rigidity(prof)
+        assert prof.tau0 <= report.tau_at_sup <= prof.tauf, prof
+        value = prof.evaluate(report.tau_at_sup)
+        if isinstance(prof, SinusoidalProfile):
+            assert abs(value) == pytest.approx(report.sup_h, rel=1e-6), prof
+    assert {validate_rigidity(prof).sup_h for prof in peaks} == {0.01}
+
+
 def test_windowed_sup_bounds_every_sample():
     rng = np.random.default_rng(11)
     for _ in range(20):
