@@ -13,7 +13,7 @@ __version__ = "0.1.0"
 # first use is the package's own modules: each public name below is imported
 # from its submodule on first use (PEP 562) and then cached as a module
 # global, so a scenario run loads only the modules of its kind.
-import numpy as _numpy  # noqa: F401
+from numpy import ndarray as _ndarray
 import yaml as _yaml  # noqa: F401
 
 # Each public name by the submodule that defines it.
@@ -72,6 +72,7 @@ class _Value:
 
     Fields are a subclass's own non-`ClassVar` annotations; class attributes are defaults.
     `__post_init__` may normalise one with `object.__setattr__`; `eq=False` means identity.
+    Every ndarray field is read-only once built; copies and pickles rebuild through `__init__`.
     """
 
     _fields: dict[str, object] = {}  # name: default or _MISSING, in order
@@ -98,6 +99,13 @@ class _Value:
             extra = [*kwargs, *args[len(self._fields) :]]
             raise TypeError(f"{type(self).__name__}() got unexpected arguments {extra}")
         self.__post_init__()
+        for name in self._fields:  # not vars(): it would slow every later read
+            value = getattr(self, name)
+            if isinstance(value, _ndarray):
+                value.setflags(False)  # write=False; by keyword it costs twice as much
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self._fields)
 
     def __post_init__(self) -> None:
         pass

@@ -52,7 +52,9 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import _Value
-from .spectrum import Cavity1D, _check_modes, omega_diff_matrix, omega_sum_matrix, omega_vector
+from .spectrum import (
+    DEFAULT_TOL, Cavity1D, _check_modes, omega_diff_matrix, omega_sum_matrix, omega_vector,
+)
 
 if TYPE_CHECKING:
     from .profiles import AccelerationProfile, RigidityReport
@@ -114,8 +116,6 @@ def static_coefficients(cavity: Cavity1D) -> StaticCoefficients:
     beta = np.where(odd, 2.0 * math.pi**2 * mn / (l4 * sums**3 * root), 0.0)
     deltas, delta_index = np.unique(np.concatenate([diffs[odd], sums[odd]]), return_inverse=True)
     entry_scale = 1j * np.concatenate([diffs[odd] * alpha[odd], sums[odd] * beta[odd]])
-    for array in (alpha, beta, omega, odd, deltas, delta_index, entry_scale):
-        array.setflags(write=False)
     return StaticCoefficients(
         cavity=cavity,
         alpha_hat=alpha,
@@ -179,7 +179,7 @@ def _first_order_drive(report: RigidityReport) -> None:
 def first_order_map(
     coeffs: StaticCoefficients,
     profile: AccelerationProfile,
-    tol: float = 1e-10,
+    tol: float = DEFAULT_TOL,
 ) -> FirstOrderBogoliubovMap:
     """Evaluate the first-order map of `profile` on `coeffs.cavity`.
 

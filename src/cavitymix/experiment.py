@@ -36,6 +36,7 @@ quantitative well before that point.
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -55,6 +56,11 @@ PARAXIAL_MIN_RATIO = 1e4
 # beyond m' ~ (driven edge) * sqrt(sum 1/edge^2), the elongation.  Above this
 # elongation the sum needs millions of terms and may not converge at all.
 MAX_ELONGATION = 1e3
+
+
+def _is_label(k) -> bool:
+    """A mode number: an integer >= 1, and not a bool."""
+    return isinstance(k, numbers.Integral) and not isinstance(k, bool) and k >= 1
 
 
 class LinearMotion(_Value):
@@ -111,7 +117,7 @@ class ExperimentPlan(_Value):
                 f"{edge}; need wavelength < edge/{WAVELENGTH_EDGE_FACTOR:g}"
             )
         m, mp = self.pair
-        if m < 1 or mp < 1 or m == mp:
+        if not _is_label(m) or not _is_label(mp) or m == mp:
             raise ValueError(f"pair must be two distinct positive integers, got {self.pair}")
         if (m + mp) % 2 == 0:
             raise ValueError(f"pair difference must be odd, got {self.pair}")
@@ -119,8 +125,8 @@ class ExperimentPlan(_Value):
             object.__setattr__(
                 self, "transverse", (1, max(1, round(2.0 * self.lz / self.wavelength)))
             )
-        if min(self.transverse) < 1:
-            raise ValueError(f"transverse numbers must be >= 1, got {self.transverse}")
+        if not all(map(_is_label, self.transverse)):
+            raise ValueError(f"transverse numbers must be integers >= 1, got {self.transverse}")
         ratio = paraxial_validity_ratio(
             self.wavelength, self.axis_length, self.inplane_length,
             max(self.pair), self.transverse[0],

@@ -48,7 +48,7 @@ import numpy as np
 from . import _Value
 from .bogoliubov import FirstOrderBogoliubovMap, StaticCoefficients, _first_order_drive
 from .profiles import _CHUNK_ELEMENTS, RigidityReport, _check_finite, _rounding_estimate
-from .spectrum import RIGIDITY_BOUND, _check_modes, omega_diff_matrix
+from .spectrum import DEFAULT_TOL, RIGIDITY_BOUND, _check_modes, omega_diff_matrix
 
 SYMMETRY_TOL = 1e-12
 PSD_TOL = 1e-10
@@ -68,10 +68,7 @@ def symplectic_form(n_modes: int) -> np.ndarray:
     """
     if n_modes < 1:
         raise ValueError(f"n_modes must be at least 1, got {n_modes}")
-    omega = np.zeros((2 * n_modes, 2 * n_modes))
-    step = 4 * n_modes + 2  # flat distance from entry (2k, j) to (2k + 2, j + 2)
-    omega.flat[1::step] = 1.0  # Omega[2k, 2k+1]
-    omega.flat[2 * n_modes :: step] = -1.0  # Omega[2k+1, 2k]
+    omega = np.kron(np.eye(n_modes, dtype=int), [[0, 1], [-1, 0]]).astype(float)  # no -0.0
     omega.setflags(write=False)
     return omega
 
@@ -110,7 +107,6 @@ class CovarianceState(_Value, eq=False):
                 f"sigma + i Omega has eigenvalue {bound}, below -{self.psd_tol}: "
                 "not a bona fide Gaussian state"
             )
-        sigma.setflags(write=False)
         object.__setattr__(self, "sigma", sigma)
 
     @property
@@ -269,7 +265,7 @@ def negativity_grid(
     h0: float,
     omega_c_values: np.ndarray,
     delta_tau_values: np.ndarray,
-    tol: float = 1e-10,
+    tol: float = DEFAULT_TOL,
 ) -> np.ndarray:
     """First-order negativity under a cosine drive, over a frequency/duration grid.
 

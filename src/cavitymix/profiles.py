@@ -53,7 +53,7 @@ import math
 import numpy as np
 
 from . import _Value
-from .spectrum import RIGIDITY_BOUND
+from .spectrum import DEFAULT_TOL, RIGIDITY_BOUND
 
 # Crossover of the small-phase branch, on |z| = |theta|*span of a piece.
 # Above it the node form divides differences of unit exponentials, each
@@ -228,7 +228,7 @@ def _node_sum_estimate(t, gap, weights, start, jump, end, q_max, sizes, tol: flo
     return _within(float(0.5 * _EPS * rounding + gap_a1 + q_max * gap_a2), tol)
 
 
-def _fourier_integrals(terms: _Terms, deltas, tol: float = 1e-10) -> tuple[np.ndarray, float]:
+def _fourier_integrals(terms: _Terms, deltas, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, float]:
     """I(delta) for every delta of a batch, and a rounding bound that covers each.
 
     On a uniform chain (`_uniform_chain`) a delta with |delta|*dt >=
@@ -645,8 +645,6 @@ class SampledProfile(AccelerationProfile, _Value, eq=False):
             raise ValueError("sample values h must be finite")
         if not np.all(np.diff(tau) > 0.0):
             raise ValueError("sample grid must be strictly increasing in tau")
-        tau.setflags(write=False)
-        h.setflags(write=False)
         object.__setattr__(self, "tau", tau)
         object.__setattr__(self, "h", h)
 
@@ -717,12 +715,7 @@ class WindowedSinusoidProfile(AccelerationProfile, _Value):
 
     def _envelope(self, t: np.ndarray) -> np.ndarray:
         w, s = self.window_time, self.duration
-        env = np.ones_like(t)
-        rising = t < w
-        falling = t > s - w
-        env = np.where(rising, 0.5 * (1.0 - np.cos(np.pi * t / w)), env)
-        env = np.where(falling, 0.5 * (1.0 - np.cos(np.pi * (s - t) / w)), env)
-        return env
+        return 0.5 * (1.0 - np.cos(np.pi * np.minimum(np.minimum(t, s - t), w) / w))
 
     def _h(self, t):
         return self.h0 * self._envelope(t) * np.cos(self.omega_c * t + self.phase)
@@ -789,7 +782,7 @@ def _require_rigid(report: RigidityReport) -> None:
 
 
 def oscillatory_integral(
-    profile: AccelerationProfile, delta: float, tol: float = 1e-10
+    profile: AccelerationProfile, delta: float, tol: float = DEFAULT_TOL
 ) -> OscillatoryIntegralResult:
     """integral_{tau0}^{tauf} exp(-i*delta*(tau - tau0)) h(tau) dtau.
 

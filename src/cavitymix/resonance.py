@@ -86,10 +86,6 @@ class ResonanceCatalog(_Value, eq=False):
     coefficient: np.ndarray
     growth_per_h0: np.ndarray
 
-    def __post_init__(self):
-        for column in vars(self).values():
-            column.setflags(write=False)
-
     def __len__(self) -> int:
         return self.omega_r.size
 

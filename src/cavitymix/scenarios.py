@@ -47,13 +47,11 @@ import numpy as np
 import yaml
 
 from . import _Value, __version__
-from .spectrum import RIGIDITY_BOUND, Cavity1D
+from .spectrum import DEFAULT_TOL, RIGIDITY_BOUND, Cavity1D
 
 if TYPE_CHECKING:
     from .experiment import ExperimentPlan
     from .profiles import AccelerationProfile
-
-DEFAULT_TOL = 1e-10
 
 # Upper bounds that keep a run finite and its size modest: a map has
 # n_max^2 entries, a sweep count^2 cells, and sinh(squeezing) overflows

@@ -35,6 +35,8 @@ _AXES = ("x", "y", "z")
 
 # The strict bound on sup |h| = sup |aL| that keeps the cavity rigid (see `profiles`).
 RIGIDITY_BOUND = 2.0
+# The default quadrature error tolerance of maps, integrals, grids and scenario runs.
+DEFAULT_TOL = 1e-10
 
 # The static coefficients take fourth powers of the length, the frequencies
 # and the gaps between them; each of those scales must lie within

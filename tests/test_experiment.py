@@ -147,6 +147,10 @@ def test_plan_validation():
                 motion=LinearMotion(amplitude=1e-6),
                 pair=pair,
             )
+    # Mode labels are integers: a float or a bool names no mode.
+    for labels in (dict(pair=(1, 1.5)), dict(pair=(True, 2)), dict(transverse=(1.5, 2))):
+        with pytest.raises(ValueError, match="integers"):
+            ExperimentPlan(600e-9, 0.01, 0.01, 0.01, LinearMotion(1e-6), **labels)
 
 
 def test_transverse_defaults_to_wavelength_scale():

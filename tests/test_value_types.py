@@ -1,14 +1,21 @@
 """The contract every value type of the package keeps.
 
 A value type is built from its fields, positionally or by keyword, with
-defaults for the trailing ones; it is immutable once built, its repr lists
-the fields in order, and it compares either by value (with a matching
-hash) or by identity.
+defaults for the trailing ones; it is immutable once built, its arrays are
+read-only, its repr lists the fields in order, and it compares either by
+value (with a matching hash) or by identity.  Copies and pickles are rebuilt
+through the constructor, so they keep all of this.
 """
+
+import copy
+import importlib
+import pickle
+import pkgutil
 
 import numpy as np
 import pytest
 
+import cavitymix
 from cavitymix.bogoliubov import first_order_map, static_coefficients, verify_first_order_identities
 from cavitymix.experiment import plan
 from cavitymix.gaussian import reduce_to_pair, squeezed_vacuum
@@ -22,7 +29,7 @@ from cavitymix.profiles import (
     validate_rigidity,
 )
 from cavitymix.resonance import catalog_1d
-from cavitymix.scenarios import Field, load_scenario, run_scenario
+from cavitymix.scenarios import Block, Field, load_scenario, run_scenario
 from cavitymix.spectrum import Cavity1D, Cavity3D
 from conftest import SCENARIO_DIR
 
@@ -124,6 +131,11 @@ CASES = {
         "name type default bounds choices dest",
         True,
     ),
+    "Block": (
+        lambda: Block((Field("x", float, 0.0),), dict),  # picklable parts, no lambda
+        "fields build other tag variants check",
+        True,
+    ),
 }
 
 
@@ -148,10 +160,9 @@ def test_value_type_contract(name):
     items = ", ".join(f"{field}={fields[field]!r}" for field in names)
     assert repr(value) == f"{name}({items})"
 
-    head = dict(fields)
-    del head[names[0]]
+    required = [field for field in names if cls._fields[field] is cavitymix._MISSING]
     for args, kwargs in (
-        ((), head),  # the first field missing
+        *(((), {f: v for f, v in fields.items() if f != gone}) for gone in required),  # one missing
         ((), {**fields, "not_a_field": 1}),  # an unknown one
         ((fields[names[0]],), fields),  # the first field twice
         ((*fields.values(), None), {}),  # one positional argument too many
@@ -170,6 +181,36 @@ def test_value_type_contract(name):
         assert by_keyword != value and by_position != value
         assert len({value, by_keyword, by_position}) == 3
     assert value != object()
+
+    # Copies rebuild the same value, and every array field is read-only, as built and in each.
+    for twin in (value, copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        assert repr(twin) == repr(value)
+        assert twin == value or not by_value
+        for field in names:
+            array = getattr(twin, field)
+            if isinstance(array, np.ndarray):
+                assert not array.flags.writeable, field
+                with pytest.raises(ValueError, match="read-only"):
+                    array[...] = array
+    if name == "SampledProfile":  # no copy takes a drive past the rigidity bound unchecked
+        q = SampledProfile([0.0, 1.0], [0.0, 0.01])
+        for twin in (copy.deepcopy(q), pickle.loads(pickle.dumps(q))):
+            with pytest.raises(ValueError, match="read-only"):
+                twin.h[1] = 5.0
+
+
+def _value_types(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _value_types(sub)
+
+
+def test_every_value_type_has_a_case():
+    for module in pkgutil.iter_modules(cavitymix.__path__):
+        if module.name != "__main__":
+            importlib.import_module(f"cavitymix.{module.name}")
+    names = {cls.__name__ for cls in _value_types(cavitymix._Value)} - {"_Scenario"}
+    assert names - set(CASES) == set()
 
 
 def test_omitted_fields_take_their_defaults():
