@@ -99,13 +99,16 @@ class _Value:
             extra = [*kwargs, *args[len(self._fields) :]]
             raise TypeError(f"{type(self).__name__}() got unexpected arguments {extra}")
         self.__post_init__()
-        for name in self._fields:  # not vars(): it would slow every later read
+        for name in self._fields:  # not _asdict(): building the dict costs more
             value = getattr(self, name)
             if isinstance(value, _ndarray):
                 value.setflags(False)  # write=False; by keyword it costs twice as much
 
+    def _asdict(self) -> dict:  # not vars(): it would slow every later read
+        return {name: getattr(self, name) for name in self._fields}
+
     def __reduce__(self):
-        return type(self), tuple(getattr(self, name) for name in self._fields)
+        return type(self), tuple(self._asdict().values())
 
     def __post_init__(self) -> None:
         pass
@@ -116,14 +119,14 @@ class _Value:
     __delattr__ = __setattr__
 
     def __repr__(self) -> str:
-        items = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        items = ", ".join(f"{name}={value!r}" for name, value in self._asdict().items())
         return f"{type(self).__qualname__}({items})"
 
     def __eq__(self, other):  # an instance holds exactly its fields
-        return vars(self) == vars(other) if type(other) is type(self) else NotImplemented
+        return self._asdict() == other._asdict() if type(other) is type(self) else NotImplemented
 
     def __hash__(self) -> int:
-        return hash(tuple(vars(self).values()))
+        return hash(tuple(self._asdict().values()))
 
 
 __all__ = ["__version__", *_MODULE_OF]

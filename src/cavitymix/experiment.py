@@ -36,7 +36,6 @@ quantitative well before that point.
 from __future__ import annotations
 
 import math
-import numbers
 
 import numpy as np
 
@@ -47,7 +46,7 @@ from .resonance import (
     paraxial_mixing_omega,
     paraxial_validity_ratio,
 )
-from .spectrum import RIGIDITY_BOUND, Cavity3D, omega_vector, reduce_to_effective_1d
+from .spectrum import RIGIDITY_BOUND, Cavity3D, _check_pair, omega_vector, reduce_to_effective_1d
 
 C_LIGHT = 2.99792458e8
 WAVELENGTH_EDGE_FACTOR = 100.0
@@ -56,11 +55,6 @@ PARAXIAL_MIN_RATIO = 1e4
 # beyond m' ~ (driven edge) * sqrt(sum 1/edge^2), the elongation.  Above this
 # elongation the sum needs millions of terms and may not converge at all.
 MAX_ELONGATION = 1e3
-
-
-def _is_label(k) -> bool:
-    """A mode number: an integer >= 1, and not a bool."""
-    return isinstance(k, numbers.Integral) and not isinstance(k, bool) and k >= 1
 
 
 class LinearMotion(_Value):
@@ -72,8 +66,8 @@ class LinearMotion(_Value):
     def __post_init__(self):
         if self.axis not in ("x", "y"):
             raise ValueError(f"driven axis must be 'x' or 'y', got {self.axis!r}")
-        if not self.amplitude >= 0.0:
-            raise ValueError(f"amplitude must be nonnegative, got {self.amplitude}")
+        if not 0.0 <= self.amplitude < math.inf:
+            raise ValueError(f"amplitude must be finite and nonnegative, got {self.amplitude}")
 
 
 class CircularMotion(_Value):
@@ -84,8 +78,8 @@ class CircularMotion(_Value):
 
     def __post_init__(self):
         for name, value in (("dx", self.dx), ("dy", self.dy)):
-            if not value >= 0.0:
-                raise ValueError(f"{name} must be nonnegative, got {value}")
+            if not 0.0 <= value < math.inf:
+                raise ValueError(f"{name} must be finite and nonnegative, got {value}")
 
 
 class ExperimentPlan(_Value):
@@ -116,17 +110,12 @@ class ExperimentPlan(_Value):
                 f"wavelength {self.wavelength} is not far below the smallest edge "
                 f"{edge}; need wavelength < edge/{WAVELENGTH_EDGE_FACTOR:g}"
             )
-        m, mp = self.pair
-        if not _is_label(m) or not _is_label(mp) or m == mp:
-            raise ValueError(f"pair must be two distinct positive integers, got {self.pair}")
-        if (m + mp) % 2 == 0:
+        m, mp = _check_pair("pair", self.pair)
+        if (m + mp) % 2 == 0:  # so m != mp too
             raise ValueError(f"pair difference must be odd, got {self.pair}")
-        if self.transverse is None:
-            object.__setattr__(
-                self, "transverse", (1, max(1, round(2.0 * self.lz / self.wavelength)))
-            )
-        if not all(map(_is_label, self.transverse)):
-            raise ValueError(f"transverse numbers must be integers >= 1, got {self.transverse}")
+        default = (1, max(1, round(2.0 * self.lz / self.wavelength)))
+        transverse = default if self.transverse is None else self.transverse
+        object.__setattr__(self, "transverse", _check_pair("transverse", transverse))
         ratio = paraxial_validity_ratio(
             self.wavelength, self.axis_length, self.inplane_length,
             max(self.pair), self.transverse[0],

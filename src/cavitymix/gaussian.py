@@ -48,7 +48,7 @@ import numpy as np
 from . import _Value
 from .bogoliubov import FirstOrderBogoliubovMap, StaticCoefficients, _first_order_drive
 from .profiles import _CHUNK_ELEMENTS, RigidityReport, _check_finite, _rounding_estimate
-from .spectrum import DEFAULT_TOL, RIGIDITY_BOUND, _check_modes, omega_diff_matrix
+from .spectrum import DEFAULT_TOL, RIGIDITY_BOUND, _check_count, _check_modes, omega_diff_matrix
 
 SYMMETRY_TOL = 1e-12
 PSD_TOL = 1e-10
@@ -60,14 +60,13 @@ class SymplecticPairingError(RuntimeError):
     """Eigenvalues of Omega sigma are not pure-imaginary conjugate pairs."""
 
 
-@functools.lru_cache(maxsize=8)
+@functools.lru_cache(maxsize=8, typed=True)  # typed: 2.0 must not hit the entry of 2
 def symplectic_form(n_modes: int) -> np.ndarray:
     """The 2N x 2N symplectic form for the (q1, p1, q2, p2, ...) ordering.
 
     Built once per size and returned read-only.
     """
-    if n_modes < 1:
-        raise ValueError(f"n_modes must be at least 1, got {n_modes}")
+    _check_count("n_modes", n_modes)
     omega = np.kron(np.eye(n_modes, dtype=int), [[0, 1], [-1, 0]]).astype(float)  # no -0.0
     omega.setflags(write=False)
     return omega
@@ -126,6 +125,7 @@ def squeezed_vacuum(n_modes: int, s: float) -> CovarianceState:
     this normalization and not diag(e^{2s}, e^{-2s}).  Each block has unit
     determinant, so the state is pure.
     """
+    _check_count("n_modes", n_modes)
     _check_squeezing(s)
     diag = np.empty(2 * n_modes)
     diag[0::2] = math.exp(s)
@@ -157,8 +157,8 @@ class TwoModeReduction(_Value, eq=False):
 def _quadratures(n_modes: int, pair: tuple[int, int]):
     """np.ix_ index of the (1-based) pair's quadratures (q_m, p_m, q_n, p_n)."""
     m, n = pair
-    _check_modes(n_modes, m, n, distinct=True)
-    idx = [2 * m - 2, 2 * m - 1, 2 * n - 2, 2 * n - 1]
+    i, j = _check_modes(n_modes, m, n, distinct=True)
+    idx = [2 * i, 2 * i + 1, 2 * j, 2 * j + 1]
     return np.ix_(idx, idx)
 
 
@@ -183,8 +183,8 @@ def reduce_to_pair(state: CovarianceState, pair: tuple[int, int]) -> TwoModeRedu
 def symplectic_from_map(map_: FirstOrderBogoliubovMap, pair: tuple[int, int]) -> np.ndarray:
     """4x4 quadrature action of the phase-free map 1 + A, B on the (1-based) pair."""
     m, n = pair
-    _check_modes(map_.cavity.n_max, m, n, distinct=True)
-    modes = np.ix_([m - 1, n - 1], [m - 1, n - 1])
+    i, j = _check_modes(map_.cavity.n_max, m, n, distinct=True)
+    modes = np.ix_([i, j], [i, j])
     return _symplectic(np.eye(2) + map_.a_hat[modes], map_.b_hat[modes])
 
 
@@ -246,9 +246,8 @@ def first_order_negativity(
     that regime (|B| > 0.01 |A|).
     """
     _check_squeezing(s)
-    _check_modes(map_.cavity.n_max, *pair, distinct=True)
-    a = map_.a_entry(*pair)
-    b = map_.b_entry(*pair)
+    entry = _check_modes(map_.cavity.n_max, *pair, distinct=True)
+    a, b = complex(map_.a_hat[entry]), complex(map_.b_hat[entry])
     if abs(b) > B_OVER_A_REGIME * abs(a):
         warnings.warn(
             f"|B{pair}| = {abs(b):.3g} is not negligible against |A{pair}| = "
@@ -295,9 +294,9 @@ def negativity_grid(
     # h0 cos(omega_c t) reaches |h0| at t = 0, whatever the cell.
     _first_order_drive(RigidityReport(abs(h0) < RIGIDITY_BOUND, abs(h0), 0.0))
     m, n = pair
-    _check_modes(coeffs.cavity.n_max, m, n, distinct=True)
-    delta = omega_diff_matrix(coeffs.cavity)[m - 1, n - 1]
-    scale = delta * coeffs.alpha_entry(m, n)
+    entry = _check_modes(coeffs.cavity.n_max, m, n, distinct=True)
+    delta = omega_diff_matrix(coeffs.cavity)[entry]
+    scale = delta * coeffs.alpha_hat[entry]
     # h0 cos(omega_c t) on [0, dtau] is the piece pair (h0/2) exp(+-i omega_c t).
     longest = np.full(2, float(np.max(delta_tau_values)))
     _rounding_estimate(np.full(2, 0.5 * abs(h0)), longest, longest, tol)

@@ -525,6 +525,9 @@ class PiecewiseConstantProfile(AccelerationProfile, _Value):
     tau0: float = 0.0
 
     def __post_init__(self) -> None:
+        for i, segment in enumerate(self.segments):
+            if np.shape(segment) != (2,):
+                raise ValueError(f"segment {i} is not a (duration, h) pair: {segment!r}")
         segs = tuple((float(d), float(h)) for d, h in self.segments)
         if not segs:
             raise ValueError("at least one (duration, h) segment required")

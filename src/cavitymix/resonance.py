@@ -44,7 +44,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import _Value
-from .spectrum import omega_diff_matrix, omega_sum_matrix
+from .spectrum import _check_pair, omega_diff_matrix, omega_sum_matrix
 
 if TYPE_CHECKING:
     from .bogoliubov import StaticCoefficients
@@ -150,6 +150,7 @@ def paraxial_mixing_omega(wavelength: float, length: float, m: int, m_prime: int
     Valid when the transverse momentum 2 pi / lambda dominates the
     longitudinal momenta of both modes; see paraxial_validity_ratio.
     """
+    _check_pair("mode numbers (m, m_prime)", (m, m_prime))
     return math.pi * wavelength * abs(m**2 - m_prime**2) / (4.0 * length**2)
 
 
@@ -161,6 +162,7 @@ def paraxial_mixing_growth(
     This is growth_per_h0 * h0 of the mixing entry with h0 = d omega_c^2 L,
     evaluated in the paraxial limit; per unit proper time in natural units.
     """
+    _check_pair("mode numbers (m, m_prime)", (m, m_prime))
     return math.pi * m * m_prime * displacement * wavelength / (2.0 * length**3)
 
 

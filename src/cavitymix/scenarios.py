@@ -47,7 +47,7 @@ import numpy as np
 import yaml
 
 from . import _Value, __version__
-from .spectrum import DEFAULT_TOL, RIGIDITY_BOUND, Cavity1D
+from .spectrum import DEFAULT_TOL, RIGIDITY_BOUND, Cavity1D, _check_modes, _is_mode_number
 
 if TYPE_CHECKING:
     from .experiment import ExperimentPlan
@@ -124,7 +124,7 @@ class ResultTable(_Value, eq=False):
 _FORMATS = {"U": "%s", "i": "%d", "b": "%d"}
 
 
-_REQUIRED = object()
+_REQUIRED = ...  # a singleton: copies and pickles of a Field keep it
 _SIGNS = {">=": operator.ge, ">": operator.gt, "<=": operator.le}
 _POSITIVE = ((">", 0.0),)
 _NONNEGATIVE = ((">=", 0.0),)
@@ -166,10 +166,6 @@ class Block(_Value):
     check: Callable | None = None
 
 
-def _is_integer(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _number(value) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"must be a number, got {value!r:.40}")
@@ -180,13 +176,13 @@ def _number(value) -> float:
 
 
 def _integer(value) -> int:
-    if not _is_integer(value):
+    if not _is_mode_number(value):
         raise ValueError(f"must be an integer, got {value!r:.40}")
     return value
 
 
 def _pair(value) -> tuple[int, int]:
-    if not (isinstance(value, list) and len(value) == 2 and all(map(_is_integer, value))):
+    if not (isinstance(value, list) and len(value) == 2 and all(map(_is_mode_number, value))):
         raise ValueError(f"must be a pair of integers [m, n], got {value!r:.40}")
     return tuple(value)
 
@@ -341,7 +337,7 @@ _PROFILE = Block(tag="variant", variants={
 }, check=_rigid)
 
 _STATE = Block((
-    Field("pair", _pair, bounds=((">=", 1),)),
+    Field("pair", _pair),
     Field("squeezing", _number, bounds=((">=", 0.0), ("<=", _SQUEEZING_LIMIT))),
 ))
 _RANGE = Block(
@@ -432,7 +428,7 @@ class CatalogScenario(_Scenario):
         from .resonance import catalog_1d
 
         catalog = catalog_1d(static_coefficients(self.cavity), self.max_omega)
-        return dict(vars(catalog))  # the catalog's fields are the CSV columns, in order
+        return catalog._asdict()  # the catalog's fields are the CSV columns, in order
 
 
 class SweepScenario(_Scenario):
@@ -460,12 +456,11 @@ class SweepScenario(_Scenario):
             diags.append(
                 f"sweep.h0: rigidity bound |h| < {RIGIDITY_BOUND:g} violated by amplitude {h0}"
             )
-        if pair is not None and pair[0] == pair[1]:
-            diags.append(f"state.pair: must be two distinct modes, got {list(pair)}")
-        elif pair is not None and cavity is not None and max(pair) > cavity.n_max:
-            diags.append(
-                f"state.pair: mode {max(pair)} outside truncation n_max = {cavity.n_max}"
-            )
+        if pair is not None:
+            try:
+                _check_modes(getattr(cavity, "n_max", math.inf), *pair, distinct=True)
+            except ValueError as exc:
+                diags.append(f"state.pair: {exc}")
         return diags
 
     def _result(self, tol):
@@ -494,7 +489,7 @@ class PlanScenario(_Scenario):
     def _result(self, tol):
         from .experiment import plan
 
-        report = vars(plan(self.experiment))  # the report's fields are the CSV columns, in order
+        report = plan(self.experiment)._asdict()  # its fields are the CSV columns, in order
         return {name: [math.nan if value is None else value] for name, value in report.items()}
 
 

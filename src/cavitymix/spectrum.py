@@ -56,8 +56,7 @@ class Cavity1D(_Value):
             raise ValueError(f"cavity length must be positive, got {self.length}")
         if not self.mu0 >= 0.0:
             raise ValueError(f"field mass mu0 must be nonnegative, got {self.mu0}")
-        if not isinstance(self.n_max, numbers.Integral) or self.n_max < 2:
-            raise ValueError(f"n_max must be an integer >= 2, got {self.n_max}")
+        _check_count("n_max", self.n_max, 2)
         k = math.pi / self.length
         w1, w2 = math.hypot(self.mu0, k), math.hypot(self.mu0, 2.0 * k)
         scales = (self.length, w1, math.hypot(self.mu0, k * self.n_max), 3.0 * k * k / (w1 + w2))
@@ -107,32 +106,43 @@ def reduce_to_effective_1d(
     """
     if axis not in _AXES:
         raise ValueError(f"axis must be one of {_AXES}, got {axis!r}")
-    if len(transverse) != 2:
-        raise ValueError(f"exactly two transverse quantum numbers required, got {transverse!r}")
     edges = {"x": cavity.lx, "y": cavity.ly, "z": cavity.lz}
     perp_axes = [a for a in _AXES if a != axis]
     musq = cavity.mu * cavity.mu
-    for q, perp in zip(transverse, perp_axes):
-        if int(q) != q or q < 1:
-            raise ValueError(
-                f"Dirichlet quantum number transverse {perp} must be an integer >= 1, got {q}"
-            )
+    for q, perp in zip(_check_pair("transverse quantum numbers", transverse), perp_axes):
         k = math.pi * q / edges[perp]
         musq += k * k
     return Cavity1D(length=edges[axis], mu0=math.sqrt(musq), n_max=n_max)
 
 
-def _check_modes(n_max: int, m: int, n: int, distinct: bool = False) -> None:
-    """Refuse 1-based labels outside 1..n_max and, when `distinct`, m == n.
+def _is_mode_number(value) -> bool:
+    """The one rule: an integer (numpy's too), not a bool; labels and counts are >= 1."""
+    # An int first: the isinstance check against the ABC costs about 1 us.
+    return type(value) is int or (isinstance(value, numbers.Integral) and type(value) is not bool)
 
-    Unchecked, label 0 would index mode n_max through numpy's negative
-    indexing and return that mode's figure without an error.
-    """
+
+def _check_count(name: str, value, least: int = 1) -> None:
+    if not (_is_mode_number(value) and value >= least):
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
+def _check_pair(name: str, pair) -> tuple[int, int]:
+    """`pair` when it is exactly two labels; a ValueError naming `name` otherwise."""
+    if np.shape(pair) != (2,) or not all(_is_mode_number(k) and k >= 1 for k in pair):
+        raise ValueError(f"{name} must be two integers >= 1, got {pair!r}")
+    return pair
+
+
+def _check_modes(n_max: int, m: int, n: int, distinct: bool = False) -> tuple[int, int]:
+    """The 0-based indices of labels m, n; unchecked, label 0 would read mode n_max."""
     for k in (m, n):
+        if not _is_mode_number(k):
+            raise ValueError(f"mode {k!r} is not an integer label")
         if not 1 <= k <= n_max:
-            raise ValueError(f"mode {k} outside 1..n_max = {n_max}")
+            raise ValueError(f"mode {k} outside 1..n_max = {n_max}, the truncation")
     if distinct and m == n:
         raise ValueError(f"pair must name two distinct modes, got {(m, n)}")
+    return m - 1, n - 1
 
 
 def omega_vector(cavity: Cavity1D) -> np.ndarray:

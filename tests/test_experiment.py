@@ -124,14 +124,16 @@ def test_plan_validation():
         ExperimentPlan(
             wavelength=9e-5, lx=0.01, ly=0.01, lz=0.01, motion=LinearMotion(amplitude=1e-6)
         )
-    for amplitude in (-1e-6, math.nan):
+    for amplitude in (-1e-6, math.nan, math.inf):
         with pytest.raises(ValueError, match="amplitude"):
             desktop(LinearMotion(amplitude=amplitude))
     with pytest.raises(ValueError):
         desktop(LinearMotion(amplitude=1e-6, axis="z"))
-    for dx in (-1e-3, math.nan):
+    for dx in (-1e-3, math.nan, math.inf):
         with pytest.raises(ValueError, match="dx"):
             desktop(CircularMotion(dx=dx, dy=1e-3))
+    with pytest.raises(ValueError, match="dy must be finite"):
+        desktop(CircularMotion(dx=1e-3, dy=math.inf))
     for name in ("wavelength", "lx"):
         edges = dict(wavelength=600e-9, lx=0.01, ly=0.01, lz=0.01)
         edges[name] = math.nan
@@ -151,6 +153,15 @@ def test_plan_validation():
     for labels in (dict(pair=(1, 1.5)), dict(pair=(True, 2)), dict(transverse=(1.5, 2))):
         with pytest.raises(ValueError, match="integers"):
             ExperimentPlan(600e-9, 0.01, 0.01, 0.01, LinearMotion(1e-6), **labels)
+
+
+@pytest.mark.parametrize(
+    "field, value", [("transverse", (1,)), ("transverse", ()), ("transverse", (2, 3, 4)),
+                     ("transverse", 7), ("pair", (1, 2, 3)), ("pair", None)],
+)
+def test_plan_refuses_a_label_pair_of_the_wrong_shape_by_field(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be two integers"):
+        ExperimentPlan(600e-9, 0.01, 0.01, 0.01, LinearMotion(1e-6), **{field: value})
 
 
 def test_transverse_defaults_to_wavelength_scale():

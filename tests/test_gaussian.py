@@ -48,6 +48,15 @@ def test_symplectic_form_blocks():
     assert np.array_equal(omega, expected)
 
 
+def test_mode_counts_are_integers_of_at_least_one():
+    symplectic_form(2)  # cached: the cache must not hand 2.0 or 2.5 this entry
+    for count in (2.5, 2.0, True, 0):
+        with pytest.raises(ValueError, match="n_modes must be an integer >= 1"):
+            symplectic_form(count)
+        with pytest.raises(ValueError, match="n_modes must be an integer >= 1"):
+            squeezed_vacuum(count, 1.0)
+
+
 def test_vacuum_is_identity_with_unit_spectrum():
     state = squeezed_vacuum(3, 0.0)
     assert np.array_equal(state.sigma, np.eye(6))

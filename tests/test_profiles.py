@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -74,6 +75,10 @@ def test_piecewise_constant_validation():
         PiecewiseConstantProfile(segments=())
     with pytest.raises(ValueError):
         PiecewiseConstantProfile(segments=((0.0, 1.0),))
+    # A segment that is not a (duration, h) pair is named by its index.
+    for segments, bad in ((((1.0,),), 0), (((1.0, 1e-3), (1.0, 2.0, 3.0)), 1), ((1.0, 2.0), 0)):
+        with pytest.raises(ValueError, match=re.escape(f"segment {bad} is not a (duration, h)")):
+            PiecewiseConstantProfile(segments=segments)
     with pytest.raises(ValueError, match="tauf > tau0"):
         PiecewiseConstantProfile(segments=((1.0, 1e-3),), tau0=math.nan)
     with pytest.raises(ValueError, match="interval must be finite"):

@@ -489,6 +489,8 @@ def sweep(omega_c, delta_tau):
         (PLAN + "  pair: 3\n", "experiment.pair", ""),
         (PLAN + "  pair: [1, x]\n", "experiment.pair", ""),
         (PLAN + "  transverse: 7\n", "experiment.transverse", ""),
+        (SWEEP.replace("pair: [1, 2]", "pair: [0, 1]"), "state.pair", "outside 1..n_max = 4"),
+        (SWEEP.replace("pair: [1, 2]", "pair: [2, 2]"), "state.pair", "distinct"),
         (SWEEP.replace("h0: 1.0e-3", "h0: .nan"), "sweep.h0", ""),
         (sweep("[.nan]", "[5.0]"), "sweep.omega_c", ""),
         (SWEEP.replace("squeezing: 0.5", "squeezing: .inf"), "state.squeezing", ""),
@@ -518,6 +520,8 @@ def sweep(omega_c, delta_tau):
         "plan-pair-scalar",
         "plan-pair-text",
         "plan-transverse-scalar",
+        "sweep-pair-zero",
+        "sweep-pair-equal",
         "sweep-h0-nan",
         "range-list-nan",
         "squeezing-inf",

@@ -104,6 +104,10 @@ def test_quantum_number_validation():
         reduce_to_effective_1d(cav, axis="x", transverse=(1.5, 1))
     with pytest.raises(ValueError, match="quantum number"):
         reduce_to_effective_1d(cav, axis="y", transverse=(1, -2))
+    # A bool or a float names no quantum number, even where it equals one.
+    for transverse in ((True, 2), (2.0, 1), (1,), (1, 2, 3)):
+        with pytest.raises(ValueError, match="quantum number"):
+            reduce_to_effective_1d(cav, axis="z", transverse=transverse)
 
 
 def test_cavity_validation():

@@ -29,7 +29,7 @@ from cavitymix.profiles import (
     validate_rigidity,
 )
 from cavitymix.resonance import catalog_1d
-from cavitymix.scenarios import Block, Field, load_scenario, run_scenario
+from cavitymix.scenarios import Block, Field, _check, load_scenario, run_scenario
 from cavitymix.spectrum import Cavity1D, Cavity3D
 from conftest import SCENARIO_DIR
 
@@ -147,7 +147,7 @@ def test_value_type_contract(name):
     assert cls.__name__ == name
     names = names.split()
     fields = {field: getattr(value, field) for field in names}
-    # The instance holds exactly its fields, in order: `vars()` readers rely on it.
+    # The instance holds exactly its fields, in order, and nothing else.
     assert list(vars(value)) == names
 
     for attribute in (names[0], "not_a_field"):
@@ -174,7 +174,7 @@ def test_value_type_contract(name):
     assert repr(by_keyword) == repr(by_position) == repr(value)
     if by_value:
         assert by_keyword == by_position == value
-        assert hash(by_keyword) == hash(by_position) == hash(value)
+        assert hash(by_keyword) == hash(by_position) == hash(value) == hash((*fields.values(),))
         assert not value != by_keyword
     else:
         assert value == value and hash(value) == hash(value)
@@ -219,3 +219,9 @@ def test_omitted_fields_take_their_defaults():
     report = validate_rigidity(_drive())
     assert report.bound == 2.0
     assert Field("x", float).dest == ""
+    # A field without a default stays required in a copy and a pickle.
+    required = Field("x", float)
+    for twin in (required, copy.deepcopy(required), pickle.loads(pickle.dumps(required))):
+        diags = []
+        assert _check({}, (twin,), "", diags) == {}
+        assert diags == ["x: required field missing"]
