@@ -91,10 +91,10 @@ class StaticCoefficients(_Value, eq=False):
     entry_scale: np.ndarray
 
     def alpha_entry(self, m: int, n: int) -> float:
-        return float(self.alpha_hat[_check_modes(self.cavity.n_max, m, n)])
+        return float(self.alpha_hat[_check_modes(self.cavity.n_max, (m, n))])
 
     def beta_entry(self, m: int, n: int) -> float:
-        return float(self.beta_hat[_check_modes(self.cavity.n_max, m, n)])
+        return float(self.beta_hat[_check_modes(self.cavity.n_max, (m, n))])
 
 
 def static_coefficients(cavity: Cavity1D) -> StaticCoefficients:
@@ -147,10 +147,10 @@ class FirstOrderBogoliubovMap(_Value, eq=False):
         return self.tauf - self.tau0
 
     def a_entry(self, m: int, n: int) -> complex:
-        return complex(self.a_hat[_check_modes(self.cavity.n_max, m, n)])
+        return complex(self.a_hat[_check_modes(self.cavity.n_max, (m, n))])
 
     def b_entry(self, m: int, n: int) -> complex:
-        return complex(self.b_hat[_check_modes(self.cavity.n_max, m, n)])
+        return complex(self.b_hat[_check_modes(self.cavity.n_max, (m, n))])
 
     def alpha_matrix(self) -> np.ndarray:
         """Full alpha = exp(i w dtau) (1 + A)."""

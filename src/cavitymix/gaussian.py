@@ -72,9 +72,21 @@ def symplectic_form(n_modes: int) -> np.ndarray:
     return omega
 
 
+def _quadrature_matrix(name: str, value) -> tuple[np.ndarray, np.ndarray]:
+    """`value` as a new float array, and its symplectic form; finite, square and even-sized."""
+    try:
+        matrix = np.array(value, dtype=float)
+    except (TypeError, ValueError):  # ragged rows, or entries that are not numbers
+        matrix = np.empty(0)
+    square = matrix.ndim == 2 and matrix.shape[0] == matrix.shape[1] and matrix.shape[0] % 2 == 0
+    if not (square and np.isfinite(matrix).all()):
+        raise ValueError(f"{name} must be a finite, square, even-sized matrix, got {value!r:.60}")
+    return matrix, symplectic_form(matrix.shape[0] // 2)
+
+
 def symplectic_residual(s: np.ndarray) -> float:
     """Max-norm deviation of S Omega S^T from Omega."""
-    omega = symplectic_form(s.shape[0] // 2)
+    s, omega = _quadrature_matrix("transformation", s)
     return float(np.max(np.abs(s @ omega @ s.T - omega)))
 
 
@@ -90,16 +102,11 @@ class CovarianceState(_Value, eq=False):
     psd_tol: float = PSD_TOL
 
     def __post_init__(self):
-        sigma = np.array(self.sigma, dtype=float)
-        if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1] or sigma.shape[0] % 2:
-            raise ValueError(f"covariance must be square of even size, got {sigma.shape}")
-        if not np.all(np.isfinite(sigma)):
-            raise ValueError("covariance matrix must be finite")
+        sigma, omega = _quadrature_matrix("covariance", self.sigma)
         if not 0.0 <= self.psd_tol < math.inf:
             raise ValueError(f"psd_tol must be finite and nonnegative, got {self.psd_tol}")
         if not np.max(np.abs(sigma - sigma.T)) <= SYMMETRY_TOL:
             raise ValueError("covariance matrix is not symmetric")
-        omega = symplectic_form(sigma.shape[0] // 2)
         bound = float(np.min(np.linalg.eigvalsh(sigma + 1j * omega)))
         if not -bound <= self.psd_tol:
             raise ValueError(
@@ -135,7 +142,7 @@ def squeezed_vacuum(n_modes: int, s: float) -> CovarianceState:
 
 def apply_symplectic(state: CovarianceState, s: np.ndarray) -> CovarianceState:
     """Transform sigma -> S sigma S^T."""
-    s = np.asarray(s, dtype=float)
+    s, _ = _quadrature_matrix("transformation", s)
     if s.shape != state.sigma.shape:
         raise ValueError(
             f"transformation shape {s.shape} does not match state {state.sigma.shape}"
@@ -156,8 +163,7 @@ class TwoModeReduction(_Value, eq=False):
 
 def _quadratures(n_modes: int, pair: tuple[int, int]):
     """np.ix_ index of the (1-based) pair's quadratures (q_m, p_m, q_n, p_n)."""
-    m, n = pair
-    i, j = _check_modes(n_modes, m, n, distinct=True)
+    i, j = _check_modes(n_modes, pair, distinct=True)
     idx = [2 * i, 2 * i + 1, 2 * j, 2 * j + 1]
     return np.ix_(idx, idx)
 
@@ -182,8 +188,7 @@ def reduce_to_pair(state: CovarianceState, pair: tuple[int, int]) -> TwoModeRedu
 
 def symplectic_from_map(map_: FirstOrderBogoliubovMap, pair: tuple[int, int]) -> np.ndarray:
     """4x4 quadrature action of the phase-free map 1 + A, B on the (1-based) pair."""
-    m, n = pair
-    i, j = _check_modes(map_.cavity.n_max, m, n, distinct=True)
+    i, j = _check_modes(map_.cavity.n_max, pair, distinct=True)
     modes = np.ix_([i, j], [i, j])
     return _symplectic(np.eye(2) + map_.a_hat[modes], map_.b_hat[modes])
 
@@ -204,13 +209,8 @@ def symplectic_eigenvalues(sigma: np.ndarray) -> np.ndarray:
     conjugate pairs to PAIRING_TOL, which signals a non-covariance input.
     Returned ascending, one value per mode.
     """
-    sigma = np.asarray(sigma, dtype=float)
-    if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1] or sigma.shape[0] % 2:
-        raise ValueError(f"expected a square even-sized matrix, got {sigma.shape}")
-    if not np.all(np.isfinite(sigma)):
-        raise ValueError("matrix must be finite")
-    n = sigma.shape[0] // 2
-    eigs = np.linalg.eigvals(symplectic_form(n) @ sigma)
+    sigma, omega = _quadrature_matrix("matrix", sigma)
+    eigs = np.linalg.eigvals(omega @ sigma)
     scale = max(1.0, float(np.max(np.abs(eigs))))
     worst_real = float(np.max(np.abs(eigs.real)))
     if not worst_real <= PAIRING_TOL * scale:
@@ -224,7 +224,7 @@ def symplectic_eigenvalues(sigma: np.ndarray) -> np.ndarray:
         raise SymplecticPairingError(
             f"eigenvalues of Omega sigma fail conjugate pairing by {mismatch}"
         )
-    return imag[n:]
+    return imag[imag.size // 2 :]
 
 
 def negativity(sigma_red: np.ndarray) -> float:
@@ -246,7 +246,7 @@ def first_order_negativity(
     that regime (|B| > 0.01 |A|).
     """
     _check_squeezing(s)
-    entry = _check_modes(map_.cavity.n_max, *pair, distinct=True)
+    entry = _check_modes(map_.cavity.n_max, pair, distinct=True)
     a, b = complex(map_.a_hat[entry]), complex(map_.b_hat[entry])
     if abs(b) > B_OVER_A_REGIME * abs(a):
         warnings.warn(
@@ -293,8 +293,7 @@ def negativity_grid(
         raise ValueError(f"durations must be positive, got {delta_tau_values.min()}")
     # h0 cos(omega_c t) reaches |h0| at t = 0, whatever the cell.
     _first_order_drive(RigidityReport(abs(h0) < RIGIDITY_BOUND, abs(h0), 0.0))
-    m, n = pair
-    entry = _check_modes(coeffs.cavity.n_max, m, n, distinct=True)
+    entry = _check_modes(coeffs.cavity.n_max, pair, distinct=True)
     delta = omega_diff_matrix(coeffs.cavity)[entry]
     scale = delta * coeffs.alpha_hat[entry]
     # h0 cos(omega_c t) on [0, dtau] is the piece pair (h0/2) exp(+-i omega_c t).

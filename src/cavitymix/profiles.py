@@ -53,7 +53,7 @@ import math
 import numpy as np
 
 from . import _Value
-from .spectrum import DEFAULT_TOL, RIGIDITY_BOUND
+from .spectrum import DEFAULT_TOL, RIGIDITY_BOUND, _is_two
 
 # Crossover of the small-phase branch, on |z| = |theta|*span of a piece.
 # Above it the node form divides differences of unit exponentials, each
@@ -129,8 +129,8 @@ def _small_phase(z, span, start, slope=None):
 
 
 def _within(estimate: float, tol: float) -> float:
-    """`estimate`, or `QuadratureError` when it exceeds `tol`."""
-    if estimate > tol:
+    """`estimate`, or `QuadratureError` when it exceeds `tol` or either is NaN."""
+    if not estimate <= tol:
         raise QuadratureError(
             f"rounding-level error estimate {estimate:.3e} exceeds requested tolerance {tol:.3e}"
         )
@@ -525,17 +525,15 @@ class PiecewiseConstantProfile(AccelerationProfile, _Value):
     tau0: float = 0.0
 
     def __post_init__(self) -> None:
-        for i, segment in enumerate(self.segments):
-            if np.shape(segment) != (2,):
-                raise ValueError(f"segment {i} is not a (duration, h) pair: {segment!r}")
-        segs = tuple((float(d), float(h)) for d, h in self.segments)
-        if not segs:
+        if len(self.segments) == 0:
             raise ValueError("at least one (duration, h) segment required")
-        for i, (d, h) in enumerate(segs):
-            if not d > 0.0:
-                raise ValueError(f"segment {i} duration must be positive, got {d}")
-            _require_finite(f"segment {i} value h", h)
-        object.__setattr__(self, "segments", segs)
+        for i, segment in enumerate(self.segments):
+            if not (_is_two(segment) and all(map(np.isscalar, segment))):
+                raise ValueError(f"segment {i} is not a (duration, h) pair: {segment!r}")
+            if not float(segment[0]) > 0.0:
+                raise ValueError(f"segment {i} duration must be positive, got {segment[0]}")
+            _require_finite(f"segment {i} value h", float(segment[1]))
+        object.__setattr__(self, "segments", tuple((float(d), float(h)) for d, h in self.segments))
         self._check_interval()
 
     @property
@@ -571,7 +569,26 @@ class PiecewiseConstantProfile(AccelerationProfile, _Value):
         return edges, zeros, slice(0, -1), slice(1, None), values, zeros[1:]
 
 
-class RampProfile(AccelerationProfile, _Value):
+class _Linear(AccelerationProfile):
+    """Linear between the nodes `_nodes()` lists as (tau, h), tau absolute and nondecreasing."""
+
+    def _h(self, t):
+        return np.interp(t + self.tau0, *self._nodes())
+
+    def sup_abs(self) -> tuple[float, float]:
+        tau, h = self._nodes()
+        idx = int(np.argmax(np.abs(h)))
+        return float(abs(h[idx])), float(tau[idx])
+
+    def restrict(self, a: float, b: float) -> "SampledProfile":
+        self._check_restriction(a, b)
+        tau, h = self._nodes()
+        # Knots that round to one float, as a ramp's two corners can, merge.
+        knots = np.unique(np.concatenate([[a], tau[(tau > a) & (tau < b)], [b]]))
+        return SampledProfile(tau=knots, h=np.interp(knots, tau, h))
+
+
+class RampProfile(_Linear, _Value):
     """Trapezoid pulse: linear ramp 0 -> h0 over ramp_time, hold, ramp back.
 
     h vanishes at both ends of the interval, so the map coefficients decay
@@ -594,25 +611,6 @@ class RampProfile(AccelerationProfile, _Value):
                 f"interval of length {self.duration} cannot hold two ramps of {self.ramp_time}"
             )
 
-    def _breakpoints(self) -> np.ndarray:
-        s = self.duration
-        return np.unique([0.0, self.ramp_time, s - self.ramp_time, s])
-
-    def _h(self, t):
-        r, s = self.ramp_time, self.duration
-        return self.h0 * np.minimum(1.0, np.minimum(t / r, (s - t) / r))
-
-    def sup_abs(self) -> tuple[float, float]:
-        return abs(self.h0), self.tau0 + self.ramp_time
-
-    def restrict(self, a: float, b: float) -> "SampledProfile":
-        self._check_restriction(a, b)
-        nodes = [a] + [
-            self.tau0 + t for t in self._breakpoints() if a < self.tau0 + t < b
-        ] + [b]
-        nodes_arr = np.array(nodes)
-        return SampledProfile(tau=nodes_arr, h=np.asarray(self.evaluate(nodes_arr)))
-
     def _terms(self) -> _Terms:
         r, s, h0 = self.ramp_time, self.duration, self.h0
         if s > 2.0 * r:  # ramp up, hold, ramp down
@@ -622,8 +620,12 @@ class RampProfile(AccelerationProfile, _Value):
         zeros = np.zeros(len(nodes))
         return np.array(nodes), zeros, slice(0, -1), slice(1, None), np.array(start), np.array(slope)
 
+    def _nodes(self) -> tuple[np.ndarray, np.ndarray]:
+        t, _, _, _, start, _ = self._terms()
+        return self.tau0 + t, np.append(start, 0.0)  # h is back to 0 at tauf
 
-class SampledProfile(AccelerationProfile, _Value, eq=False):
+
+class SampledProfile(_Linear, _Value, eq=False):
     """Piecewise-linear interpolant of (tau, h) samples.
 
     The grid must be strictly increasing; a uniform grid is typical but not
@@ -659,19 +661,8 @@ class SampledProfile(AccelerationProfile, _Value, eq=False):
     def tauf(self) -> float:  # type: ignore[override]
         return float(self.tau[-1])
 
-    def _h(self, t):
-        return np.interp(t + self.tau0, self.tau, self.h)
-
-    def sup_abs(self) -> tuple[float, float]:
-        idx = int(np.argmax(np.abs(self.h)))
-        return float(abs(self.h[idx])), float(self.tau[idx])
-
-    def restrict(self, a: float, b: float) -> "SampledProfile":
-        self._check_restriction(a, b)
-        inner = (self.tau > a) & (self.tau < b)
-        tau = np.concatenate([[a], self.tau[inner], [b]])
-        h = np.interp(tau, self.tau, self.h)
-        return SampledProfile(tau=tau, h=h)
+    def _nodes(self) -> tuple[np.ndarray, np.ndarray]:
+        return self.tau, self.h
 
     def _terms(self) -> _Terms:
         # Panel k is one piece, h = h_k + slope_k * (t - t_k) on [t_k, t_{k+1}].

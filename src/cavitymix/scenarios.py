@@ -458,7 +458,7 @@ class SweepScenario(_Scenario):
             )
         if pair is not None:
             try:
-                _check_modes(getattr(cavity, "n_max", math.inf), *pair, distinct=True)
+                _check_modes(getattr(cavity, "n_max", math.inf), pair, distinct=True)
             except ValueError as exc:
                 diags.append(f"state.pair: {exc}")
         return diags

@@ -126,16 +126,25 @@ def _check_count(name: str, value, least: int = 1) -> None:
         raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
+def _is_two(value) -> bool:
+    """A tuple, list or 1-d array of two items, whatever the items are."""
+    shape = (len(value),) if isinstance(value, (tuple, list)) else getattr(value, "shape", None)
+    return shape == (2,)
+
+
 def _check_pair(name: str, pair) -> tuple[int, int]:
     """`pair` when it is exactly two labels; a ValueError naming `name` otherwise."""
-    if np.shape(pair) != (2,) or not all(_is_mode_number(k) and k >= 1 for k in pair):
+    if not (_is_two(pair) and all(_is_mode_number(k) and k >= 1 for k in pair)):
         raise ValueError(f"{name} must be two integers >= 1, got {pair!r}")
     return pair
 
 
-def _check_modes(n_max: int, m: int, n: int, distinct: bool = False) -> tuple[int, int]:
-    """The 0-based indices of labels m, n; unchecked, label 0 would read mode n_max."""
-    for k in (m, n):
+def _check_modes(n_max: int, pair, distinct: bool = False) -> tuple[int, int]:
+    """The 0-based indices of the labels (m, n) of `pair`; unchecked, 0 would read mode n_max."""
+    if not _is_two(pair):
+        raise ValueError(f"pair must be two mode labels, got {pair!r}")
+    m, n = pair
+    for k in pair:
         if not _is_mode_number(k):
             raise ValueError(f"mode {k!r} is not an integer label")
         if not 1 <= k <= n_max:

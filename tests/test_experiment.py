@@ -157,7 +157,8 @@ def test_plan_validation():
 
 @pytest.mark.parametrize(
     "field, value", [("transverse", (1,)), ("transverse", ()), ("transverse", (2, 3, 4)),
-                     ("transverse", 7), ("pair", (1, 2, 3)), ("pair", None)],
+                     ("transverse", 7), ("pair", (1, 2, 3)), ("pair", None),
+                     ("transverse", (1, (2, 3)))],
 )
 def test_plan_refuses_a_label_pair_of_the_wrong_shape_by_field(field, value):
     with pytest.raises(ValueError, match=f"^{field} must be two integers"):

@@ -95,6 +95,11 @@ def test_rotations_preserve_vacuum_and_spectrum():
 
 def test_symplectic_residual_flags_non_symplectic():
     assert symplectic_residual(np.diag([2.0, 1.0])) == pytest.approx(1.0)
+    # A transformation is a finite, square, even-sized matrix, as a covariance is.
+    with pytest.raises(ValueError, match="transformation must be a finite, square"):
+        symplectic_residual(np.ones(4))
+    with pytest.raises(ValueError, match="transformation must be a finite, square"):
+        apply_symplectic(squeezed_vacuum(1, 1.0), [[1, 0], [0]])
 
 
 def test_two_mode_squeezed_textbook_values():
@@ -332,7 +337,7 @@ def test_negativity_grid_near_the_resonance_column_matches_exact():
 @pytest.mark.parametrize(
     "pair, match",
     [((0, 1), "outside"), ((1, 0), "outside"), ((5, 1), "outside"), ((1, 5), "outside"),
-     ((2, 2), "distinct")],
+     ((2, 2), "distinct"), ((1, 2, 3), "pair"), ((1,), "pair")],
 )
 @pytest.mark.parametrize(
     "entry_point",

@@ -1,3 +1,4 @@
+import functools
 import math
 import re
 import warnings
@@ -5,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from cavitymix.bogoliubov import first_order_map, static_coefficients
+from cavitymix.bogoliubov import compose, first_order_map, static_coefficients
 from cavitymix.gaussian import negativity_grid
 from cavitymix.profiles import (
     _SMALL_PHASE,
@@ -76,7 +77,12 @@ def test_piecewise_constant_validation():
     with pytest.raises(ValueError):
         PiecewiseConstantProfile(segments=((0.0, 1.0),))
     # A segment that is not a (duration, h) pair is named by its index.
-    for segments, bad in ((((1.0,),), 0), (((1.0, 1e-3), (1.0, 2.0, 3.0)), 1), ((1.0, 2.0), 0)):
+    for segments, bad in (
+        (((1.0,),), 0),
+        (((1.0, 1e-3), (1.0, 2.0, 3.0)), 1),
+        ((1.0, 2.0), 0),
+        (((1.0, 0.1), (1.0, (2.0, 3.0))), 1),  # ragged: numpy cannot shape it
+    ):
         with pytest.raises(ValueError, match=re.escape(f"segment {bad} is not a (duration, h)")):
             PiecewiseConstantProfile(segments=segments)
     with pytest.raises(ValueError, match="tauf > tau0"):
@@ -367,6 +373,16 @@ def test_quadrature_error_signalling():
             oscillatory_integral(fast, 1.0)
     res = oscillatory_integral(prof, 1.0)
     assert 0.0 < res.error_estimate < 1e-12
+    # NaN compares False with every bound, so a NaN tolerance must fail closed.
+    coeffs = static_coefficients(Cavity1D(length=1.0, mu0=0.0, n_max=4))
+    grid_axes = (np.array([1.0]), np.array([10.0]))
+    for call in (
+        lambda: oscillatory_integral(prof, 1.0, tol=math.nan),
+        lambda: first_order_map(coeffs, prof, tol=math.nan),
+        lambda: negativity_grid(coeffs, (1, 2), 1.0, 0.05, *grid_axes, tol=math.nan),
+    ):
+        with pytest.raises(QuadratureError, match="exceeds requested tolerance nan"):
+            call()
 
 
 @pytest.mark.parametrize(
@@ -520,6 +536,41 @@ def test_ramp_and_its_resampled_trapezoid_agree():
     ramp_values, ramp_bound = _fourier_integrals(ramp._terms(), deltas)
     sampled_values, sampled_bound = _fourier_integrals(trapezoid._terms(), deltas)
     assert np.all(np.abs(ramp_values - sampled_values) <= ramp_bound + sampled_bound)
+
+
+# A ramp whose corners tau0 + r and tau0 + (s - r) round to one float, and
+# one whose slopes a table derived from node differences would make 0/0.
+_CORNER_RAMPS = (
+    RampProfile(1e-3, 0.1, 3.3, 3.3 + 2 * 0.1),
+    RampProfile(0.023719549044852545, 1.736249592976162, 3.2710120640480085, 6.743511250000333),
+)
+
+
+def test_restricted_pieces_compose_back_to_the_whole_map():
+    # Consecutive pieces of a drive compose to the drive's map: the segment
+    # composition behind the periodic drives, checked by criterion 11 at 1e-9.
+    rng = np.random.default_rng(22)
+    coeffs = static_coefficients(Cavity1D(length=1.0, mu0=0.5, n_max=6))
+    uniform = np.linspace(0.5, 9.5, 150)
+    jittered = np.concatenate([[0.5], np.sort(rng.uniform(0.5, 9.5, 148)), [9.5]])
+    profiles = [
+        SinusoidalProfile(0.05, 2.1, 0.5, 9.5, phase=0.3),
+        PiecewiseConstantProfile(((2.0, 0.04), (3.5, -0.03), (3.5, 0.02)), tau0=0.5),
+        RampProfile(0.04, 1.3, 0.5, 9.5),
+        *_CORNER_RAMPS,
+        *(SampledProfile(tau, 0.05 * np.sin(tau) ** 2) for tau in (uniform, jittered)),
+    ]
+    for prof in profiles:
+        whole = first_order_map(coeffs, prof)
+        for _ in range(3):
+            cuts = np.sort(rng.uniform(prof.tau0, prof.tauf, rng.integers(1, 4)))
+            edges = [prof.tau0, *cuts, prof.tauf]
+            pieces = (first_order_map(coeffs, prof.restrict(a, b)) for a, b in zip(edges, edges[1:]))
+            joined = functools.reduce(compose, pieces)
+            assert np.max(np.abs(joined.alpha_matrix() - whole.alpha_matrix())) <= 1e-12
+            assert np.max(np.abs(joined.beta_matrix() - whole.beta_matrix())) <= 1e-12
+    with pytest.raises(NotImplementedError):
+        WindowedSinusoidProfile(0.05, 2.1, 1.0, 0.5, 9.5).restrict(2.0, 5.0)
 
 
 def _node_table_sizes(prof):
