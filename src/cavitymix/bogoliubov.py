@@ -10,9 +10,14 @@ overlap coefficients per unit dimensionless acceleration are
                       / (L^4 (w_m + w_n)^3 sqrt(w_m w_n)).
 
 Both vanish identically when m + n is even, are dimensionless, and depend
-on (mu0, L) only through mu0 * L.  alpha_hat is antisymmetric, beta_hat
-symmetric.  The frequency differences come from the cancellation-safe
-`spectrum.omega_diff_matrix`.
+on (mu0, L) only through mu0 * L.  They are computed on the odd entries
+alone, the row-major list that `spectrum._odd_entries` builds once per
+n_max, from one frequency vector and the cancellation-safe differences of
+`spectrum._gaps`, and scattered into zeroed matrices.  beta_hat is exactly
+symmetric.  alpha_hat is antisymmetric only to rounding: the differences
+are exactly antisymmetric, but numpy's x**3 of a negative x is not always
+exactly -(|x|**3), so alpha_hat[n, m] can differ from -alpha_hat[m, n] in
+the last bit, and a reader that wants one value per pair reads m < n.
 
 First-order map.  To linear order in h(tau), evolution from tau0 to tauf
 factors into free phases times a perturbation,
@@ -39,7 +44,8 @@ Composition.  Consecutive maps combine to first order as
     B[m, n] <- B1[m, n] + exp(-i (w_m + w_n) dtau1) B2[m, n],
 
 with the free phases adding, which is also what the interval additivity of
-I(delta) gives for a concatenated profile.
+I(delta) gives for a concatenated profile.  Only the odd entries move;
+`compose` refuses a map whose parity zeros are not zero.
 """
 
 from __future__ import annotations
@@ -52,9 +58,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import _Value
-from .spectrum import (
-    DEFAULT_TOL, Cavity1D, _check_modes, omega_diff_matrix, omega_sum_matrix, omega_vector,
-)
+from .spectrum import DEFAULT_TOL, Cavity1D, _check_modes, _gaps, _odd_entries, omega_vector
 
 if TYPE_CHECKING:
     from .profiles import AccelerationProfile, RigidityReport
@@ -66,19 +70,16 @@ FIRST_ORDER_SUP_H = 0.1
 IDENTITY_TOLERANCE = 1e-10
 
 
-def _parity_odd_mask(n_max: int) -> np.ndarray:
-    n = np.arange(1, n_max + 1)
-    return (n[:, None] + n[None, :]) % 2 == 1
-
-
 class StaticCoefficients(_Value, eq=False):
     """Per-unit-h overlap coefficients of a cavity, with cached frequencies.
 
-    The last four fields serve `first_order_map`.  `odd` masks the entries
-    with m + n odd; over them, in that order, the A entries and then the B
-    entries read the integral `deltas[delta_index]` times `entry_scale`,
-    i (w_m - w_n) alpha_hat or i (w_m + w_n) beta_hat.  `deltas` holds each
-    distinct delta once, sorted.
+    The last four fields serve `first_order_map` and `catalog_1d`.  `odd`
+    masks the entries with m + n odd (the cached mask of `_odd_entries`);
+    over them, in row-major order, the A entries and then the B entries
+    read the integral `deltas[delta_index]` times `entry_scale`,
+    i (w_m - w_n) alpha_hat or i (w_m + w_n) beta_hat, so
+    `deltas[delta_index]` is w_m - w_n and then w_m + w_n over that list.
+    `deltas` holds each distinct delta once, sorted.
     """
 
     cavity: Cavity1D
@@ -100,24 +101,29 @@ class StaticCoefficients(_Value, eq=False):
 def static_coefficients(cavity: Cavity1D) -> StaticCoefficients:
     """Evaluate alpha_hat and beta_hat for all modes up to cavity.n_max."""
     n_max = cavity.n_max
+    odd, rows, cols, flat = _odd_entries(n_max)
     omega = omega_vector(cavity)
-    diffs = omega_diff_matrix(cavity)
-    sums = omega_sum_matrix(cavity)
-    n = np.arange(1, n_max + 1, dtype=float)
-    mn = n[:, None] * n[None, :]
-    odd = _parity_odd_mask(n_max)
-    root = np.sqrt(omega[:, None] * omega[None, :])
+    diffs, sums = _gaps(cavity, omega, rows, cols)
+    deltas, delta_index = np.unique(np.concatenate([diffs, sums]), return_inverse=True)
+    # x**3 is a pow call, the costliest step: take it once per distinct
+    # delta, 3/4 of the entries (w_m + w_n = w_n + w_m), or about 4 n_max in
+    # all on a massless cavity.
+    diffs_cubed, sums_cubed = (deltas**3)[delta_index].reshape(2, -1)
+    mn = (rows + 1.0) * (cols + 1.0)
+    root = np.sqrt(omega[rows] * omega[cols])
     l4 = cavity.length**4
 
-    safe_diffs = np.where(odd, diffs, 1.0)
-    alpha = np.where(odd, -2.0 * math.pi**2 * mn / (l4 * safe_diffs**3 * root), 0.0)
-    beta = np.where(odd, 2.0 * math.pi**2 * mn / (l4 * sums**3 * root), 0.0)
-    deltas, delta_index = np.unique(np.concatenate([diffs[odd], sums[odd]]), return_inverse=True)
-    entry_scale = 1j * np.concatenate([diffs[odd] * alpha[odd], sums[odd] * beta[odd]])
+    alpha_odd = -2.0 * math.pi**2 * mn / (l4 * diffs_cubed * root)
+    beta_odd = 2.0 * math.pi**2 * mn / (l4 * sums_cubed * root)
+    alpha = np.zeros(n_max * n_max)  # even entries are exact parity zeros
+    beta = np.zeros(n_max * n_max)
+    alpha[flat] = alpha_odd
+    beta[flat] = beta_odd
+    entry_scale = 1j * np.concatenate([diffs * alpha_odd, sums * beta_odd])
     return StaticCoefficients(
         cavity=cavity,
-        alpha_hat=alpha,
-        beta_hat=beta,
+        alpha_hat=alpha.reshape(n_max, n_max),
+        beta_hat=beta.reshape(n_max, n_max),
         omega=omega,
         odd=odd,
         deltas=deltas,
@@ -187,19 +193,19 @@ def first_order_map(
     n_max = cavity.n_max
     values, estimate = _package.profiles._fourier_integrals(profile._terms(), coeffs.deltas, tol)
     entries = coeffs.entry_scale * values[coeffs.delta_index]
-    half = entries.size // 2
-    a_hat = np.zeros((n_max, n_max), dtype=complex)  # even entries are exact parity zeros
-    b_hat = np.zeros((n_max, n_max), dtype=complex)
-    a_hat[coeffs.odd] = entries[:half]
-    b_hat[coeffs.odd] = entries[half:]
+    flat = _odd_entries(n_max)[3]
+    a_hat = np.zeros(n_max * n_max, dtype=complex)  # even entries are exact parity zeros
+    b_hat = np.zeros(n_max * n_max, dtype=complex)
+    a_hat[flat] = entries[: flat.size]
+    b_hat[flat] = entries[flat.size :]
     worst = estimate * float(np.max(np.abs(coeffs.entry_scale)))
     duration = profile.tauf - profile.tau0
     return FirstOrderBogoliubovMap(
         cavity=cavity,
         tau0=profile.tau0,
         tauf=profile.tauf,
-        a_hat=a_hat,
-        b_hat=b_hat,
+        a_hat=a_hat.reshape(n_max, n_max),
+        b_hat=b_hat.reshape(n_max, n_max),
         phases=coeffs.omega * duration,
         quadrature_error=worst,
     )
@@ -219,17 +225,28 @@ def compose(
             f"second map starts at tau = {second.tau0}, first ends at tau = {first.tauf}"
         )
     cavity = first.cavity
-    diffs = omega_diff_matrix(cavity)
-    sums = omega_sum_matrix(cavity)
+    n_max = cavity.n_max
+    odd, rows, cols, flat = _odd_entries(n_max)
+    # Only the odd entries are advanced: a map that is not zero elsewhere
+    # did not come from `first_order_map`, and would lose those entries.
+    blocks = (first.a_hat, first.b_hat, second.a_hat, second.b_hat)
+    if any(np.any(block[~odd]) for block in blocks):
+        raise ValueError(
+            "maps to compose must keep the parity zeros: every entry with m + n even is 0"
+        )
+    a1, b1, a2, b2 = (block.ravel()[flat] for block in blocks)
+    diffs, sums = _gaps(cavity, omega_vector(cavity), rows, cols)
     dtau1 = first.duration
-    a_hat = first.a_hat + np.exp(-1j * diffs * dtau1) * second.a_hat
-    b_hat = first.b_hat + np.exp(-1j * sums * dtau1) * second.b_hat
+    a_hat = np.zeros(n_max * n_max, dtype=complex)
+    b_hat = np.zeros(n_max * n_max, dtype=complex)
+    a_hat[flat] = a1 + np.exp(-1j * diffs * dtau1) * a2
+    b_hat[flat] = b1 + np.exp(-1j * sums * dtau1) * b2
     return FirstOrderBogoliubovMap(
         cavity=cavity,
         tau0=first.tau0,
         tauf=second.tauf,
-        a_hat=a_hat,
-        b_hat=b_hat,
+        a_hat=a_hat.reshape(n_max, n_max),
+        b_hat=b_hat.reshape(n_max, n_max),
         phases=first.phases + second.phases,
         quadrature_error=first.quadrature_error + second.quadrature_error,
     )
@@ -259,7 +276,7 @@ def verify_first_order_identities(map_: FirstOrderBogoliubovMap) -> IdentityRepo
     """
     anti = float(np.max(np.abs(map_.a_hat + map_.a_hat.conj().T)))
     sym = float(np.max(np.abs(map_.b_hat - map_.b_hat.T)))
-    even = ~_parity_odd_mask(map_.cavity.n_max)
+    even = ~_odd_entries(map_.cavity.n_max)[0]
     parity = float(
         max(np.max(np.abs(map_.a_hat[even])), np.max(np.abs(map_.b_hat[even])))
     )

@@ -48,7 +48,7 @@ import numpy as np
 from . import _Value
 from .bogoliubov import FirstOrderBogoliubovMap, StaticCoefficients, _first_order_drive
 from .profiles import _CHUNK_ELEMENTS, RigidityReport, _check_finite, _rounding_estimate
-from .spectrum import DEFAULT_TOL, RIGIDITY_BOUND, _check_count, _check_modes, omega_diff_matrix
+from .spectrum import DEFAULT_TOL, RIGIDITY_BOUND, _check_count, _check_modes, _gaps
 
 SYMMETRY_TOL = 1e-12
 PSD_TOL = 1e-10
@@ -195,11 +195,12 @@ def symplectic_from_map(map_: FirstOrderBogoliubovMap, pair: tuple[int, int]) ->
 
 def partial_transpose(sigma_red: np.ndarray) -> np.ndarray:
     """P sigma P with P = diag(1, 1, 1, -1): time reversal of the second mode."""
-    sigma_red = np.asarray(sigma_red, dtype=float)
-    if sigma_red.shape != (4, 4):
-        raise ValueError(f"partial transpose expects a 4x4 covariance, got {sigma_red.shape}")
-    p = np.diag([1.0, 1.0, 1.0, -1.0])
-    return p @ sigma_red @ p
+    flipped, _ = _quadrature_matrix("covariance", sigma_red)
+    if flipped.shape != (4, 4):
+        raise ValueError(f"partial transpose expects a 4x4 covariance, got {flipped.shape}")
+    flipped[3] *= -1.0
+    flipped[:, 3] *= -1.0
+    return flipped
 
 
 def symplectic_eigenvalues(sigma: np.ndarray) -> np.ndarray:
@@ -294,7 +295,7 @@ def negativity_grid(
     # h0 cos(omega_c t) reaches |h0| at t = 0, whatever the cell.
     _first_order_drive(RigidityReport(abs(h0) < RIGIDITY_BOUND, abs(h0), 0.0))
     entry = _check_modes(coeffs.cavity.n_max, pair, distinct=True)
-    delta = omega_diff_matrix(coeffs.cavity)[entry]
+    delta = float(_gaps(coeffs.cavity, coeffs.omega, *entry)[0])
     scale = delta * coeffs.alpha_hat[entry]
     # h0 cos(omega_c t) on [0, dtau] is the piece pair (h0/2) exp(+-i omega_c t).
     longest = np.full(2, float(np.max(delta_tau_values)))

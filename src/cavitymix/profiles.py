@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 
 import numpy as np
 
@@ -281,10 +282,13 @@ def _piece_integrals(terms: _Terms, deltas: np.ndarray, tol: float) -> tuple[np.
         reach = span / _SMALL_PHASE  # |1/theta| beyond which a piece takes the small-phase branch
         for first in range(0, deltas.shape[0], rows):
             chunk = deltas[first : first + rows]
-            theta = mu - chunk
+            # Node-major when the chunk holds more deltas than the table has
+            # nodes: every temporary keeps theta's order, so numpy's inner
+            # loops run along the longer axis.
+            theta = np.subtract(mu, chunk, order="F" if chunk.size > t.size else "C")
             inverse = 1.0 / theta[:, lo]
             theta *= t
-            nodes = np.empty(theta.shape, dtype=complex)
+            nodes = np.empty_like(theta, dtype=complex)
             np.cos(theta, out=nodes.real)
             np.sin(theta, out=nodes.imag)
             ea, eb = nodes[:, lo], nodes[:, hi]
@@ -396,6 +400,11 @@ def _check_finite(values: np.ndarray) -> None:
         raise QuadratureError("not finite: a phase or term of the profile exceeds float range")
 
 
+def _is_real(value) -> bool:
+    """A real number, numpy's too; not a bool, a string or bytes that float() would read."""
+    return type(value) is float or (isinstance(value, numbers.Real) and type(value) is not bool)
+
+
 def _require_finite(name: str, value: float) -> None:
     if not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value}")
@@ -470,6 +479,18 @@ class AccelerationProfile:
         if not -math.inf < self.tau0 < self.tauf < math.inf:
             raise ValueError(f"profile interval must be finite, got [{self.tau0}, {self.tauf}]")
 
+    def _check_room(self, width: float, what: str) -> None:
+        """Refuse an interval too short for two edges of `width`, one at each end.
+
+        An interval built as tau0 + 2*width can round a few ulps short of
+        2*width; it passes, and the table then lets the two edges meet.
+        """
+        slack = 4.0 * math.ulp(max(abs(self.tau0), abs(self.tauf)))
+        if not self.duration >= 2.0 * width - slack:
+            raise ValueError(
+                f"interval of length {self.duration} cannot hold two {what} of {width}"
+            )
+
     def _check_restriction(self, a: float, b: float) -> None:
         if not (self.tau0 <= a < b <= self.tauf):
             raise ValueError(
@@ -528,7 +549,7 @@ class PiecewiseConstantProfile(AccelerationProfile, _Value):
         if len(self.segments) == 0:
             raise ValueError("at least one (duration, h) segment required")
         for i, segment in enumerate(self.segments):
-            if not (_is_two(segment) and all(map(np.isscalar, segment))):
+            if not (_is_two(segment) and all(map(_is_real, segment))):
                 raise ValueError(f"segment {i} is not a (duration, h) pair: {segment!r}")
             if not float(segment[0]) > 0.0:
                 raise ValueError(f"segment {i} duration must be positive, got {segment[0]}")
@@ -593,7 +614,7 @@ class RampProfile(_Linear, _Value):
 
     h vanishes at both ends of the interval, so the map coefficients decay
     like 1/(ramp_time * delta^2) and vanish in the adiabatic limit.
-    Requires tauf - tau0 >= 2 * ramp_time.
+    Requires tauf - tau0 >= 2 * ramp_time, to within a few ulps of the ends.
     """
 
     h0: float
@@ -606,10 +627,7 @@ class RampProfile(_Linear, _Value):
         _require_finite("h0", self.h0)
         if not self.ramp_time > 0.0:
             raise ValueError(f"ramp_time must be positive, got {self.ramp_time}")
-        if self.duration < 2.0 * self.ramp_time:
-            raise ValueError(
-                f"interval of length {self.duration} cannot hold two ramps of {self.ramp_time}"
-            )
+        self._check_room(self.ramp_time, "ramps")
 
     def _terms(self) -> _Terms:
         r, s, h0 = self.ramp_time, self.duration, self.h0
@@ -679,7 +697,7 @@ class WindowedSinusoidProfile(AccelerationProfile, _Value):
     holds at 1, and falls symmetrically over the last W.  Smooth switching
     removes the 1/delta jump contributions of a sharply gated drive; the
     window parameters are a modelling choice, not tied to any measurement.
-    Requires tauf - tau0 >= 2 * window_time.
+    Requires tauf - tau0 >= 2 * window_time, to within a few ulps of the ends.
     """
 
     h0: float
@@ -694,10 +712,7 @@ class WindowedSinusoidProfile(AccelerationProfile, _Value):
         _check_drive(self.h0, self.omega_c, self.phase)
         if not self.window_time > 0.0:
             raise ValueError(f"window_time must be positive, got {self.window_time}")
-        if self.duration < 2.0 * self.window_time:
-            raise ValueError(
-                f"interval of length {self.duration} cannot hold two windows of {self.window_time}"
-            )
+        self._check_room(self.window_time, "windows")
         if not math.isfinite(math.pi / self.window_time * self.duration):
             raise ValueError(
                 "window phase pi/window_time * duration is beyond floating-point range"

@@ -16,10 +16,12 @@ the factor 1/2 coming from the cosine amplitude convention.  Off resonance
 both coefficients stay bounded uniformly in the duration.
 
 `catalog_1d` lists these resonances as a `ResonanceCatalog`: read-only
-columns built by array operations and ordered by one lexsort, with no
-Python object per resonance, so its cost is O(n_max^2 log n_max) array
-work.  Indexing or iterating the catalog builds a `ResonanceEntry` for
-each row it reaches.
+columns read from the coefficient table of `static_coefficients` (the
+frequencies w_m -+ w_n of the odd pairs m < n and their alpha_hat,
+beta_hat), with no spectrum matrix rebuilt and no Python object per
+resonance, and put in order by one stable sort on the frequency; its cost
+is O(n_max^2 log n_max) array work.  Indexing or iterating the catalog
+builds a `ResonanceEntry` for each row it reaches.
 
 The paraxial helpers cover a transversally loaded rectangular cavity whose
 quanta have wavelength lambda much smaller than the edges: the transverse
@@ -44,7 +46,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import _Value
-from .spectrum import _check_pair, omega_diff_matrix, omega_sum_matrix
+from .spectrum import _check_pair, _odd_entries
 
 if TYPE_CHECKING:
     from .bogoliubov import StaticCoefficients
@@ -109,26 +111,33 @@ def catalog_1d(coeffs: StaticCoefficients, max_omega: float) -> ResonanceCatalog
     """All resonances of a 1D cavity with omega_r up to max_omega, ascending.
 
     The odd pairs m < n give the mixing rows and then the creation rows;
-    the rows within max_omega are put in order by one lexsort.
+    the rows within max_omega are put in order by one stable sort.
     """
     if not max_omega > 0.0:
         raise ValueError(f"max_omega must be positive, got {max_omega}")
-    cavity = coeffs.cavity
-    pairs = np.triu(coeffs.odd)  # odd m + n, m < n
-    rows, cols = np.nonzero(pairs)
-    # mixing sits at w_n - w_m for m < n: the transposed difference matrix
-    omega = np.concatenate([omega_diff_matrix(cavity).T[pairs], omega_sum_matrix(cavity)[pairs]])
-    coefficient = np.abs(np.concatenate([coeffs.alpha_hat[pairs], coeffs.beta_hat[pairs]]))
-    kinds = [ResonanceKind.MODE_MIXING.value, ResonanceKind.PARTICLE_CREATION.value]
-    kind = np.repeat(kinds, rows.size)
-    m, n = np.tile(rows + 1, 2), np.tile(cols + 1, 2)
+    _, rows, cols, flat = _odd_entries(coeffs.cavity.n_max)
+    upper = np.flatnonzero(rows < cols)  # the pairs m < n, in (m, n) order
+    # The coefficient table holds w_m - w_n and then w_m + w_n over the odd
+    # entries.  Mixing sits at w_n - w_m for m < n: the negated difference,
+    # exact since the differences are exactly antisymmetric.
+    below, total = coeffs.deltas[coeffs.delta_index.reshape(2, -1)[:, upper]]
+    omega = np.concatenate([-below, total])
     keep = np.flatnonzero(omega <= max_omega)
-    keep = keep[np.lexsort((n[keep], m[keep], kind[keep], omega[keep]))]
-    omega, coefficient = omega[keep], coefficient[keep]
+    # The rows stand in (kind, m, n) order, mixing first, so a stable sort on
+    # omega_r alone puts them in (omega_r, kind, m, n) order.
+    keep = keep[np.argsort(omega[keep], kind="stable")]
+    creation, pair = np.divmod(keep, upper.size)
+    entry = upper[pair]
+    # alpha_hat is antisymmetric only to rounding: read it at m < n.
+    at = flat[entry]
+    coefficient = np.abs(
+        np.where(creation, coeffs.beta_hat.ravel()[at], coeffs.alpha_hat.ravel()[at])
+    )
+    omega = omega[keep]
     return ResonanceCatalog(
-        kind=kind[keep],
-        m=m[keep],
-        n=n[keep],
+        kind=np.array([kind.value for kind in ResonanceKind])[creation],
+        m=rows[entry] + 1,
+        n=cols[entry] + 1,
         omega_r=omega,
         coefficient=coefficient,
         growth_per_h0=omega * coefficient / 2.0,

@@ -16,14 +16,20 @@ The spectrum comes only as arrays: `omega_vector` holds (w_1, ...,
 w_{n_max}), `omega_diff_matrix` and `omega_sum_matrix` every difference
 and sum of two of them.  Frequency differences w_m - w_n are needed deep
 inside resonance denominators where the two frequencies can agree to many
-digits (large effective mass).  `omega_diff_matrix` is the
-cancellation-safe form: it evaluates each difference as
-(k_m^2 - k_n^2) / (w_m + w_n), which stays accurate when the direct
-subtraction would cancel.
+digits (large effective mass).  `_gaps` is the one formula for both, at
+any set of entries, and its difference is the cancellation-safe form: it
+evaluates each one as (k_m^2 - k_n^2) / (w_m + w_n), which stays accurate
+when the direct subtraction would cancel.
+
+Only the entries with m + n odd couple under a rigid drive.
+`_odd_entries` lists them once per mode count, in row-major order, and
+every first-order quantity (coefficients, maps, catalogs) is computed on
+that list alone rather than on n_max x n_max matrices.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 
@@ -160,15 +166,44 @@ def omega_vector(cavity: Cavity1D) -> np.ndarray:
     return np.hypot(cavity.mu0, k)
 
 
+def _gaps(cavity: Cavity1D, omega: np.ndarray, rows, cols) -> tuple[np.ndarray, np.ndarray]:
+    """(w_m - w_n, w_m + w_n) at the 0-based indices rows, cols, which broadcast.
+
+    `omega` is `omega_vector(cavity)`.  The difference is (k_m^2 - k_n^2) /
+    (w_m + w_n), exactly antisymmetric: each operation rounds the same way
+    for (m, n) and (n, m), up to sign.
+    """
+    m, n = rows + 1.0, cols + 1.0
+    total = omega[rows] + omega[cols]
+    return (np.pi / cavity.length) ** 2 * (m - n) * (m + n) / total, total
+
+
 def omega_diff_matrix(cavity: Cavity1D) -> np.ndarray:
     """Matrix D[i, j] = w_{i+1} - w_{j+1}, cancellation-safe."""
-    omega = omega_vector(cavity)
-    n = np.arange(1, cavity.n_max + 1, dtype=float)
-    ksq = (np.pi / cavity.length) ** 2 * (n[:, None] - n[None, :]) * (n[:, None] + n[None, :])
-    return ksq / (omega[:, None] + omega[None, :])
+    index = np.arange(cavity.n_max)
+    return _gaps(cavity, omega_vector(cavity), index[:, None], index[None, :])[0]
 
 
 def omega_sum_matrix(cavity: Cavity1D) -> np.ndarray:
     """Matrix S[i, j] = w_{i+1} + w_{j+1}."""
-    omega = omega_vector(cavity)
-    return omega[:, None] + omega[None, :]
+    index = np.arange(cavity.n_max)
+    return _gaps(cavity, omega_vector(cavity), index[:, None], index[None, :])[1]
+
+
+@functools.lru_cache(maxsize=4)
+def _odd_entries(n_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(odd, rows, cols, flat) of the n_max x n_max entries with m + n odd; read-only.
+
+    `odd` is the boolean mask; rows, cols and flat = rows * n_max + cols are
+    the 0-based positions of its entries in row-major order, the order of
+    `matrix[odd]`.  Built once per mode count and shared by every cavity:
+    an entry holds index arrays alone, 13 * n_max**2 bytes (53 KB at
+    n_max = 64), so the cache stays small.
+    """
+    odd = np.zeros((n_max, n_max), dtype=bool)
+    odd[::2, 1::2] = odd[1::2, ::2] = True
+    flat = np.flatnonzero(odd)
+    table = (odd, *np.divmod(flat, n_max), flat)
+    for array in table:
+        array.setflags(write=False)
+    return table

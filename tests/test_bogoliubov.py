@@ -4,7 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from cavitymix import profiles
+from cavitymix import profiles, spectrum
 from cavitymix.bogoliubov import (
     compose,
     first_order_map,
@@ -12,12 +12,15 @@ from cavitymix.bogoliubov import (
     verify_first_order_identities,
 )
 from cavitymix.profiles import (
+    PiecewiseConstantProfile,
     QuadratureError,
+    RampProfile,
     SampledProfile,
     SinusoidalProfile,
+    WindowedSinusoidProfile,
     oscillatory_integral,
 )
-from cavitymix.spectrum import Cavity1D, omega_diff_matrix, omega_sum_matrix
+from cavitymix.spectrum import Cavity1D, omega_diff_matrix, omega_sum_matrix, omega_vector
 from conftest import exact_oscillatory, simpson_oscillatory
 
 ALPHA_12 = 2.0 * math.sqrt(2.0) / math.pi**2
@@ -313,3 +316,127 @@ def test_bogoliubov_identity_residual_scales_quadratically():
     fine = residuals(1e-3)
     assert coarse < 1e-3
     assert coarse / fine == pytest.approx(4.0, rel=0.2)
+
+
+# The odd-entry table against the full-matrix formulas it replaced: every
+# coefficient, map entry and composition must come out bit for bit the same.
+
+
+def seeded_cavities(seed, count):
+    """Massless and massive cavities over three decades of length, n_max 2 to 70."""
+    rng = np.random.default_rng(seed)
+    for k in range(count):
+        mu0 = 0.0 if k % 2 == 0 else float(10.0 ** rng.uniform(-2.0, 3.0))
+        length = float(10.0 ** rng.uniform(-1.0, 1.0))
+        yield Cavity1D(length=length, mu0=mu0, n_max=int(rng.integers(2, 71))), rng
+
+
+def reference_coefficients(cavity):
+    """(odd, omega, alpha_hat, beta_hat, deltas, delta_index, entry_scale) over full matrices."""
+    n = np.arange(1, cavity.n_max + 1, dtype=float)
+    odd = (n[:, None] + n[None, :]) % 2 == 1
+    omega = omega_vector(cavity)
+    diffs, sums = omega_diff_matrix(cavity), omega_sum_matrix(cavity)
+    mn = n[:, None] * n[None, :]
+    root = np.sqrt(omega[:, None] * omega[None, :])
+    l4 = cavity.length**4
+    safe_diffs = np.where(odd, diffs, 1.0)
+    alpha = np.where(odd, -2.0 * math.pi**2 * mn / (l4 * safe_diffs**3 * root), 0.0)
+    beta = np.where(odd, 2.0 * math.pi**2 * mn / (l4 * sums**3 * root), 0.0)
+    deltas, delta_index = np.unique(np.concatenate([diffs[odd], sums[odd]]), return_inverse=True)
+    entry_scale = 1j * np.concatenate([diffs[odd] * alpha[odd], sums[odd] * beta[odd]])
+    return odd, omega, alpha, beta, deltas, delta_index, entry_scale
+
+
+def reference_map(coeffs, profile):
+    """(a_hat, b_hat) from the full-matrix formulas and the kernel's integrals."""
+    cavity = coeffs.cavity
+    odd = reference_coefficients(cavity)[0]
+    values, _ = profiles._fourier_integrals(profile._terms(), coeffs.deltas)
+    blocks = []
+    for freqs, hat in (
+        (omega_diff_matrix(cavity), coeffs.alpha_hat),
+        (omega_sum_matrix(cavity), coeffs.beta_hat),
+    ):
+        integral = values[np.searchsorted(coeffs.deltas, freqs[odd])]
+        block = np.zeros((cavity.n_max, cavity.n_max), dtype=complex)
+        block[odd] = 1j * (freqs[odd] * hat[odd]) * integral
+        blocks.append(block)
+    return blocks
+
+
+def assert_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def test_coefficients_match_the_full_matrix_formulas_bit_for_bit():
+    fields = ("odd", "omega", "alpha_hat", "beta_hat", "deltas", "delta_index", "entry_scale")
+    for cavity, _ in seeded_cavities(31, 120):
+        coeffs = static_coefficients(cavity)
+        for field, want in zip(fields, reference_coefficients(cavity)):
+            assert_bits(getattr(coeffs, field), want)
+
+
+def drives(rng, w):
+    """The four analytic variants, weak and near the (1, 2) mixing line."""
+    duration = float(rng.uniform(5.0, 30.0)) / w[0]
+    h0, omega_c, phase = 1e-3, float(w[1] - w[0]), float(rng.uniform(0.0, 2.0 * math.pi))
+    segments = zip(rng.dirichlet(np.ones(8)) * duration, rng.uniform(-h0, h0, 8))
+    return (
+        SinusoidalProfile(h0, omega_c, 0.0, duration, phase),
+        RampProfile(h0, float(rng.uniform(0.1, 0.5)) * duration, 0.0, duration),
+        WindowedSinusoidProfile(h0, omega_c, 0.1 * duration, 0.0, duration, phase),
+        PiecewiseConstantProfile(tuple(segments)),
+    )
+
+
+def test_maps_and_compositions_match_the_full_matrix_formulas_bit_for_bit():
+    for cavity, rng in seeded_cavities(37, 40):
+        coeffs = static_coefficients(cavity)
+        diffs, sums = omega_diff_matrix(cavity), omega_sum_matrix(cavity)
+        for profile in drives(rng, coeffs.omega):
+            map_ = first_order_map(coeffs, profile)
+            for got, want in zip((map_.a_hat, map_.b_hat), reference_map(coeffs, profile)):
+                assert_bits(got, want)
+            assert verify_first_order_identities(map_).parity_residual == 0.0
+        whole = drives(rng, coeffs.omega)[0]
+        cut = whole.tau0 + 0.4 * whole.duration
+        first = first_order_map(coeffs, whole.restrict(whole.tau0, cut))
+        second = first_order_map(coeffs, whole.restrict(cut, whole.tauf))
+        joined = compose(first, second)
+        dtau1 = first.duration
+        assert_bits(joined.a_hat, first.a_hat + np.exp(-1j * diffs * dtau1) * second.a_hat)
+        assert_bits(joined.b_hat, first.b_hat + np.exp(-1j * sums * dtau1) * second.b_hat)
+        assert_bits(joined.phases, first.phases + second.phases)
+
+
+def test_compose_refuses_maps_without_parity_zeros():
+    coeffs = static_coefficients(unit_cavity(4))
+    first = first_order_map(coeffs, SinusoidalProfile(1e-3, math.pi, 0.0, 1.0))
+    second = first_order_map(coeffs, SinusoidalProfile(1e-3, math.pi, 1.0, 2.0))
+    for field in ("a_hat", "b_hat"):
+        broken = getattr(second, field).copy()
+        broken[0, 2] = 1e-3  # m + n = 4: a parity zero
+        forged = second._asdict() | {field: broken}
+        with pytest.raises(ValueError, match="parity zeros"):
+            compose(first, type(second)(**forged))
+
+
+def test_odd_entry_table_is_cached_read_only_and_bounded():
+    table = spectrum._odd_entries
+    assert table.cache_info().maxsize <= 4  # 13 * n_max**2 bytes an entry
+    for n_max in range(2, 71):
+        odd, rows, cols, flat = table(n_max)
+        n = np.arange(n_max)
+        want = (n[:, None] + n[None, :]) % 2 == 1
+        assert_bits(odd, want)
+        assert_bits(rows, np.nonzero(want)[0])
+        assert_bits(cols, np.nonzero(want)[1])
+        assert_bits(flat, np.flatnonzero(want))
+        assert not any(array.flags.writeable for array in (odd, rows, cols, flat))
+        assert table(n_max) is table(n_max)
+        assert table.cache_info().currsize <= table.cache_info().maxsize
+    with pytest.raises(ValueError, match="read-only"):
+        table(5)[3][0] = 1

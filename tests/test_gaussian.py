@@ -124,6 +124,22 @@ def test_partial_transpose_involution_and_shape():
         partial_transpose(np.eye(6))
 
 
+def test_partial_transpose_flips_the_second_momentum_and_refuses_bad_input():
+    rng = np.random.default_rng(41)
+    flip = np.diag([1.0, 1.0, 1.0, -1.0])
+    for _ in range(50):
+        sigma = rng.standard_normal((4, 4)) * 10.0 ** rng.uniform(-6.0, 6.0)
+        assert partial_transpose(sigma).tobytes() == (flip @ sigma @ flip).tobytes()
+    with np.errstate(invalid="ignore"):
+        infinite = np.eye(4) * np.inf  # 0 * inf puts NaN off the diagonal
+    for bad in ([[1, 0], [0]], np.full((4, 4), np.nan), infinite):
+        with pytest.raises(ValueError, match="covariance must be a finite, square"):
+            partial_transpose(bad)
+    # Refused before any product: no RuntimeWarning from a matmul comes first.
+    with pytest.raises(ValueError, match="covariance must be a finite, square"):
+        negativity(infinite)
+
+
 def test_symplectic_eigenvalues_reject_non_covariance():
     with pytest.raises(SymplecticPairingError):
         symplectic_eigenvalues(np.diag([1.0, -1.0, 1.0, 1.0]))

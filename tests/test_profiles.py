@@ -82,6 +82,12 @@ def test_piecewise_constant_validation():
         (((1.0, 1e-3), (1.0, 2.0, 3.0)), 1),
         ((1.0, 2.0), 0),
         (((1.0, 0.1), (1.0, (2.0, 3.0))), 1),  # ragged: numpy cannot shape it
+        # float() would read each of these as a number.
+        (((1.0, "0.5"),), 0),
+        (((1.0, True),), 0),
+        (((1.0, b"1"),), 0),
+        (((1.0, 0.1), ("2.0", 0.1)), 1),
+        (((1.0, np.True_),), 0),
     ):
         with pytest.raises(ValueError, match=re.escape(f"segment {bad} is not a (duration, h)")):
             PiecewiseConstantProfile(segments=segments)
@@ -155,6 +161,29 @@ def test_ramp_shape_and_sup():
     assert sup == 0.4 and tau_star == 1.0
     with pytest.raises(ValueError):
         RampProfile(h0=0.4, ramp_time=3.0, tau0=0.0, tauf=5.0)
+
+
+def test_edges_that_fill_the_interval_to_rounding_are_admitted():
+    # tau0 + 2*r comes out an ulp short of 2*r for 11 of these 36; the edges
+    # then meet, as they do when the interval is exactly 2*r.
+    short = 0
+    for tau0 in (0.1, 0.3, 1.7, 3.3, 5.0, 7.1):
+        for r in (0.1, 0.3, 0.7, 1.1, 1.3, 2.9):
+            tauf = tau0 + 2 * r
+            short += tauf - tau0 < 2 * r
+            ramp = RampProfile(1e-3, r, tau0, tauf)
+            window = WindowedSinusoidProfile(1e-3, 1.0, r, tau0, tauf)
+            assert ramp.sup_abs() == (1e-3, tau0 + r)
+            assert ramp.evaluate(tauf) == 0.0
+            assert oscillatory_integral(ramp, 0.0).value == pytest.approx(1e-3 * r, rel=1e-14)
+            assert validate_rigidity(window).sup_h == 1e-3
+    assert short == 11
+    # A clearly short interval is still refused.
+    for tauf in (1.5, 2.0 - 1e-12):
+        with pytest.raises(ValueError, match="cannot hold two ramps"):
+            RampProfile(1e-3, 1.0, 0.0, tauf)
+        with pytest.raises(ValueError, match="cannot hold two windows"):
+            WindowedSinusoidProfile(1e-3, 1.0, 1.0, 0.0, tauf)
 
 
 def test_ramp_restrict_resamples_exactly():
@@ -719,3 +748,31 @@ def test_uniform_trace_one_delta_calls_agree_with_the_batch():
         assert one.evaluations == 400
         assert one.error_estimate <= estimate
         assert abs(one.value - value) <= estimate
+
+
+def test_piece_kernel_agrees_in_either_memory_order():
+    # A chunk of more deltas than the table has nodes runs node-major, one
+    # delta runs delta-major.  Each element is computed alike; only the sum
+    # over pieces may differ, since numpy adds a row of four or more complex
+    # values pairwise and the node-major sum adds the pieces in turn.
+    rng = np.random.default_rng(23)
+    deltas = np.concatenate([rng.uniform(-40.0, 40.0, 300), [0.0, 1e-9, -2.5e-3, 2.1]])
+    tables = [
+        SinusoidalProfile(0.04, 2.1, 0.5, 9.5, phase=0.3),
+        RampProfile(0.04, 1.3, 0.5, 9.5),
+        RampProfile(0.04, 1.0, 0.0, 2.0),
+        WindowedSinusoidProfile(0.04, 2.1, 1.5, 0.5, 9.5, phase=0.3),
+        SampledProfile(tau=np.linspace(0.5, 9.5, 6), h=rng.uniform(-0.04, 0.04, 6)),
+    ]
+    for count in range(1, 11):
+        segments = zip(rng.uniform(0.1, 2.0, count), rng.uniform(-0.04, 0.04, count))
+        tables.append(PiecewiseConstantProfile(tuple(segments), tau0=0.5))
+    for prof in tables:
+        terms = prof._terms()
+        batch, estimate = _piece_integrals(terms, deltas, 1e-10)
+        one = [_piece_integrals(terms, deltas[k : k + 1], 1e-10)[0] for k in range(deltas.size)]
+        single = np.concatenate(one)
+        if terms[4].size <= 3:
+            assert batch.tobytes() == single.tobytes()
+        else:
+            assert np.max(np.abs(batch - single)) <= estimate

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 import cavitymix.resonance
@@ -98,6 +99,35 @@ def test_catalog_columns_keep_the_entry_order():
     assert list(empty) == []
     with pytest.raises(IndexError):
         empty[0]
+
+
+def test_catalog_columns_match_the_full_matrix_formulas_bit_for_bit():
+    # The columns the catalog read from full spectrum matrices, the kind
+    # strings sorted in the key: the table must give them bit for bit.
+    rng = np.random.default_rng(43)
+    for k in range(150):
+        mu0 = 0.0 if k % 2 == 0 else float(10.0 ** rng.uniform(-2.0, 3.0))
+        length = float(10.0 ** rng.uniform(-1.0, 1.0))
+        cavity = Cavity1D(length=length, mu0=mu0, n_max=int(rng.integers(2, 71)))
+        coeffs = static_coefficients(cavity)
+        max_omega = float(rng.uniform(0.05, 2.5)) * coeffs.omega[-1]
+        pairs = np.triu(coeffs.odd)
+        rows, cols = np.nonzero(pairs)
+        mixing, creation = omega_diff_matrix(cavity).T[pairs], omega_sum_matrix(cavity)[pairs]
+        omega = np.concatenate([mixing, creation])
+        coefficient = np.abs(np.concatenate([coeffs.alpha_hat[pairs], coeffs.beta_hat[pairs]]))
+        kind = np.repeat([kind.value for kind in ResonanceKind], rows.size)
+        m, n = np.tile(rows + 1, 2), np.tile(cols + 1, 2)
+        keep = np.flatnonzero(omega <= max_omega)
+        keep = keep[np.lexsort((n[keep], m[keep], kind[keep], omega[keep]))]
+        catalog = catalog_1d(coeffs, max_omega)
+        omega_r, coefficient = omega[keep], coefficient[keep]
+        growth = omega_r * coefficient / 2.0
+        for got, want in zip(
+            catalog._asdict().values(), (kind[keep], m[keep], n[keep], omega_r, coefficient, growth)
+        ):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
 
 
 def test_catalog_builds_no_entry_until_one_is_read(monkeypatch):
