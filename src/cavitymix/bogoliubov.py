@@ -31,12 +31,16 @@ A is anti-Hermitian and B symmetric; both inherit the parity zeros.  All
 odd entries go through one batched kernel call over the distinct deltas,
 which `static_coefficients` tabulates once per cavity: a massless cavity's
 w_m -+ w_n are integer multiples of pi/L, so many entries share a delta
-bit for bit.  Every distinct delta gets its own integral.  A[m, n] and
-A[n, m] read I(delta) and I(-delta), two separate integrals, so the
-anti-Hermiticity residual of `verify_first_order_identities` sees the
-rounding of the numerics.  B[m, n] and B[n, m] read the same
-sum-frequency integral times the same `entry_scale`, bit for bit, so the
-symmetry residual is exactly 0 by construction.
+bit for bit.  h is real, so I(-delta) = conj I(delta), and a map
+integrates each distinct |delta| once: the kernel gets the nonnegative
+deltas, and each negative one reads the conjugate of its mirror, which the
+exactly antisymmetric differences of `_gaps` put in the table bit for bit
+(a negative delta without one is integrated itself).  A[m, n] and A[n, m]
+then read one integral and its conjugate, so the anti-Hermiticity residual
+of `verify_first_order_identities` sees only the last-bit rounding of
+alpha_hat's x**3.  B[m, n] and B[n, m] read the same sum-frequency
+integral times the same `entry_scale`, bit for bit, so the symmetry
+residual is exactly 0 by construction.
 
 Composition.  Consecutive maps combine to first order as
 
@@ -191,7 +195,25 @@ def first_order_map(
     _first_order_drive(_package.profiles.validate_rigidity(profile))
     cavity = coeffs.cavity
     n_max = cavity.n_max
-    values, estimate = _package.profiles._fourier_integrals(profile._terms(), coeffs.deltas, tol)
+    # I(-delta) = conj I(delta) for a real h (see the module docstring).  A
+    # negative delta without an exact mirror among the nonnegative ones, which
+    # only a table not built by `static_coefficients` can hold, is integrated
+    # itself.
+    deltas = coeffs.deltas
+    split = int(deltas.searchsorted(0.0))
+    positive, mirrors = deltas[split:], -deltas[:split]
+    mirror = positive.searchsorted(mirrors)
+    lone = positive.take(mirror, mode="clip") != mirrors
+    unmirrored = lone.any()
+    asked = np.concatenate([positive, deltas[:split][lone]]) if unmirrored else positive
+    folded, estimate = _package.profiles._fourier_integrals(profile._terms(), asked, tol)
+    image = folded.take(mirror, mode="clip")
+    # 0 - y rather than -y: an imaginary part that cancels to +0.0 stays +0.0,
+    # as the sum at -delta would leave it.
+    np.subtract(0.0, image.imag, out=image.imag)
+    if unmirrored:
+        image[lone] = folded[positive.size :]
+    values = np.concatenate([image, folded[: positive.size]])
     entries = coeffs.entry_scale * values[coeffs.delta_index]
     flat = _odd_entries(n_max)[3]
     a_hat = np.zeros(n_max * n_max, dtype=complex)  # even entries are exact parity zeros
@@ -268,11 +290,13 @@ def verify_first_order_identities(map_: FirstOrderBogoliubovMap) -> IdentityRepo
     The map passes when both residuals are below IDENTITY_TOLERANCE and
     every parity zero is exact.
 
-    A[m, n] and A[n, m] were produced by separate quadratures, I(delta) and
-    I(-delta), so the anti-Hermiticity residual is the check that sees
-    rounding.  B[m, n] and B[n, m] read the same sum-frequency integral and
-    the same `entry_scale`, bit for bit, so `symmetry_residual` is exactly 0
-    by construction on the maps `first_order_map` and `compose` return.
+    A[m, n] and A[n, m] read one integral, I(|delta|), and its conjugate,
+    so on the maps `first_order_map` returns the anti-Hermiticity residual
+    sees only the last-bit rounding of alpha_hat (numpy's x**3 of a
+    negative x).  B[m, n] and B[n, m] read the same sum-frequency integral
+    and the same `entry_scale`, bit for bit, so `symmetry_residual` is
+    exactly 0 by construction on the maps `first_order_map` and `compose`
+    return.
     """
     anti = float(np.max(np.abs(map_.a_hat + map_.a_hat.conj().T)))
     sym = float(np.max(np.abs(map_.b_hat - map_.b_hat.T)))

@@ -76,12 +76,16 @@ def _quadrature_matrix(name: str, value) -> tuple[np.ndarray, np.ndarray]:
     """`value` as a new float array, and its symplectic form; finite, square and even-sized."""
     try:
         matrix = np.array(value, dtype=float)
-    except (TypeError, ValueError):  # ragged rows, or entries that are not numbers
-        matrix = np.empty(0)
-    square = matrix.ndim == 2 and matrix.shape[0] == matrix.shape[1] and matrix.shape[0] % 2 == 0
-    if not (square and np.isfinite(matrix).all()):
-        raise ValueError(f"{name} must be a finite, square, even-sized matrix, got {value!r:.60}")
-    return matrix, symplectic_form(matrix.shape[0] // 2)
+    except (TypeError, ValueError):
+        got = "ragged rows or entries that are not real numbers"
+    else:
+        finite = bool(np.isfinite(matrix).all())
+        square = matrix.ndim == 2 and matrix.shape[0] == matrix.shape[1]
+        if square and matrix.shape[0] % 2 == 0 and finite:
+            return matrix, symplectic_form(matrix.shape[0] // 2)
+        got = f"shape {matrix.shape}" + ("" if finite else " with entries that are not finite")
+    # The shape, not the value: a repr would span lines.
+    raise ValueError(f"{name} must be a finite, square, even-sized matrix, got {got}")
 
 
 def symplectic_residual(s: np.ndarray) -> float:

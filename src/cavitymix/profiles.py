@@ -349,7 +349,8 @@ def _node_sums(
     Each chunk of deltas makes one matrix product for the inner sums
     B @ [w1 | w2] (the weights as M x 2J tables) and then a J-term sum of
     products with A.
-    No exponential or value is shared between delta and -delta.
+    Nothing is shared between delta and -delta here; `first_order_map`
+    asks for each |delta| once and reads I(-delta) as conj I(delta).
     """
     t, _, _, _, start, slope = terms
     n = t.size

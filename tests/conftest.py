@@ -19,6 +19,7 @@ from cavitymix.profiles import (
     RampProfile,
     SampledProfile,
     SinusoidalProfile,
+    WindowedSinusoidProfile,
 )
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -100,6 +101,27 @@ def _exact_pieces(profile):
         c = mpf(profile.h0) / 2 * mpmath.expj(mpf(profile.phase))
         w = mpf(profile.omega_c)
         return [(0, s, c, c, w), (0, s, mpmath.conj(c), mpmath.conj(c), -w)]
+    if isinstance(profile, WindowedSinusoidProfile):
+        # h0*cos(w*t + phase) times the envelope (1 - cos(nu*t))/2 on [0, m],
+        # 1 on [m, s - m] and (1 - cos(nu*(s - t)))/2 on [s - m, s], nu =
+        # pi/W and m = min(W, s/2), as `evaluate` computes it.  Each cosine
+        # splits into exp(+-i*...), so every piece is a constant times
+        # exp(i*mu*t) with mu = +-w or +-w +- nu.
+        s = mpf(profile.tauf) - mpf(profile.tau0)
+        window = mpf(profile.window_time)
+        nu, m = mpmath.pi / window, min(window, s / 2)
+        gate = mpmath.expj(nu * s)
+        pieces = []
+        for sign in (1, -1):
+            c = mpf(profile.h0) / 2 * mpmath.expj(sign * mpf(profile.phase))
+            w = sign * mpf(profile.omega_c)
+            for a, b, coefs in (
+                (0, m, ((w, c / 2), (w + nu, -c / 4), (w - nu, -c / 4))),
+                (m, s - m, ((w, c),)),
+                (s - m, s, ((w, c / 2), (w + nu, -c / 4 / gate), (w - nu, -c / 4 * gate))),
+            ):
+                pieces += [(a, b, k, k, mu) for mu, k in coefs]
+        return pieces
     raise TypeError(f"no exact pieces for {type(profile).__name__}")
 
 

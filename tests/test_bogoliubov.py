@@ -187,11 +187,13 @@ def test_map_integrates_each_distinct_delta_once(monkeypatch, mu0):
     monkeypatch.setattr(profiles, "_fourier_integrals", recording_kernel)
     map_ = first_order_map(coeffs, prof)
     (deltas,) = asked
-    assert np.unique(deltas).size == deltas.size
+    assert np.unique(deltas).size == deltas.size and np.all(deltas >= 0.0)
     diffs, sums, odd = omega_diff_matrix(cavity), omega_sum_matrix(cavity), coeffs.odd
-    # A[m, n] and A[n, m] read two separate integrals, I(delta) and I(-delta).
-    assert set(diffs[odd]) <= set(deltas) and set(-diffs[odd]) <= set(deltas)
-    integral = {d: oscillatory_integral(prof, d).value for d in deltas}
+    # A[m, n] and A[n, m] read one integral, I(|delta|), and its conjugate.
+    assert set(deltas) == set(np.abs(diffs[odd])) | set(sums[odd])
+    # Each entry is still within the bound of a one-delta integral at its
+    # signed frequency.
+    integral = {d: oscillatory_integral(prof, d).value for d in coeffs.deltas}
     for entries, freqs, hat in (
         (map_.a_hat, diffs, coeffs.alpha_hat),
         (map_.b_hat, sums, coeffs.beta_hat),
@@ -349,16 +351,25 @@ def reference_coefficients(cavity):
 
 
 def reference_map(coeffs, profile):
-    """(a_hat, b_hat) from the full-matrix formulas and the kernel's integrals."""
+    """(a_hat, b_hat) from the full-matrix formulas and the kernel's integrals.
+
+    The kernel integrates the nonnegative deltas; a negative frequency reads
+    the conjugate of the integral at its negation, I(-delta) = conj I(delta),
+    its imaginary part negated as 0 - y so that a +0.0 stays +0.0.
+    """
     cavity = coeffs.cavity
     odd = reference_coefficients(cavity)[0]
-    values, _ = profiles._fourier_integrals(profile._terms(), coeffs.deltas)
+    table = coeffs.deltas[coeffs.deltas >= 0.0]
+    values, _ = profiles._fourier_integrals(profile._terms(), table)
     blocks = []
     for freqs, hat in (
         (omega_diff_matrix(cavity), coeffs.alpha_hat),
         (omega_sum_matrix(cavity), coeffs.beta_hat),
     ):
-        integral = values[np.searchsorted(coeffs.deltas, freqs[odd])]
+        position = np.searchsorted(table, np.abs(freqs[odd]))
+        assert_bits(table[position], np.abs(freqs[odd]))
+        integral = values[position]
+        integral.imag[freqs[odd] < 0.0] = 0.0 - integral.imag[freqs[odd] < 0.0]
         block = np.zeros((cavity.n_max, cavity.n_max), dtype=complex)
         block[odd] = 1j * (freqs[odd] * hat[odd]) * integral
         blocks.append(block)
@@ -400,7 +411,12 @@ def test_maps_and_compositions_match_the_full_matrix_formulas_bit_for_bit():
             map_ = first_order_map(coeffs, profile)
             for got, want in zip((map_.a_hat, map_.b_hat), reference_map(coeffs, profile)):
                 assert_bits(got, want)
-            assert verify_first_order_identities(map_).parity_residual == 0.0
+            report = verify_first_order_identities(map_)
+            assert report.parity_residual == 0.0
+            # A[n, m] reads the conjugate of A[m, n]'s integral, so only the
+            # last bit of alpha_hat can leave an anti-Hermiticity residual.
+            if np.array_equal(coeffs.alpha_hat, -coeffs.alpha_hat.T):
+                assert report.anti_hermiticity_residual == 0.0
         whole = drives(rng, coeffs.omega)[0]
         cut = whole.tau0 + 0.4 * whole.duration
         first = first_order_map(coeffs, whole.restrict(whole.tau0, cut))
@@ -410,6 +426,111 @@ def test_maps_and_compositions_match_the_full_matrix_formulas_bit_for_bit():
         assert_bits(joined.a_hat, first.a_hat + np.exp(-1j * diffs * dtau1) * second.a_hat)
         assert_bits(joined.b_hat, first.b_hat + np.exp(-1j * sums * dtau1) * second.b_hat)
         assert_bits(joined.phases, first.phases + second.phases)
+
+
+# The fold: a map integrates each distinct |delta| once and reads I(-delta)
+# as conj I(delta), which must match a kernel asked for every signed delta.
+
+
+def signed_map(coeffs, profile):
+    """(a_hat, b_hat, quadrature_error) with the kernel asked for every signed delta."""
+    values, estimate = profiles._fourier_integrals(profile._terms(), coeffs.deltas)
+    n_max = coeffs.cavity.n_max
+    blocks = np.zeros((2, n_max * n_max), dtype=complex)
+    entries = coeffs.entry_scale * values[coeffs.delta_index]
+    blocks[:, spectrum._odd_entries(n_max)[3]] = entries.reshape(2, -1)
+    error = estimate * float(np.max(np.abs(coeffs.entry_scale)))
+    return *blocks.reshape(2, n_max, n_max), error
+
+
+_FOLD_RNG = np.random.default_rng(19)
+_FOLD_TAU = np.linspace(0.3, 20.3, 201)  # dt = 0.1: every map delta is a far row
+_FOLD_JITTERED = _FOLD_TAU + np.r_[0.0, _FOLD_RNG.uniform(-0.03, 0.03, 199), 0.0]
+_FOLD_NOISE = 1e-4 * _FOLD_RNG.standard_normal(_FOLD_TAU.size)
+_FOLD_SEGMENTS = tuple(
+    zip(_FOLD_RNG.dirichlet(np.ones(20)) * 20.0, _FOLD_RNG.uniform(-1e-3, 1e-3, 20))
+)
+
+# Each profile as a function of the drive frequency, the (1, 2) mixing line.
+FOLD_PROFILES = {
+    "sinusoid": lambda w: SinusoidalProfile(1e-3, w, 0.3, 20.3, phase=0.4),
+    "ramp": lambda w: RampProfile(1e-3, 3.0, 0.3, 20.3),
+    "sampled_node_sum": lambda w: SampledProfile(
+        _FOLD_TAU, 1e-3 * np.cos(w * _FOLD_TAU) + _FOLD_NOISE
+    ),
+    "sampled_per_piece": lambda w: SampledProfile(
+        _FOLD_JITTERED, 1e-3 * np.cos(w * _FOLD_JITTERED) + _FOLD_NOISE
+    ),
+    "windowed_sinusoid": lambda w: WindowedSinusoidProfile(1e-3, w, 2.0, 0.3, 20.3, 0.4),
+    "piecewise_constant": lambda w: PiecewiseConstantProfile(_FOLD_SEGMENTS, tau0=0.3),
+}
+# Here I(-delta) comes out bitwise equal to conj I(delta); on the other two
+# kinds the sum over four or more pieces may round in another order when the
+# batch, and so its chunk layout, changes.
+EXACT_FOLD = ("sinusoid", "ramp", "sampled_node_sum", "sampled_per_piece")
+
+
+@pytest.mark.parametrize("mu0", [0.0, 1.7])
+@pytest.mark.parametrize("kind", sorted(FOLD_PROFILES))
+def test_folded_map_matches_the_signed_kernel_map(kind, mu0):
+    coeffs = static_coefficients(Cavity1D(length=1.0, mu0=mu0, n_max=24))
+    profile = FOLD_PROFILES[kind](float(coeffs.omega[1] - coeffs.omega[0]))
+    chain = profiles._uniform_chain(profile._terms())
+    assert (chain is not None) == (kind == "sampled_node_sum")
+    if chain is not None:
+        assert np.all(np.abs(coeffs.deltas) * chain[0] >= profiles._SMALL_PHASE)
+    map_ = first_order_map(coeffs, profile)
+    a_hat, b_hat, error = signed_map(coeffs, profile)
+    assert_bits(map_.quadrature_error, error)
+    if kind in EXACT_FOLD:
+        assert_bits(map_.a_hat, a_hat)
+        assert_bits(map_.b_hat, b_hat)
+    else:
+        moved = max(np.max(np.abs(map_.a_hat - a_hat)), np.max(np.abs(map_.b_hat - b_hat)))
+        assert moved <= map_.quadrature_error
+
+
+def test_every_negative_delta_has_an_exact_mirror():
+    # `_gaps` makes w_n - w_m the exact negation of w_m - w_n, so a map never
+    # integrates a negative delta of `static_coefficients` itself.
+    for cavity, _ in seeded_cavities(43, 400):
+        deltas = static_coefficients(cavity).deltas
+        negative = deltas[deltas < 0.0]
+        assert negative.size and np.isin(-negative, deltas).all()
+    # n_max 48 with mu0 > 0: 1,728 distinct deltas, of which 576 are negative.
+    deltas = static_coefficients(Cavity1D(length=1.0, mu0=1.0, n_max=48)).deltas
+    assert (deltas.size, np.count_nonzero(deltas >= 0.0)) == (1728, 1152)
+
+
+def test_map_integrates_an_unmirrored_negative_delta_itself(monkeypatch):
+    coeffs = static_coefficients(Cavity1D(length=1.0, mu0=1.3, n_max=8))
+    profile = SinusoidalProfile(1e-3, 2.0, 0.0, 10.0, phase=0.4)
+    genuine = first_order_map(coeffs, profile)
+    deltas = coeffs.deltas.copy()
+    deltas[0] = np.nextafter(deltas[0], -np.inf)  # the most negative delta loses its mirror
+    assert not np.isin(-deltas[0], deltas)
+    forged = type(coeffs)(**(coeffs._asdict() | {"deltas": deltas}))
+    asked = []
+    kernel = profiles._fourier_integrals
+
+    def recording_kernel(terms, batch, tol):
+        values, estimate = kernel(terms, batch, tol)
+        asked.append((np.array(batch), values))
+        return values, estimate
+
+    monkeypatch.setattr(profiles, "_fourier_integrals", recording_kernel)
+    map_ = first_order_map(forged, profile)
+    ((batch, values),) = asked
+    assert_bits(batch, np.concatenate([deltas[deltas >= 0.0], deltas[:1]]))
+    # The entries of the forged delta read the kernel's value there; every
+    # other entry reads what the genuine table gives it.
+    entries, want = (
+        np.concatenate([m.a_hat[coeffs.odd], m.b_hat[coeffs.odd]]) for m in (map_, genuine)
+    )
+    reads = coeffs.delta_index == 0
+    assert reads.any()
+    assert_bits(entries[reads], coeffs.entry_scale[reads] * values[-1])
+    assert_bits(entries[~reads], want[~reads])
 
 
 def test_compose_refuses_maps_without_parity_zeros():

@@ -140,6 +140,24 @@ def test_partial_transpose_flips_the_second_momentum_and_refuses_bad_input():
         negativity(infinite)
 
 
+@pytest.mark.parametrize(
+    "bad, got",
+    [
+        (np.full((4, 4), np.nan), "shape (4, 4) with entries that are not finite"),
+        ([[1, 0], [0]], "ragged rows or entries that are not real numbers"),
+        (np.eye(3), "shape (3, 3)"),
+    ],
+    ids=["nan", "ragged", "odd"],
+)
+def test_matrix_refusals_are_one_line(bad, got):
+    # The input's shape keeps every refusal on one line; a repr spans several.
+    with pytest.raises(ValueError) as refused:
+        partial_transpose(bad)
+    message = str(refused.value)
+    assert message == f"covariance must be a finite, square, even-sized matrix, got {got}"
+    assert "\n" not in message
+
+
 def test_symplectic_eigenvalues_reject_non_covariance():
     with pytest.raises(SymplecticPairingError):
         symplectic_eigenvalues(np.diag([1.0, -1.0, 1.0, 1.0]))

@@ -372,7 +372,7 @@ def test_sampled_integral_matches_simpson(delta):
     assert abs(res.value - exact_oscillatory(prof, delta)) <= res.error_estimate
 
 
-@pytest.mark.parametrize("delta", [0.0, 2.0, 5.0, 17.0])
+@pytest.mark.parametrize("delta", [0.0, 2.0, 5.0, 17.0, -2.0, -5.0, -17.0])
 def test_windowed_integral_matches_simpson(delta):
     prof = WindowedSinusoidProfile(
         h0=0.05, omega_c=5.0, window_time=2.0, tau0=0.0, tauf=12.0, phase=0.3
@@ -380,6 +380,7 @@ def test_windowed_integral_matches_simpson(delta):
     res = oscillatory_integral(prof, delta)
     oracle = simpson_oscillatory(prof, delta, min_points=24001)
     assert res.value == pytest.approx(oracle, abs=1e-8)
+    assert abs(res.value - exact_oscillatory(prof, delta)) <= res.error_estimate
 
 
 def test_long_interval_integral_stays_cheap_and_accurate():
@@ -523,8 +524,8 @@ BATCHED_CASES = {
             h0=0.05, omega_c=5.0, window_time=2.0, tau0=0.0, tauf=12.0, phase=0.3
         ),
         _crossover_deltas(5.0, 8.0),
-        lambda prof, d: simpson_oscillatory(prof, d, min_points=24001),
-        1e-8,
+        exact_oscillatory,
+        None,
     ),
     # dt = 0.125: near rows take the per-piece kernel, far rows the node sum.
     "uniform_trace": (
@@ -655,6 +656,7 @@ _X = np.logspace(-6.0, 1.0, 8)
 # The mixing deltas omega_m - omega_n, m + n odd, of a cavity with mu0 L = 1000.
 _HEAVY = omega_diff_matrix(Cavity1D(length=1.0, mu0=1000.0, n_max=4))[[1, 2, 3, 3], [0, 1, 2, 0]]
 _HEAVY_TAU = np.linspace(0.0, 20.0, 201)
+_WINDOWED = np.array([1e-6, 0.7, 5.0 - math.pi / 2.0, 5.0, 5.0 + 1e-3, 17.0])
 
 ESTIMATE_CASES = {
     # |delta| * span from 1e-6 to 10, on both sides of the crossover.
@@ -673,6 +675,14 @@ ESTIMATE_CASES = {
         np.array([1.5e-4, 1e-3, -1e-3]),
     ),
     "short_ramp": (RampProfile(1e-3, 1.0, 0.0, 3.0), np.array([1.5e-4, -1.5e-4, 1e-3])),
+    # Both signs of delta, each side of the drive and switching lines
+    # +-omega_c and +-omega_c +- pi/W, on a window off tau0 = 0.
+    "windowed_sinusoid": (
+        WindowedSinusoidProfile(
+            h0=0.05, omega_c=5.0, window_time=2.0, tau0=-1.5, tauf=10.5, phase=0.3
+        ),
+        np.concatenate([_WINDOWED, -_WINDOWED]),
+    ),
     # The desktop regime: a 201-sample trace driven at the lowest mixing delta.
     "heavy_field": (
         SampledProfile(tau=_HEAVY_TAU, h=1e-3 * np.cos(_HEAVY[0] * _HEAVY_TAU)),
