@@ -42,8 +42,7 @@ _SOURCES = {
     ),
     "scenarios": ("ResultTable", "ScenarioError", "load_scenario", "run_scenario"),
     "spectrum": (
-        "RIGIDITY_BOUND", "Cavity1D", "Cavity3D", "omega_diff_matrix", "omega_sum_matrix",
-        "omega_vector", "reduce_to_effective_1d",
+        "RIGIDITY_BOUND", "Cavity1D", "Cavity3D", "omega_vector", "reduce_to_effective_1d",
     ),
 }
 _MODULE_OF = {name: module for module, names in _SOURCES.items() for name in names}

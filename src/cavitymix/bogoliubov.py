@@ -28,19 +28,16 @@ factors into free phases times a perturbation,
     I(delta) = integral exp(-i delta (tau - tau0)) h(tau) dtau.
 
 A is anti-Hermitian and B symmetric; both inherit the parity zeros.  All
-odd entries go through one batched kernel call over the distinct deltas,
+odd entries go through one batched kernel call over the distinct |delta|,
 which `static_coefficients` tabulates once per cavity: a massless cavity's
 w_m -+ w_n are integer multiples of pi/L, so many entries share a delta
-bit for bit.  h is real, so I(-delta) = conj I(delta), and a map
-integrates each distinct |delta| once: the kernel gets the nonnegative
-deltas, and each negative one reads the conjugate of its mirror, which the
-exactly antisymmetric differences of `_gaps` put in the table bit for bit
-(a negative delta without one is integrated itself).  A[m, n] and A[n, m]
-then read one integral and its conjugate, so the anti-Hermiticity residual
-of `verify_first_order_identities` sees only the last-bit rounding of
-alpha_hat's x**3.  B[m, n] and B[n, m] read the same sum-frequency
-integral times the same `entry_scale`, bit for bit, so the symmetry
-residual is exactly 0 by construction.
+bit for bit.  h is real, so I(-delta) = conj I(delta): delta = w_m - w_n
+is negative exactly where m < n, and those A entries read the conjugate.
+A[m, n] and A[n, m] then read one integral and its conjugate, so the
+anti-Hermiticity residual of `verify_first_order_identities` sees only the
+last-bit rounding of alpha_hat's x**3.  B[m, n] and B[n, m] read the same
+sum-frequency integral times the same `entry_scale`, bit for bit, so the
+symmetry residual is exactly 0 by construction.
 
 Composition.  Consecutive maps combine to first order as
 
@@ -77,20 +74,20 @@ IDENTITY_TOLERANCE = 1e-10
 class StaticCoefficients(_Value, eq=False):
     """Per-unit-h overlap coefficients of a cavity, with cached frequencies.
 
-    The last four fields serve `first_order_map` and `catalog_1d`.  `odd`
-    masks the entries with m + n odd (the cached mask of `_odd_entries`);
-    over them, in row-major order, the A entries and then the B entries
-    read the integral `deltas[delta_index]` times `entry_scale`,
-    i (w_m - w_n) alpha_hat or i (w_m + w_n) beta_hat, so
-    `deltas[delta_index]` is w_m - w_n and then w_m + w_n over that list.
-    `deltas` holds each distinct delta once, sorted.
+    The last three fields serve `first_order_map` and `catalog_1d`.
+    `deltas` holds each distinct |delta| once, sorted: the frequencies the
+    kernel integrates.  Over the entries with m + n odd, in the row-major
+    order of `_odd_entries`, the A entries and then the B entries read
+    `deltas[delta_index]`, which is |w_m - w_n| and then w_m + w_n, and
+    `entry_scale`, i (w_m - w_n) alpha_hat or i (w_m + w_n) beta_hat.
+    w_m - w_n is negative exactly where m < n, so there an A entry reads
+    the conjugate of I(deltas[delta_index]).
     """
 
     cavity: Cavity1D
     alpha_hat: np.ndarray
     beta_hat: np.ndarray
     omega: np.ndarray
-    odd: np.ndarray
     deltas: np.ndarray
     delta_index: np.ndarray
     entry_scale: np.ndarray
@@ -105,14 +102,22 @@ class StaticCoefficients(_Value, eq=False):
 def static_coefficients(cavity: Cavity1D) -> StaticCoefficients:
     """Evaluate alpha_hat and beta_hat for all modes up to cavity.n_max."""
     n_max = cavity.n_max
-    odd, rows, cols, flat = _odd_entries(n_max)
+    _, rows, cols, flat = _odd_entries(n_max)
     omega = omega_vector(cavity)
     diffs, sums = _gaps(cavity, omega, rows, cols)
-    deltas, delta_index = np.unique(np.concatenate([diffs, sums]), return_inverse=True)
+    signed, signed_index = np.unique(np.concatenate([diffs, sums]), return_inverse=True)
     # x**3 is a pow call, the costliest step: take it once per distinct
     # delta, 3/4 of the entries (w_m + w_n = w_n + w_m), or about 4 n_max in
-    # all on a massless cavity.
-    diffs_cubed, sums_cubed = (deltas**3)[delta_index].reshape(2, -1)
+    # all on a massless cavity.  It stays on the signed deltas: numpy's
+    # (-x)**3 is not always -(x**3).
+    diffs_cubed, sums_cubed = (signed**3)[signed_index].reshape(2, -1)
+    # The differences are exactly antisymmetric, so the nonnegative half of
+    # the table is every |delta|, and each negative delta's negation is in
+    # it bit for bit.
+    split = int(signed.searchsorted(0.0))
+    deltas = signed[split:]
+    remap = np.arange(-split, deltas.size)
+    remap[:split] = deltas.searchsorted(-signed[:split])
     mn = (rows + 1.0) * (cols + 1.0)
     root = np.sqrt(omega[rows] * omega[cols])
     l4 = cavity.length**4
@@ -129,9 +134,8 @@ def static_coefficients(cavity: Cavity1D) -> StaticCoefficients:
         alpha_hat=alpha.reshape(n_max, n_max),
         beta_hat=beta.reshape(n_max, n_max),
         omega=omega,
-        odd=odd,
         deltas=deltas,
-        delta_index=delta_index,
+        delta_index=remap[signed_index],
         entry_scale=entry_scale,
     )
 
@@ -195,27 +199,18 @@ def first_order_map(
     _first_order_drive(_package.profiles.validate_rigidity(profile))
     cavity = coeffs.cavity
     n_max = cavity.n_max
-    # I(-delta) = conj I(delta) for a real h (see the module docstring).  A
-    # negative delta without an exact mirror among the nonnegative ones, which
-    # only a table not built by `static_coefficients` can hold, is integrated
-    # itself.
-    deltas = coeffs.deltas
-    split = int(deltas.searchsorted(0.0))
-    positive, mirrors = deltas[split:], -deltas[:split]
-    mirror = positive.searchsorted(mirrors)
-    lone = positive.take(mirror, mode="clip") != mirrors
-    unmirrored = lone.any()
-    asked = np.concatenate([positive, deltas[:split][lone]]) if unmirrored else positive
-    folded, estimate = _package.profiles._fourier_integrals(profile._terms(), asked, tol)
-    image = folded.take(mirror, mode="clip")
-    # 0 - y rather than -y: an imaginary part that cancels to +0.0 stays +0.0,
-    # as the sum at -delta would leave it.
-    np.subtract(0.0, image.imag, out=image.imag)
-    if unmirrored:
-        image[lone] = folded[positive.size :]
-    values = np.concatenate([image, folded[: positive.size]])
-    entries = coeffs.entry_scale * values[coeffs.delta_index]
-    flat = _odd_entries(n_max)[3]
+    values, estimate = _package.profiles._fourier_integrals(
+        profile._terms(), coeffs.deltas, tol
+    )
+    values = values[coeffs.delta_index]
+    _, rows, cols, flat = _odd_entries(n_max)
+    # I(-delta) = conj I(delta) for a real h: the A entries with m < n, whose
+    # delta is negative (see the module docstring).  0 - y rather than -y: an
+    # imaginary part that cancels to +0.0 stays +0.0, as the sum at -delta
+    # would leave it.
+    mixing = values[: flat.size].imag
+    np.subtract(0.0, mixing, out=mixing, where=rows < cols)
+    entries = coeffs.entry_scale * values
     a_hat = np.zeros(n_max * n_max, dtype=complex)  # even entries are exact parity zeros
     b_hat = np.zeros(n_max * n_max, dtype=complex)
     a_hat[flat] = entries[: flat.size]

@@ -73,10 +73,13 @@ def symplectic_form(n_modes: int) -> np.ndarray:
 
 
 def _quadrature_matrix(name: str, value) -> tuple[np.ndarray, np.ndarray]:
-    """`value` as a new float array, and its symplectic form; finite, square and even-sized."""
+    """`value` as a new float array, and its symplectic form; real, finite, square, even-sized."""
     try:
-        matrix = np.array(value, dtype=float)
+        # A complex array would cast to its real part with only a ComplexWarning.
+        matrix = None if np.iscomplexobj(value) else np.array(value, dtype=float)
     except (TypeError, ValueError):
+        matrix = None
+    if matrix is None:
         got = "ragged rows or entries that are not real numbers"
     else:
         finite = bool(np.isfinite(matrix).all())

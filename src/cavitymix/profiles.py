@@ -350,7 +350,8 @@ def _node_sums(
     B @ [w1 | w2] (the weights as M x 2J tables) and then a J-term sum of
     products with A.
     Nothing is shared between delta and -delta here; `first_order_map`
-    asks for each |delta| once and reads I(-delta) as conj I(delta).
+    asks for the nonnegative table `StaticCoefficients.deltas` and reads
+    I(-delta) as conj I(delta).
     """
     t, _, _, _, start, slope = terms
     n = t.size
@@ -455,7 +456,7 @@ class AccelerationProfile:
     def evaluate(self, tau):
         """h(tau): a float for a scalar tau, else an array of tau's shape."""
         t = np.asarray(tau, dtype=float)
-        if np.any(t < self.tau0) or np.any(t > self.tauf):
+        if not np.all((t >= self.tau0) & (t <= self.tauf)):  # NaN fails both
             raise ValueError(f"tau outside the profile interval [{self.tau0}, {self.tauf}]")
         out = self._h(t - self.tau0)
         return float(out) if np.isscalar(tau) else out

@@ -17,10 +17,10 @@ both coefficients stay bounded uniformly in the duration.
 
 `catalog_1d` lists these resonances as a `ResonanceCatalog`: read-only
 columns read from the coefficient table of `static_coefficients` (the
-frequencies w_m -+ w_n of the odd pairs m < n and their alpha_hat,
-beta_hat), with no spectrum matrix rebuilt and no Python object per
-resonance, and put in order by one stable sort on the frequency; its cost
-is O(n_max^2 log n_max) array work.  Indexing or iterating the catalog
+frequencies |w_m - w_n| and w_m + w_n of the odd pairs m < n and their
+alpha_hat, beta_hat), with no spectrum matrix rebuilt and no Python object
+per resonance, and put in order by one stable sort on the frequency; its
+cost is O(n_max^2 log n_max) array work.  Indexing or iterating the catalog
 builds a `ResonanceEntry` for each row it reaches.
 
 The paraxial helpers cover a transversally loaded rectangular cavity whose
@@ -117,11 +117,8 @@ def catalog_1d(coeffs: StaticCoefficients, max_omega: float) -> ResonanceCatalog
         raise ValueError(f"max_omega must be positive, got {max_omega}")
     _, rows, cols, flat = _odd_entries(coeffs.cavity.n_max)
     upper = np.flatnonzero(rows < cols)  # the pairs m < n, in (m, n) order
-    # The coefficient table holds w_m - w_n and then w_m + w_n over the odd
-    # entries.  Mixing sits at w_n - w_m for m < n: the negated difference,
-    # exact since the differences are exactly antisymmetric.
-    below, total = coeffs.deltas[coeffs.delta_index.reshape(2, -1)[:, upper]]
-    omega = np.concatenate([-below, total])
+    # The coefficient table holds |w_m - w_n| and then w_m + w_n over the odd entries.
+    omega = coeffs.deltas[coeffs.delta_index.reshape(2, -1)[:, upper]].ravel()
     keep = np.flatnonzero(omega <= max_omega)
     # The rows stand in (kind, m, n) order, mixing first, so a stable sort on
     # omega_r alone puts them in (omega_r, kind, m, n) order.

@@ -13,12 +13,11 @@ Conventions used throughout the package:
   and the field mass.
 
 The spectrum comes only as arrays: `omega_vector` holds (w_1, ...,
-w_{n_max}), `omega_diff_matrix` and `omega_sum_matrix` every difference
-and sum of two of them.  Frequency differences w_m - w_n are needed deep
-inside resonance denominators where the two frequencies can agree to many
-digits (large effective mass).  `_gaps` is the one formula for both, at
-any set of entries, and its difference is the cancellation-safe form: it
-evaluates each one as (k_m^2 - k_n^2) / (w_m + w_n), which stays accurate
+w_{n_max}), and `_gaps` gives the difference and sum of two of them at any
+set of entries.  Frequency differences w_m - w_n are needed deep inside
+resonance denominators where the two frequencies can agree to many digits
+(large effective mass), so `_gaps` evaluates each one in the
+cancellation-safe form (k_m^2 - k_n^2) / (w_m + w_n), which stays accurate
 when the direct subtraction would cancel.
 
 Only the entries with m + n odd couple under a rigid drive.
@@ -171,23 +170,13 @@ def _gaps(cavity: Cavity1D, omega: np.ndarray, rows, cols) -> tuple[np.ndarray, 
 
     `omega` is `omega_vector(cavity)`.  The difference is (k_m^2 - k_n^2) /
     (w_m + w_n), exactly antisymmetric: each operation rounds the same way
-    for (m, n) and (n, m), up to sign.
+    for (m, n) and (n, m), up to sign.  Every factor but m - n is positive,
+    and `Cavity1D`'s scale limits keep the smallest gap a normal float, so
+    the difference is negative exactly where m < n.
     """
     m, n = rows + 1.0, cols + 1.0
     total = omega[rows] + omega[cols]
     return (np.pi / cavity.length) ** 2 * (m - n) * (m + n) / total, total
-
-
-def omega_diff_matrix(cavity: Cavity1D) -> np.ndarray:
-    """Matrix D[i, j] = w_{i+1} - w_{j+1}, cancellation-safe."""
-    index = np.arange(cavity.n_max)
-    return _gaps(cavity, omega_vector(cavity), index[:, None], index[None, :])[0]
-
-
-def omega_sum_matrix(cavity: Cavity1D) -> np.ndarray:
-    """Matrix S[i, j] = w_{i+1} + w_{j+1}."""
-    index = np.arange(cavity.n_max)
-    return _gaps(cavity, omega_vector(cavity), index[:, None], index[None, :])[1]
 
 
 @functools.lru_cache(maxsize=4)

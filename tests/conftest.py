@@ -21,6 +21,7 @@ from cavitymix.profiles import (
     SinusoidalProfile,
     WindowedSinusoidProfile,
 )
+from cavitymix.spectrum import _gaps, omega_vector
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SCENARIO_DIR = REPO_ROOT / "scenarios"
@@ -38,6 +39,12 @@ def child_env():
         filter(None, [str(REPO_ROOT / "src"), env.get("PYTHONPATH")])
     )
     return env
+
+
+def gap_matrices(cavity):
+    """(D, S): D[i, j] = w_{i+1} - w_{j+1}, cancellation-safe, and S[i, j] = w_{i+1} + w_{j+1}."""
+    rows, cols = np.indices((cavity.n_max, cavity.n_max))
+    return _gaps(cavity, omega_vector(cavity), rows, cols)
 
 
 def simpson_oscillatory(profile, delta, points_per_period=60, min_points=4001):

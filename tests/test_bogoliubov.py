@@ -20,8 +20,8 @@ from cavitymix.profiles import (
     WindowedSinusoidProfile,
     oscillatory_integral,
 )
-from cavitymix.spectrum import Cavity1D, omega_diff_matrix, omega_sum_matrix, omega_vector
-from conftest import exact_oscillatory, simpson_oscillatory
+from cavitymix.spectrum import Cavity1D, omega_vector
+from conftest import exact_oscillatory, gap_matrices, simpson_oscillatory
 
 ALPHA_12 = 2.0 * math.sqrt(2.0) / math.pi**2
 BETA_12 = 2.0 * math.sqrt(2.0) / (27.0 * math.pi**2)
@@ -129,7 +129,7 @@ def test_map_entries_match_simpson_oracle():
     coeffs = static_coefficients(cavity)
     prof = SinusoidalProfile(h0=0.01, omega_c=1.7, tau0=0.5, tauf=14.5, phase=0.2)
     map_ = first_order_map(coeffs, prof)
-    diffs, sums = omega_diff_matrix(cavity), omega_sum_matrix(cavity)
+    diffs, sums = gap_matrices(cavity)
     for m, n in ((1, 2), (3, 4), (1, 4)):
         delta = diffs[m - 1, n - 1]
         sigma = sums[m - 1, n - 1]
@@ -159,7 +159,7 @@ def test_sampled_map_entries_match_scipy_oracle():
     def oracle(delta):
         return complex(simpson(np.exp(-1j * delta * fine) * np.interp(fine, tau, h), x=fine))
 
-    diffs, sums = omega_diff_matrix(cavity), omega_sum_matrix(cavity)
+    diffs, sums = gap_matrices(cavity)
     for m, n in ((1, 2), (2, 1), (3, 8), (7, 6)):
         delta = diffs[m - 1, n - 1]
         sigma = sums[m - 1, n - 1]
@@ -187,13 +187,15 @@ def test_map_integrates_each_distinct_delta_once(monkeypatch, mu0):
     monkeypatch.setattr(profiles, "_fourier_integrals", recording_kernel)
     map_ = first_order_map(coeffs, prof)
     (deltas,) = asked
+    assert_bits(deltas, coeffs.deltas)
     assert np.unique(deltas).size == deltas.size and np.all(deltas >= 0.0)
-    diffs, sums, odd = omega_diff_matrix(cavity), omega_sum_matrix(cavity), coeffs.odd
+    (diffs, sums), odd = gap_matrices(cavity), spectrum._odd_entries(cavity.n_max)[0]
     # A[m, n] and A[n, m] read one integral, I(|delta|), and its conjugate.
     assert set(deltas) == set(np.abs(diffs[odd])) | set(sums[odd])
     # Each entry is still within the bound of a one-delta integral at its
     # signed frequency.
-    integral = {d: oscillatory_integral(prof, d).value for d in coeffs.deltas}
+    signed = set(diffs[odd]) | set(sums[odd])
+    integral = {d: oscillatory_integral(prof, d).value for d in signed}
     for entries, freqs, hat in (
         (map_.a_hat, diffs, coeffs.alpha_hat),
         (map_.b_hat, sums, coeffs.beta_hat),
@@ -208,14 +210,14 @@ def test_heavy_field_map_within_quadrature_error_of_exact():
     # branch) while the sum frequencies near 2000 take the direct one.
     cavity = Cavity1D(length=1.0, mu0=1000.0, n_max=4)
     coeffs = static_coefficients(cavity)
-    diffs, sums = omega_diff_matrix(cavity), omega_sum_matrix(cavity)
+    diffs, sums = gap_matrices(cavity)
     tau = np.linspace(0.0, 20.0, 201)
     h = 1e-3 * np.cos(abs(diffs[0, 1]) * tau)
     h += 1e-4 * np.random.default_rng(17).standard_normal(tau.size)
     prof = SampledProfile(tau=tau, h=h)
     map_ = first_order_map(coeffs, prof)
     assert 0.0 < map_.quadrature_error < 1e-10
-    for m, n in zip(*np.nonzero(coeffs.odd)):
+    for m, n in zip(*np.nonzero(spectrum._odd_entries(cavity.n_max)[0])):
         m, n = int(m) + 1, int(n) + 1
         for got, freq, coef in (
             (map_.a_entry(m, n), diffs[m - 1, n - 1], coeffs.alpha_entry(m, n)),
@@ -334,38 +336,37 @@ def seeded_cavities(seed, count):
 
 
 def reference_coefficients(cavity):
-    """(odd, omega, alpha_hat, beta_hat, deltas, delta_index, entry_scale) over full matrices."""
+    """(omega, alpha_hat, beta_hat, deltas, delta_index, entry_scale) over full matrices."""
     n = np.arange(1, cavity.n_max + 1, dtype=float)
     odd = (n[:, None] + n[None, :]) % 2 == 1
     omega = omega_vector(cavity)
-    diffs, sums = omega_diff_matrix(cavity), omega_sum_matrix(cavity)
+    diffs, sums = gap_matrices(cavity)
     mn = n[:, None] * n[None, :]
     root = np.sqrt(omega[:, None] * omega[None, :])
     l4 = cavity.length**4
     safe_diffs = np.where(odd, diffs, 1.0)
     alpha = np.where(odd, -2.0 * math.pi**2 * mn / (l4 * safe_diffs**3 * root), 0.0)
     beta = np.where(odd, 2.0 * math.pi**2 * mn / (l4 * sums**3 * root), 0.0)
-    deltas, delta_index = np.unique(np.concatenate([diffs[odd], sums[odd]]), return_inverse=True)
+    gaps = np.abs(np.concatenate([diffs[odd], sums[odd]]))
+    deltas, delta_index = np.unique(gaps, return_inverse=True)
     entry_scale = 1j * np.concatenate([diffs[odd] * alpha[odd], sums[odd] * beta[odd]])
-    return odd, omega, alpha, beta, deltas, delta_index, entry_scale
+    return omega, alpha, beta, deltas, delta_index, entry_scale
 
 
 def reference_map(coeffs, profile):
     """(a_hat, b_hat) from the full-matrix formulas and the kernel's integrals.
 
-    The kernel integrates the nonnegative deltas; a negative frequency reads
+    The kernel integrates the table of |delta|; a negative frequency reads
     the conjugate of the integral at its negation, I(-delta) = conj I(delta),
     its imaginary part negated as 0 - y so that a +0.0 stays +0.0.
     """
     cavity = coeffs.cavity
-    odd = reference_coefficients(cavity)[0]
-    table = coeffs.deltas[coeffs.deltas >= 0.0]
+    n = np.arange(cavity.n_max)
+    odd = (n[:, None] + n[None, :]) % 2 == 1
+    table = coeffs.deltas
     values, _ = profiles._fourier_integrals(profile._terms(), table)
     blocks = []
-    for freqs, hat in (
-        (omega_diff_matrix(cavity), coeffs.alpha_hat),
-        (omega_sum_matrix(cavity), coeffs.beta_hat),
-    ):
+    for freqs, hat in zip(gap_matrices(cavity), (coeffs.alpha_hat, coeffs.beta_hat)):
         position = np.searchsorted(table, np.abs(freqs[odd]))
         assert_bits(table[position], np.abs(freqs[odd]))
         integral = values[position]
@@ -383,7 +384,7 @@ def assert_bits(got, want):
 
 
 def test_coefficients_match_the_full_matrix_formulas_bit_for_bit():
-    fields = ("odd", "omega", "alpha_hat", "beta_hat", "deltas", "delta_index", "entry_scale")
+    fields = ("omega", "alpha_hat", "beta_hat", "deltas", "delta_index", "entry_scale")
     for cavity, _ in seeded_cavities(31, 120):
         coeffs = static_coefficients(cavity)
         for field, want in zip(fields, reference_coefficients(cavity)):
@@ -406,7 +407,7 @@ def drives(rng, w):
 def test_maps_and_compositions_match_the_full_matrix_formulas_bit_for_bit():
     for cavity, rng in seeded_cavities(37, 40):
         coeffs = static_coefficients(cavity)
-        diffs, sums = omega_diff_matrix(cavity), omega_sum_matrix(cavity)
+        diffs, sums = gap_matrices(cavity)
         for profile in drives(rng, coeffs.omega):
             map_ = first_order_map(coeffs, profile)
             for got, want in zip((map_.a_hat, map_.b_hat), reference_map(coeffs, profile)):
@@ -434,11 +435,15 @@ def test_maps_and_compositions_match_the_full_matrix_formulas_bit_for_bit():
 
 def signed_map(coeffs, profile):
     """(a_hat, b_hat, quadrature_error) with the kernel asked for every signed delta."""
-    values, estimate = profiles._fourier_integrals(profile._terms(), coeffs.deltas)
-    n_max = coeffs.cavity.n_max
+    cavity = coeffs.cavity
+    n_max = cavity.n_max
+    _, rows, cols, flat = spectrum._odd_entries(n_max)
+    gaps = np.concatenate(spectrum._gaps(cavity, omega_vector(cavity), rows, cols))
+    signed, index = np.unique(gaps, return_inverse=True)
+    values, estimate = profiles._fourier_integrals(profile._terms(), signed)
     blocks = np.zeros((2, n_max * n_max), dtype=complex)
-    entries = coeffs.entry_scale * values[coeffs.delta_index]
-    blocks[:, spectrum._odd_entries(n_max)[3]] = entries.reshape(2, -1)
+    entries = coeffs.entry_scale * values[index]
+    blocks[:, flat] = entries.reshape(2, -1)
     error = estimate * float(np.max(np.abs(coeffs.entry_scale)))
     return *blocks.reshape(2, n_max, n_max), error
 
@@ -490,47 +495,21 @@ def test_folded_map_matches_the_signed_kernel_map(kind, mu0):
         assert moved <= map_.quadrature_error
 
 
-def test_every_negative_delta_has_an_exact_mirror():
-    # `_gaps` makes w_n - w_m the exact negation of w_m - w_n, so a map never
-    # integrates a negative delta of `static_coefficients` itself.
+def test_delta_table_holds_each_gap_magnitude_once():
+    # `_gaps` makes w_n - w_m the exact negation of w_m - w_n, and its sign
+    # that of m - n, so the table of |delta| serves every entry bit for bit.
     for cavity, _ in seeded_cavities(43, 400):
-        deltas = static_coefficients(cavity).deltas
-        negative = deltas[deltas < 0.0]
-        assert negative.size and np.isin(-negative, deltas).all()
-    # n_max 48 with mu0 > 0: 1,728 distinct deltas, of which 576 are negative.
+        coeffs = static_coefficients(cavity)
+        deltas = coeffs.deltas
+        assert deltas[0] >= 0.0 and np.all(deltas[1:] > deltas[:-1])
+        assert np.array_equal(np.unique(coeffs.delta_index), np.arange(deltas.size))
+        (diffs, sums), odd = gap_matrices(cavity), spectrum._odd_entries(cavity.n_max)[0]
+        assert_bits(deltas[coeffs.delta_index], np.concatenate([np.abs(diffs[odd]), sums[odd]]))
+        rows, cols = np.indices(diffs.shape)
+        assert np.array_equal(diffs < 0.0, rows < cols)
+    # n_max 48 with mu0 > 0: 1,728 distinct signed deltas, 1,152 magnitudes.
     deltas = static_coefficients(Cavity1D(length=1.0, mu0=1.0, n_max=48)).deltas
-    assert (deltas.size, np.count_nonzero(deltas >= 0.0)) == (1728, 1152)
-
-
-def test_map_integrates_an_unmirrored_negative_delta_itself(monkeypatch):
-    coeffs = static_coefficients(Cavity1D(length=1.0, mu0=1.3, n_max=8))
-    profile = SinusoidalProfile(1e-3, 2.0, 0.0, 10.0, phase=0.4)
-    genuine = first_order_map(coeffs, profile)
-    deltas = coeffs.deltas.copy()
-    deltas[0] = np.nextafter(deltas[0], -np.inf)  # the most negative delta loses its mirror
-    assert not np.isin(-deltas[0], deltas)
-    forged = type(coeffs)(**(coeffs._asdict() | {"deltas": deltas}))
-    asked = []
-    kernel = profiles._fourier_integrals
-
-    def recording_kernel(terms, batch, tol):
-        values, estimate = kernel(terms, batch, tol)
-        asked.append((np.array(batch), values))
-        return values, estimate
-
-    monkeypatch.setattr(profiles, "_fourier_integrals", recording_kernel)
-    map_ = first_order_map(forged, profile)
-    ((batch, values),) = asked
-    assert_bits(batch, np.concatenate([deltas[deltas >= 0.0], deltas[:1]]))
-    # The entries of the forged delta read the kernel's value there; every
-    # other entry reads what the genuine table gives it.
-    entries, want = (
-        np.concatenate([m.a_hat[coeffs.odd], m.b_hat[coeffs.odd]]) for m in (map_, genuine)
-    )
-    reads = coeffs.delta_index == 0
-    assert reads.any()
-    assert_bits(entries[reads], coeffs.entry_scale[reads] * values[-1])
-    assert_bits(entries[~reads], want[~reads])
+    assert deltas.size == 1152
 
 
 def test_compose_refuses_maps_without_parity_zeros():

@@ -24,8 +24,8 @@ from cavitymix.gaussian import (
     symplectic_residual,
 )
 from cavitymix.profiles import _SMALL_PHASE, QuadratureError, SinusoidalProfile
-from cavitymix.spectrum import Cavity1D, omega_diff_matrix
-from conftest import exact_oscillatory
+from cavitymix.spectrum import Cavity1D
+from conftest import exact_oscillatory, gap_matrices
 
 
 def rotation(theta):
@@ -156,6 +156,16 @@ def test_matrix_refusals_are_one_line(bad, got):
     message = str(refused.value)
     assert message == f"covariance must be a finite, square, even-sized matrix, got {got}"
     assert "\n" not in message
+
+
+@pytest.mark.parametrize(
+    "call", [partial_transpose, CovarianceState, symplectic_residual, symplectic_eigenvalues]
+)
+@pytest.mark.parametrize("bad", [np.eye(4) * (1 + 1j), np.eye(4, dtype=complex)], ids=["i", "0i"])
+def test_complex_matrices_are_refused_not_cast_to_their_real_part(call, bad):
+    # numpy's cast keeps the real part and says so only in a ComplexWarning.
+    with pytest.raises(ValueError, match="entries that are not real numbers$"):
+        call(bad)
 
 
 def test_symplectic_eigenvalues_reject_non_covariance():
@@ -334,7 +344,7 @@ def test_negativity_grid_matches_per_cell_maps():
     # the kernel takes its small-phase branch, and a static drive.
     cavity = Cavity1D(length=1.0, mu0=0.4, n_max=4)
     coeffs = static_coefficients(cavity)
-    resonance = abs(omega_diff_matrix(cavity)[0, 1])
+    resonance = abs(gap_matrices(cavity)[0][0, 1])
     omega_grid = np.concatenate([[0.0, resonance, resonance + 1e-7], np.linspace(2.0, 4.5, 6)])
     dtau_grid = np.linspace(3.0, 30.0, 5)
     s, h0 = 0.8, 1e-4
@@ -353,7 +363,7 @@ def test_negativity_grid_near_the_resonance_column_matches_exact():
     # crossover, against the exact integral of the two-term sinusoid.
     cavity = Cavity1D(length=1.0, mu0=0.0, n_max=4)
     coeffs = static_coefficients(cavity)
-    delta = omega_diff_matrix(cavity)[0, 1]
+    delta = gap_matrices(cavity)[0][0, 1]
     offsets = np.array([0.0, 0.005, -0.005, 0.012, -0.02, 0.03, -0.06, 0.1])
     omega_grid = abs(delta) + offsets
     dtau_grid = np.array([4.0, 10.0, 25.0])

@@ -25,8 +25,13 @@ from cavitymix.profiles import (
     validate_rigidity,
 )
 from cavitymix.scenarios import ScenarioError, load_scenario
-from cavitymix.spectrum import Cavity1D, omega_diff_matrix
-from conftest import exact_oscillatory, simpson_oscillatory, simpson_oscillatory_segmented
+from cavitymix.spectrum import Cavity1D
+from conftest import (
+    exact_oscillatory,
+    gap_matrices,
+    simpson_oscillatory,
+    simpson_oscillatory_segmented,
+)
 
 
 def test_sinusoidal_evaluate_and_sup():
@@ -427,7 +432,9 @@ def test_quadrature_error_signalling():
     ids=lambda prof: type(prof).__name__,
 )
 def test_evaluate_outside_interval_raises(prof):
-    for tau in (0.25, 1.75, np.array([1.0, 2.0]), np.array([[0.0], [1.0]])):
+    # A NaN lies in no interval, though it compares false against both ends.
+    outside = (0.25, 1.75, np.array([1.0, 2.0]), np.array([[0.0], [1.0]]))
+    for tau in (*outside, math.nan, np.array([1.0, math.nan])):
         with pytest.raises(ValueError, match="outside the profile interval"):
             prof.evaluate(tau)
     assert type(prof.evaluate(1.0)) is float
@@ -654,7 +661,7 @@ def _sampled_trace(n, duration, seed):
 
 _X = np.logspace(-6.0, 1.0, 8)
 # The mixing deltas omega_m - omega_n, m + n odd, of a cavity with mu0 L = 1000.
-_HEAVY = omega_diff_matrix(Cavity1D(length=1.0, mu0=1000.0, n_max=4))[[1, 2, 3, 3], [0, 1, 2, 0]]
+_HEAVY = gap_matrices(Cavity1D(length=1.0, mu0=1000.0, n_max=4))[0][[1, 2, 3, 3], [0, 1, 2, 0]]
 _HEAVY_TAU = np.linspace(0.0, 20.0, 201)
 _WINDOWED = np.array([1e-6, 0.7, 5.0 - math.pi / 2.0, 5.0, 5.0 + 1e-3, 17.0])
 

@@ -16,13 +16,12 @@ from cavitymix.resonance import (
 )
 from cavitymix.scenarios import load_scenario, run_scenario
 from cavitymix.spectrum import (
+    _odd_entries,
     Cavity1D,
     Cavity3D,
-    omega_diff_matrix,
-    omega_sum_matrix,
     reduce_to_effective_1d,
 )
-from conftest import SCENARIO_DIR
+from conftest import SCENARIO_DIR, gap_matrices
 
 
 def test_catalog_of_unit_massless_cavity():
@@ -58,7 +57,7 @@ def _catalog_by_brute_force(coeffs, max_omega):
     # One entry per odd pair m < n and kind, kept within max_omega, sorted by
     # the key the catalog has always used.
     cavity = coeffs.cavity
-    diff, total = omega_diff_matrix(cavity), omega_sum_matrix(cavity)
+    diff, total = gap_matrices(cavity)
     entries = []
     for m in range(1, cavity.n_max + 1):
         for n in range(m + 1, cavity.n_max + 1):
@@ -111,9 +110,10 @@ def test_catalog_columns_match_the_full_matrix_formulas_bit_for_bit():
         cavity = Cavity1D(length=length, mu0=mu0, n_max=int(rng.integers(2, 71)))
         coeffs = static_coefficients(cavity)
         max_omega = float(rng.uniform(0.05, 2.5)) * coeffs.omega[-1]
-        pairs = np.triu(coeffs.odd)
+        pairs = np.triu(_odd_entries(cavity.n_max)[0])
         rows, cols = np.nonzero(pairs)
-        mixing, creation = omega_diff_matrix(cavity).T[pairs], omega_sum_matrix(cavity)[pairs]
+        diffs, sums = gap_matrices(cavity)
+        mixing, creation = diffs.T[pairs], sums[pairs]
         omega = np.concatenate([mixing, creation])
         coefficient = np.abs(np.concatenate([coeffs.alpha_hat[pairs], coeffs.beta_hat[pairs]]))
         kind = np.repeat([kind.value for kind in ResonanceKind], rows.size)
@@ -165,7 +165,7 @@ def test_heavy_field_pushes_mixing_resonance_far_down():
 def test_paraxial_frequency_matches_exact_reduction():
     wavelength, lx = 600e-9, 0.01
     mu_bar = 2.0 * math.pi / wavelength
-    exact = omega_diff_matrix(Cavity1D(length=lx, mu0=mu_bar, n_max=2))[1, 0]
+    exact = gap_matrices(Cavity1D(length=lx, mu0=mu_bar, n_max=2))[0][1, 0]
     approx = paraxial_mixing_omega(wavelength, lx, 1, 2)
     assert approx == pytest.approx(exact, rel=1e-6)
     assert approx == pytest.approx(math.pi * wavelength * 3.0 / (4.0 * lx**2), rel=1e-14)
@@ -193,7 +193,7 @@ def test_paraxial_frequency_via_transverse_quantum_numbers():
 def test_mixing_resonance_sits_far_below_creation():
     cavity = Cavity1D(length=1.0, mu0=1e5, n_max=2)
     coeffs = static_coefficients(cavity)
-    mixing = omega_diff_matrix(cavity)[1, 0]
+    mixing = gap_matrices(cavity)[0][1, 0]
     creation = 2.0 * 1e5
     assert creation / mixing > 1e8
     # and the mixing survives a catalog query while creation does not
