@@ -14,10 +14,8 @@ on (mu0, L) only through mu0 * L.  They are computed on the odd entries
 alone, the row-major list that `spectrum._odd_entries` builds once per
 n_max, from one frequency vector and the cancellation-safe differences of
 `spectrum._gaps`, and scattered into zeroed matrices.  beta_hat is exactly
-symmetric.  alpha_hat is antisymmetric only to rounding: the differences
-are exactly antisymmetric, but numpy's x**3 of a negative x is not always
-exactly -(|x|**3), so alpha_hat[n, m] can differ from -alpha_hat[m, n] in
-the last bit, and a reader that wants one value per pair reads m < n.
+symmetric and alpha_hat exactly antisymmetric: the differences are exactly
+antisymmetric, and each is cubed as |w_m - w_n|^3 with its sign put back.
 
 First-order map.  To linear order in h(tau), evolution from tau0 to tauf
 factors into free phases times a perturbation,
@@ -33,11 +31,10 @@ which `static_coefficients` tabulates once per cavity: a massless cavity's
 w_m -+ w_n are integer multiples of pi/L, so many entries share a delta
 bit for bit.  h is real, so I(-delta) = conj I(delta): delta = w_m - w_n
 is negative exactly where m < n, and those A entries read the conjugate.
-A[m, n] and A[n, m] then read one integral and its conjugate, so the
-anti-Hermiticity residual of `verify_first_order_identities` sees only the
-last-bit rounding of alpha_hat's x**3.  B[m, n] and B[n, m] read the same
-sum-frequency integral times the same `entry_scale`, bit for bit, so the
-symmetry residual is exactly 0 by construction.
+A[m, n] and A[n, m] then read one integral and its conjugate, and B[m, n]
+and B[n, m] one sum-frequency integral, each pair times one `entry_scale`
+bit for bit, so both residuals of `verify_first_order_identities` are
+exactly 0 by construction.
 
 Composition.  Consecutive maps combine to first order as
 
@@ -105,19 +102,12 @@ def static_coefficients(cavity: Cavity1D) -> StaticCoefficients:
     _, rows, cols, flat = _odd_entries(n_max)
     omega = omega_vector(cavity)
     diffs, sums = _gaps(cavity, omega, rows, cols)
-    signed, signed_index = np.unique(np.concatenate([diffs, sums]), return_inverse=True)
+    deltas, delta_index = np.unique(np.concatenate([np.abs(diffs), sums]), return_inverse=True)
     # x**3 is a pow call, the costliest step: take it once per distinct
-    # delta, 3/4 of the entries (w_m + w_n = w_n + w_m), or about 4 n_max in
-    # all on a massless cavity.  It stays on the signed deltas: numpy's
-    # (-x)**3 is not always -(x**3).
-    diffs_cubed, sums_cubed = (signed**3)[signed_index].reshape(2, -1)
-    # The differences are exactly antisymmetric, so the nonnegative half of
-    # the table is every |delta|, and each negative delta's negation is in
-    # it bit for bit.
-    split = int(signed.searchsorted(0.0))
-    deltas = signed[split:]
-    remap = np.arange(-split, deltas.size)
-    remap[:split] = deltas.searchsorted(-signed[:split])
+    # |delta|, half the entries (about 2 n_max on a massless cavity).  Each
+    # difference then takes back its sign, so alpha_hat is exactly antisymmetric.
+    diffs_cubed, sums_cubed = (deltas**3)[delta_index].reshape(2, -1)
+    diffs_cubed = np.copysign(diffs_cubed, diffs)
     mn = (rows + 1.0) * (cols + 1.0)
     root = np.sqrt(omega[rows] * omega[cols])
     l4 = cavity.length**4
@@ -135,7 +125,7 @@ def static_coefficients(cavity: Cavity1D) -> StaticCoefficients:
         beta_hat=beta.reshape(n_max, n_max),
         omega=omega,
         deltas=deltas,
-        delta_index=remap[signed_index],
+        delta_index=delta_index,
         entry_scale=entry_scale,
     )
 
@@ -286,12 +276,9 @@ def verify_first_order_identities(map_: FirstOrderBogoliubovMap) -> IdentityRepo
     every parity zero is exact.
 
     A[m, n] and A[n, m] read one integral, I(|delta|), and its conjugate,
-    so on the maps `first_order_map` returns the anti-Hermiticity residual
-    sees only the last-bit rounding of alpha_hat (numpy's x**3 of a
-    negative x).  B[m, n] and B[n, m] read the same sum-frequency integral
-    and the same `entry_scale`, bit for bit, so `symmetry_residual` is
-    exactly 0 by construction on the maps `first_order_map` and `compose`
-    return.
+    and B[m, n] and B[n, m] the same sum-frequency integral, each pair times
+    one `entry_scale` bit for bit, so both residuals are exactly 0 by
+    construction on the maps `first_order_map` and `compose` return.
     """
     anti = float(np.max(np.abs(map_.a_hat + map_.a_hat.conj().T)))
     sym = float(np.max(np.abs(map_.b_hat - map_.b_hat.T)))

@@ -48,7 +48,7 @@ import numpy as np
 from . import _Value
 from .bogoliubov import FirstOrderBogoliubovMap, StaticCoefficients, _first_order_drive
 from .profiles import _CHUNK_ELEMENTS, RigidityReport, _check_finite, _rounding_estimate
-from .spectrum import DEFAULT_TOL, RIGIDITY_BOUND, _check_count, _check_modes, _gaps
+from .spectrum import DEFAULT_TOL, RIGIDITY_BOUND, _check_count, _check_modes, _check_real, _gaps
 
 SYMMETRY_TOL = 1e-12
 PSD_TOL = 1e-10
@@ -75,9 +75,8 @@ def symplectic_form(n_modes: int) -> np.ndarray:
 def _quadrature_matrix(name: str, value) -> tuple[np.ndarray, np.ndarray]:
     """`value` as a new float array, and its symplectic form; real, finite, square, even-sized."""
     try:
-        # A complex array would cast to its real part with only a ComplexWarning.
-        matrix = None if np.iscomplexobj(value) else np.array(value, dtype=float)
-    except (TypeError, ValueError):
+        matrix = np.array(_check_real(name, value))  # a copy: the caller's array stays writeable
+    except ValueError:
         matrix = None
     if matrix is None:
         got = "ragged rows or entries that are not real numbers"
@@ -290,8 +289,9 @@ def negativity_grid(
     finite.  A drive with |h0| at or above the rigidity bound is refused,
     and one above 0.1 warned about, as `first_order_map` does.
     """
-    omega_c_values = np.asarray(omega_c_values, dtype=float)
-    delta_tau_values = np.asarray(delta_tau_values, dtype=float)
+    omega_c_values = _check_real("omega_c_values", omega_c_values)
+    delta_tau_values = _check_real("delta_tau_values", delta_tau_values)
+    h0 = float(_check_real("h0", h0))
     if omega_c_values.size == 0 or delta_tau_values.size == 0:
         raise ValueError("both grid axes must be nonempty")
     _check_squeezing(s)

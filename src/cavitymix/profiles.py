@@ -54,7 +54,7 @@ import numbers
 import numpy as np
 
 from . import _Value
-from .spectrum import DEFAULT_TOL, RIGIDITY_BOUND, _is_two
+from .spectrum import DEFAULT_TOL, RIGIDITY_BOUND, _check_real, _is_two
 
 # Crossover of the small-phase branch, on |z| = |theta|*span of a piece.
 # Above it the node form divides differences of unit exponentials, each
@@ -238,7 +238,7 @@ def _fourier_integrals(terms: _Terms, deltas, tol: float = DEFAULT_TOL) -> tuple
     larger of the bounds of the paths taken.  Raises `QuadratureError` when a
     bound exceeds `tol` or a value is not finite.
     """
-    deltas = np.asarray(deltas, dtype=float).ravel()
+    deltas = np.ravel(deltas)
     chain = _uniform_chain(terms)
     far = np.abs(deltas) * chain[0] >= _SMALL_PHASE if chain else np.zeros(deltas.size, bool)
     n_far = np.count_nonzero(far)
@@ -455,7 +455,7 @@ class AccelerationProfile:
 
     def evaluate(self, tau):
         """h(tau): a float for a scalar tau, else an array of tau's shape."""
-        t = np.asarray(tau, dtype=float)
+        t = _check_real("tau", tau)
         if not np.all((t >= self.tau0) & (t <= self.tauf)):  # NaN fails both
             raise ValueError(f"tau outside the profile interval [{self.tau0}, {self.tauf}]")
         out = self._h(t - self.tau0)
@@ -658,8 +658,8 @@ class SampledProfile(_Linear, _Value, eq=False):
     h: np.ndarray
 
     def __post_init__(self) -> None:
-        tau = np.asarray(self.tau, dtype=float)
-        h = np.asarray(self.h, dtype=float)
+        tau = _check_real("tau", self.tau)
+        h = _check_real("h", self.h)
         if tau.ndim != 1 or h.shape != tau.shape:
             raise ValueError("tau and h must be 1-d arrays of equal length")
         if tau.size < 2:
@@ -803,7 +803,7 @@ def oscillatory_integral(
     finite.
     """
     terms = profile._terms()
-    values, estimate = _fourier_integrals(terms, [delta], tol)
+    values, estimate = _fourier_integrals(terms, [_check_real("delta", delta)], tol)
     return OscillatoryIntegralResult(
         value=complex(values[0]), error_estimate=estimate, evaluations=terms[4].size
     )

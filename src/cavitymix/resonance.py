@@ -125,7 +125,6 @@ def catalog_1d(coeffs: StaticCoefficients, max_omega: float) -> ResonanceCatalog
     keep = keep[np.argsort(omega[keep], kind="stable")]
     creation, pair = np.divmod(keep, upper.size)
     entry = upper[pair]
-    # alpha_hat is antisymmetric only to rounding: read it at m < n.
     at = flat[entry]
     coefficient = np.abs(
         np.where(creation, coeffs.beta_hat.ravel()[at], coeffs.alpha_hat.ravel()[at])

@@ -131,6 +131,21 @@ def _check_count(name: str, value, least: int = 1) -> None:
         raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
+def _check_real(name: str, value) -> np.ndarray:
+    """`value` as a float array; a ValueError naming `name` unless it is real numbers.
+
+    `np.asarray(value, dtype=float)` alone would cast a complex value to its
+    real part with only a ComplexWarning, and raise an unnamed TypeError or
+    ValueError for anything else it cannot read.
+    """
+    try:
+        if not np.iscomplexobj(value):
+            return np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as error:
+        raise ValueError(f"{name} must be real numbers: {error}") from None
+    raise ValueError(f"{name} must be real, got a complex value")
+
+
 def _is_two(value) -> bool:
     """A tuple, list or 1-d array of two items, whatever the items are."""
     shape = (len(value),) if isinstance(value, (tuple, list)) else getattr(value, "shape", None)

@@ -64,7 +64,7 @@ def test_static_coefficients_parity_and_diagonal():
 def test_static_coefficients_sign_structure():
     coeffs = static_coefficients(unit_cavity())
     # Mixing flips sign when the pair is swapped, creation does not.
-    assert coeffs.alpha_entry(2, 1) == pytest.approx(-coeffs.alpha_entry(1, 2), rel=1e-14)
+    assert coeffs.alpha_entry(2, 1) == -coeffs.alpha_entry(1, 2)
     assert coeffs.beta_entry(2, 1) == pytest.approx(coeffs.beta_entry(1, 2), rel=1e-14)
 
 
@@ -345,7 +345,8 @@ def reference_coefficients(cavity):
     root = np.sqrt(omega[:, None] * omega[None, :])
     l4 = cavity.length**4
     safe_diffs = np.where(odd, diffs, 1.0)
-    alpha = np.where(odd, -2.0 * math.pi**2 * mn / (l4 * safe_diffs**3 * root), 0.0)
+    cubed = np.copysign(np.abs(safe_diffs) ** 3, safe_diffs)
+    alpha = np.where(odd, -2.0 * math.pi**2 * mn / (l4 * cubed * root), 0.0)
     beta = np.where(odd, 2.0 * math.pi**2 * mn / (l4 * sums**3 * root), 0.0)
     gaps = np.abs(np.concatenate([diffs[odd], sums[odd]]))
     deltas, delta_index = np.unique(gaps, return_inverse=True)
@@ -414,10 +415,7 @@ def test_maps_and_compositions_match_the_full_matrix_formulas_bit_for_bit():
                 assert_bits(got, want)
             report = verify_first_order_identities(map_)
             assert report.parity_residual == 0.0
-            # A[n, m] reads the conjugate of A[m, n]'s integral, so only the
-            # last bit of alpha_hat can leave an anti-Hermiticity residual.
-            if np.array_equal(coeffs.alpha_hat, -coeffs.alpha_hat.T):
-                assert report.anti_hermiticity_residual == 0.0
+            assert report.anti_hermiticity_residual == 0.0
         whole = drives(rng, coeffs.omega)[0]
         cut = whole.tau0 + 0.4 * whole.duration
         first = first_order_map(coeffs, whole.restrict(whole.tau0, cut))
@@ -427,6 +425,29 @@ def test_maps_and_compositions_match_the_full_matrix_formulas_bit_for_bit():
         assert_bits(joined.a_hat, first.a_hat + np.exp(-1j * diffs * dtau1) * second.a_hat)
         assert_bits(joined.b_hat, first.b_hat + np.exp(-1j * sums * dtau1) * second.b_hat)
         assert_bits(joined.phases, first.phases + second.phases)
+
+
+def test_mixing_coefficients_are_exactly_antisymmetric():
+    # Each difference is cubed as |w_m - w_n|^3 with its sign put back, so
+    # the pair (m, n), (n, m) shares one value up to sign, and its A entries
+    # one integral and its conjugate: both identity residuals are exactly 0.
+    for cavity, rng in seeded_cavities(47, 400):
+        coeffs = static_coefficients(cavity)
+        assert np.array_equal(coeffs.alpha_hat, -coeffs.alpha_hat.T)
+        _, rows, cols, flat = spectrum._odd_entries(cavity.n_max)
+        mirror = np.searchsorted(flat, cols * cavity.n_max + rows)
+        for scale in coeffs.entry_scale.reshape(2, -1):
+            assert_bits(scale[mirror], scale)
+        whole = drives(rng, coeffs.omega)[0]
+        cut = whole.tau0 + 0.4 * whole.duration
+        halves = [
+            first_order_map(coeffs, whole.restrict(*span))
+            for span in ((whole.tau0, cut), (cut, whole.tauf))
+        ]
+        for map_ in (first_order_map(coeffs, whole), compose(*halves)):
+            report = verify_first_order_identities(map_)
+            assert report.anti_hermiticity_residual == 0.0
+            assert report.symmetry_residual == 0.0
 
 
 # The fold: a map integrates each distinct |delta| once and reads I(-delta)
@@ -507,7 +528,7 @@ def test_delta_table_holds_each_gap_magnitude_once():
         assert_bits(deltas[coeffs.delta_index], np.concatenate([np.abs(diffs[odd]), sums[odd]]))
         rows, cols = np.indices(diffs.shape)
         assert np.array_equal(diffs < 0.0, rows < cols)
-    # n_max 48 with mu0 > 0: 1,728 distinct signed deltas, 1,152 magnitudes.
+    # n_max 48 with mu0 > 0: 2,304 gaps over the odd entries, 1,152 magnitudes.
     deltas = static_coefficients(Cavity1D(length=1.0, mu0=1.0, n_max=48)).deltas
     assert deltas.size == 1152
 
