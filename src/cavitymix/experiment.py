@@ -46,7 +46,9 @@ from .resonance import (
     paraxial_mixing_omega,
     paraxial_validity_ratio,
 )
-from .spectrum import RIGIDITY_BOUND, Cavity3D, _check_pair, omega_vector, reduce_to_effective_1d
+from .spectrum import (
+    RIGIDITY_BOUND, Cavity3D, _check_number, _check_pair, omega_vector, reduce_to_effective_1d,
+)
 
 C_LIGHT = 2.99792458e8
 WAVELENGTH_EDGE_FACTOR = 100.0
@@ -66,8 +68,7 @@ class LinearMotion(_Value):
     def __post_init__(self):
         if self.axis not in ("x", "y"):
             raise ValueError(f"driven axis must be 'x' or 'y', got {self.axis!r}")
-        if not 0.0 <= self.amplitude < math.inf:
-            raise ValueError(f"amplitude must be finite and nonnegative, got {self.amplitude}")
+        _check_number("amplitude", self.amplitude, "nonnegative")
 
 
 class CircularMotion(_Value):
@@ -77,9 +78,8 @@ class CircularMotion(_Value):
     dy: float
 
     def __post_init__(self):
-        for name, value in (("dx", self.dx), ("dy", self.dy)):
-            if not 0.0 <= value < math.inf:
-                raise ValueError(f"{name} must be finite and nonnegative, got {value}")
+        _check_number("dx", self.dx, "nonnegative")
+        _check_number("dy", self.dy, "nonnegative")
 
 
 class ExperimentPlan(_Value):
@@ -100,10 +100,8 @@ class ExperimentPlan(_Value):
     transverse: tuple[int, int] | None = None
 
     def __post_init__(self):
-        for name, value in (("wavelength", self.wavelength), ("lx", self.lx),
-                            ("ly", self.ly), ("lz", self.lz)):
-            if not value > 0.0:
-                raise ValueError(f"{name} must be positive, got {value}")
+        for name in ("wavelength", "lx", "ly", "lz"):
+            _check_number(name, getattr(self, name), "positive")
         edge = min(self.lx, self.ly, self.lz)
         if self.wavelength >= edge / WAVELENGTH_EDGE_FACTOR:
             raise ValueError(

@@ -48,7 +48,9 @@ import numpy as np
 from . import _Value
 from .bogoliubov import FirstOrderBogoliubovMap, StaticCoefficients, _first_order_drive
 from .profiles import _CHUNK_ELEMENTS, RigidityReport, _check_finite, _rounding_estimate
-from .spectrum import DEFAULT_TOL, RIGIDITY_BOUND, _check_count, _check_modes, _check_real, _gaps
+from .spectrum import (
+    DEFAULT_TOL, RIGIDITY_BOUND, _check_count, _check_modes, _check_number, _check_real, _gaps,
+)
 
 SYMMETRY_TOL = 1e-12
 PSD_TOL = 1e-10
@@ -109,8 +111,7 @@ class CovarianceState(_Value, eq=False):
 
     def __post_init__(self):
         sigma, omega = _quadrature_matrix("covariance", self.sigma)
-        if not 0.0 <= self.psd_tol < math.inf:
-            raise ValueError(f"psd_tol must be finite and nonnegative, got {self.psd_tol}")
+        _check_number("psd_tol", self.psd_tol, "nonnegative")
         if not np.max(np.abs(sigma - sigma.T)) <= SYMMETRY_TOL:
             raise ValueError("covariance matrix is not symmetric")
         bound = float(np.min(np.linalg.eigvalsh(sigma + 1j * omega)))
@@ -126,11 +127,6 @@ class CovarianceState(_Value, eq=False):
         return self.sigma.shape[0] // 2
 
 
-def _check_squeezing(s: float) -> None:
-    if not 0.0 <= s < math.inf:
-        raise ValueError(f"squeezing parameter must be finite and nonnegative, got {s}")
-
-
 def squeezed_vacuum(n_modes: int, s: float) -> CovarianceState:
     """Product state with every mode squeezed by s along the same quadrature.
 
@@ -139,7 +135,7 @@ def squeezed_vacuum(n_modes: int, s: float) -> CovarianceState:
     determinant, so the state is pure.
     """
     _check_count("n_modes", n_modes)
-    _check_squeezing(s)
+    _check_number("squeezing parameter", s, "nonnegative")
     diag = np.empty(2 * n_modes)
     diag[0::2] = math.exp(s)
     diag[1::2] = math.exp(-s)
@@ -252,7 +248,7 @@ def first_order_negativity(
     creation entry B[m, n] is negligible against A[m, n]; warns outside
     that regime (|B| > 0.01 |A|).
     """
-    _check_squeezing(s)
+    _check_number("squeezing parameter", s, "nonnegative")
     entry = _check_modes(map_.cavity.n_max, pair, distinct=True)
     a, b = complex(map_.a_hat[entry]), complex(map_.b_hat[entry])
     if abs(b) > B_OVER_A_REGIME * abs(a):
@@ -284,21 +280,25 @@ def negativity_grid(
     grid, the two pieces of `SinusoidalProfile`'s table, of which a cell
     needs only the real part, sin(theta*dtau)/theta per piece.  The grid
     makes the checks a per-cell profile and `oscillatory_integral` would
-    make: ValueError for a negative frequency or a non-positive duration,
-    QuadratureError when the rounding bound exceeds `tol` or a cell is not
-    finite.  A drive with |h0| at or above the rigidity bound is refused,
-    and one above 0.1 warned about, as `first_order_map` does.
+    make: ValueError for a negative frequency, a non-positive duration or
+    either one not finite, QuadratureError when the rounding bound exceeds
+    `tol` or a cell is not finite.  A drive with |h0| at or above the
+    rigidity bound is refused, and one above 0.1 warned about, as
+    `first_order_map` does.
     """
     omega_c_values = _check_real("omega_c_values", omega_c_values)
     delta_tau_values = _check_real("delta_tau_values", delta_tau_values)
-    h0 = float(_check_real("h0", h0))
+    _check_number("h0", h0, finite=False)  # NaN and infinity break the rigidity bound below
     if omega_c_values.size == 0 or delta_tau_values.size == 0:
         raise ValueError("both grid axes must be nonempty")
-    _check_squeezing(s)
-    if not np.all(omega_c_values >= 0.0):
-        raise ValueError(f"drive frequencies must be nonnegative, got {omega_c_values.min()}")
-    if not np.all(delta_tau_values > 0.0):
-        raise ValueError(f"durations must be positive, got {delta_tau_values.min()}")
+    _check_number("squeezing parameter", s, "nonnegative")
+    for name, values, sign, good in (
+        ("drive frequencies", omega_c_values, "nonnegative", omega_c_values >= 0.0),
+        ("durations", delta_tau_values, "positive", delta_tau_values > 0.0),
+    ):
+        bad = values[~(good & np.isfinite(values))]  # NaN fails the sign
+        if bad.size:
+            raise ValueError(f"{name} must be finite and {sign}, got {bad[0]}")
     # h0 cos(omega_c t) reaches |h0| at t = 0, whatever the cell.
     _first_order_drive(RigidityReport(abs(h0) < RIGIDITY_BOUND, abs(h0), 0.0))
     entry = _check_modes(coeffs.cavity.n_max, pair, distinct=True)

@@ -49,12 +49,11 @@ from __future__ import annotations
 
 import cmath
 import math
-import numbers
 
 import numpy as np
 
 from . import _Value
-from .spectrum import DEFAULT_TOL, RIGIDITY_BOUND, _check_real, _is_two
+from .spectrum import DEFAULT_TOL, RIGIDITY_BOUND, _check_number, _check_real, _is_real, _is_two
 
 # Crossover of the small-phase branch, on |z| = |theta|*span of a piece.
 # Above it the node form divides differences of unit exponentials, each
@@ -402,22 +401,11 @@ def _check_finite(values: np.ndarray) -> None:
         raise QuadratureError("not finite: a phase or term of the profile exceeds float range")
 
 
-def _is_real(value) -> bool:
-    """A real number, numpy's too; not a bool, a string or bytes that float() would read."""
-    return type(value) is float or (isinstance(value, numbers.Real) and type(value) is not bool)
-
-
-def _require_finite(name: str, value: float) -> None:
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value}")
-
-
 def _check_drive(h0: float, omega_c: float, phase: float) -> None:
     """The checks of a cosine drive's amplitude, frequency and phase."""
-    _require_finite("h0", h0)
-    if not 0.0 <= omega_c < math.inf:
-        raise ValueError(f"drive frequency must be finite and nonnegative, got {omega_c}")
-    _require_finite("phase", phase)
+    _check_number("h0", h0)
+    _check_number("drive frequency", omega_c, "nonnegative")
+    _check_number("phase", phase)
 
 
 def _cosine_peak(h0, omega_c, phase, a, b) -> tuple[float, float]:
@@ -476,6 +464,8 @@ class AccelerationProfile:
         raise NotImplementedError
 
     def _check_interval(self) -> None:
+        for name in ("tau0", "tauf"):  # NaN and infinity get the interval's own messages
+            _check_number(name, getattr(self, name), finite=False)
         if not self.tauf > self.tau0:
             raise ValueError(f"profile interval must have tauf > tau0, got [{self.tau0}, {self.tauf}]")
         if not -math.inf < self.tau0 < self.tauf < math.inf:
@@ -494,6 +484,8 @@ class AccelerationProfile:
             )
 
     def _check_restriction(self, a: float, b: float) -> None:
+        _check_number("a", a)
+        _check_number("b", b)
         if not (self.tau0 <= a < b <= self.tauf):
             raise ValueError(
                 f"restriction [{a}, {b}] must nest inside [{self.tau0}, {self.tauf}]"
@@ -553,9 +545,8 @@ class PiecewiseConstantProfile(AccelerationProfile, _Value):
         for i, segment in enumerate(self.segments):
             if not (_is_two(segment) and all(map(_is_real, segment))):
                 raise ValueError(f"segment {i} is not a (duration, h) pair: {segment!r}")
-            if not float(segment[0]) > 0.0:
-                raise ValueError(f"segment {i} duration must be positive, got {segment[0]}")
-            _require_finite(f"segment {i} value h", float(segment[1]))
+            _check_number(f"segment {i} duration", segment[0], "positive", finite=False)
+            _check_number(f"segment {i} value h", segment[1])
         object.__setattr__(self, "segments", tuple((float(d), float(h)) for d, h in self.segments))
         self._check_interval()
 
@@ -626,9 +617,8 @@ class RampProfile(_Linear, _Value):
 
     def __post_init__(self) -> None:
         self._check_interval()
-        _require_finite("h0", self.h0)
-        if not self.ramp_time > 0.0:
-            raise ValueError(f"ramp_time must be positive, got {self.ramp_time}")
+        _check_number("h0", self.h0)
+        _check_number("ramp_time", self.ramp_time, "positive")
         self._check_room(self.ramp_time, "ramps")
 
     def _terms(self) -> _Terms:
@@ -712,8 +702,7 @@ class WindowedSinusoidProfile(AccelerationProfile, _Value):
     def __post_init__(self) -> None:
         self._check_interval()
         _check_drive(self.h0, self.omega_c, self.phase)
-        if not self.window_time > 0.0:
-            raise ValueError(f"window_time must be positive, got {self.window_time}")
+        _check_number("window_time", self.window_time, "positive")
         self._check_room(self.window_time, "windows")
         if not math.isfinite(math.pi / self.window_time * self.duration):
             raise ValueError(

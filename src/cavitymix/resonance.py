@@ -46,7 +46,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import _Value
-from .spectrum import _check_pair, _odd_entries
+from .spectrum import _check_number, _check_pair, _odd_entries
 
 if TYPE_CHECKING:
     from .bogoliubov import StaticCoefficients
@@ -113,8 +113,7 @@ def catalog_1d(coeffs: StaticCoefficients, max_omega: float) -> ResonanceCatalog
     The odd pairs m < n give the mixing rows and then the creation rows;
     the rows within max_omega are put in order by one stable sort.
     """
-    if not max_omega > 0.0:
-        raise ValueError(f"max_omega must be positive, got {max_omega}")
+    _check_number("max_omega", max_omega, "positive")
     _, rows, cols, flat = _odd_entries(coeffs.cavity.n_max)
     upper = np.flatnonzero(rows < cols)  # the pairs m < n, in (m, n) order
     # The coefficient table holds |w_m - w_n| and then w_m + w_n over the odd entries.

@@ -47,7 +47,7 @@ import numpy as np
 import yaml
 
 from . import _Value, __version__
-from .spectrum import DEFAULT_TOL, RIGIDITY_BOUND, Cavity1D, _check_modes, _is_mode_number
+from .spectrum import DEFAULT_TOL, RIGIDITY_BOUND, Cavity1D, _check_modes, _is_mode_number, _is_real
 
 if TYPE_CHECKING:
     from .experiment import ExperimentPlan
@@ -66,11 +66,27 @@ _SI_LENGTH = ((">=", 1e-35), ("<=", _SI_MAX))
 
 
 class _Loader(yaml.SafeLoader):
-    """SafeLoader that also reads the YAML 1.2 e-notation floats 1e-3 and 1.0e3.
+    """SafeLoader that refuses a repeated key and reads the YAML 1.2 e-notation floats.
 
-    PyYAML resolves floats by YAML 1.1, which needs a dot and a signed
-    exponent, so it would load both as strings.
+    PyYAML keeps the last of two equal keys of a mapping without a word, so
+    a file could pass with one value in view and run with another.  It
+    resolves floats by YAML 1.1, which needs a dot and a signed exponent,
+    so it would load 1e-3 and 1.0e3 as strings.
     """
+
+    def construct_mapping(self, node, deep=False):
+        seen = set()
+        for key_node, _ in node.value:
+            # A merge key '<<' may repeat; a key that is not a scalar is not a field name.
+            if isinstance(key_node, yaml.ScalarNode) and key_node.tag != "tag:yaml.org,2002:merge":
+                key = self.construct_object(key_node)
+                if key in seen:
+                    raise yaml.constructor.ConstructorError(
+                        "while constructing a mapping", node.start_mark,
+                        f"found duplicate key {key!r}", key_node.start_mark,
+                    )
+                seen.add(key)
+        return super().construct_mapping(node, deep)
 
 
 _Loader.add_implicit_resolver(
@@ -167,7 +183,7 @@ class Block(_Value):
 
 
 def _number(value) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if not _is_real(value):
         raise ValueError(f"must be a number, got {value!r:.40}")
     try:
         return float(value)
@@ -310,10 +326,11 @@ def _rigid(profile: AccelerationProfile) -> AccelerationProfile:
     return profile
 
 
+_N_MAX = Field("n_max", _integer, None, ((">=", 2), ("<=", _N_MAX_LIMIT)))
 _CAVITY = Block((
     Field("length", _number, bounds=_POSITIVE),
     Field("mu0", _number, None, _NONNEGATIVE),
-    Field("n_max", _integer, None, ((">=", 2), ("<=", _N_MAX_LIMIT))),
+    _N_MAX,
 ), Cavity1D)
 
 _H0 = Field("h0", _number)
@@ -515,7 +532,9 @@ def load_scenario(path: str | Path, n_max: int | None = None) -> Scenario:
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
-        raise ScenarioError([f"{path}: YAML parse error{where}: {exc}"]) from exc
+        # One line: the mark is `where`, and its snippet would span lines.
+        problem = getattr(exc, "problem", None) or " ".join(str(exc).split())
+        raise ScenarioError([f"{path}: YAML parse error{where}: {problem}"]) from exc
     if not isinstance(data, dict):
         raise ScenarioError([f"{path}: scenario must be a mapping, got {type(data).__name__}"])
 
@@ -526,6 +545,10 @@ def load_scenario(path: str | Path, n_max: int | None = None) -> Scenario:
     if n_max is not None:
         if not any(field.name == "cavity" for field in scenario.blocks):
             raise ScenarioError([f"--nmax: {kind} scenarios have no cavity to truncate"])
+        try:  # the file's own n_max field, so its bounds are written once
+            _check_value(_integer(n_max), _N_MAX)
+        except ValueError as exc:
+            raise ScenarioError([f"--nmax: {exc}"]) from None
         if isinstance(data.get("cavity"), dict):
             data["cavity"]["n_max"] = n_max
     diags: list[str] = []

@@ -57,10 +57,8 @@ class Cavity1D(_Value):
     n_max: int = 10
 
     def __post_init__(self) -> None:
-        if not self.length > 0.0:
-            raise ValueError(f"cavity length must be positive, got {self.length}")
-        if not self.mu0 >= 0.0:
-            raise ValueError(f"field mass mu0 must be nonnegative, got {self.mu0}")
+        _check_number("cavity length", self.length, "positive")
+        _check_number("field mass mu0", self.mu0, "nonnegative")
         _check_count("n_max", self.n_max, 2)
         k = math.pi / self.length
         w1, w2 = math.hypot(self.mu0, k), math.hypot(self.mu0, 2.0 * k)
@@ -83,10 +81,8 @@ class Cavity3D(_Value):
 
     def __post_init__(self) -> None:
         for name, edge in zip(_AXES, (self.lx, self.ly, self.lz)):
-            if not edge > 0.0:
-                raise ValueError(f"cavity edge l{name} must be positive, got {edge}")
-        if not self.mu >= 0.0:
-            raise ValueError(f"field mass mu must be nonnegative, got {self.mu}")
+            _check_number(f"cavity edge l{name}", edge, "positive")
+        _check_number("field mass mu", self.mu, "nonnegative")
 
 
 def reduce_to_effective_1d(
@@ -131,19 +127,40 @@ def _check_count(name: str, value, least: int = 1) -> None:
         raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
+def _is_real(value) -> bool:
+    """The one rule for a real number: an int or a float, numpy's too; no bool, text or complex."""
+    # float and int (np.float64 is a float) before the ABC, whose check costs about 1 us.
+    return type(value) is not bool and isinstance(value, (float, int, numbers.Real))
+
+
+def _check_number(name: str, value, sign: str = "", finite: bool = True) -> None:
+    """A ValueError naming `name` unless `value` is a real number of `sign`, and finite.
+
+    `sign` is "", "nonnegative" or "positive"; NaN fails either, with the sign's message.
+    `finite=False` leaves NaN and infinity to a check that names them itself.
+    """
+    if not _is_real(value):
+        raise ValueError(f"{name} must be real (an int or a float), got {value!r:.40}")
+    if sign and not (value > 0.0 if sign == "positive" else value >= 0.0):
+        raise ValueError(f"{name} must be {sign}, got {value}")
+    if finite and not -math.inf < value < math.inf:
+        raise ValueError(f"{name} must be finite, got {value}")
+
+
 def _check_real(name: str, value) -> np.ndarray:
     """`value` as a float array; a ValueError naming `name` unless it is real numbers.
 
-    `np.asarray(value, dtype=float)` alone would cast a complex value to its
-    real part with only a ComplexWarning, and raise an unnamed TypeError or
-    ValueError for anything else it cannot read.
+    The rule of `_is_real` on the dtype: booleans, text, bytes, objects and
+    complex numbers are refused, which `np.asarray(value, dtype=float)` would
+    read as numbers (a complex one as its real part, with a ComplexWarning).
     """
     try:
-        if not np.iscomplexobj(value):
-            return np.asarray(value, dtype=float)
-    except (TypeError, ValueError) as error:
+        array = np.asarray(value)
+    except (TypeError, ValueError) as error:  # ragged rows, which numpy cannot shape
         raise ValueError(f"{name} must be real numbers: {error}") from None
-    raise ValueError(f"{name} must be real, got a complex value")
+    if array.dtype.kind not in "iuf":
+        raise ValueError(f"{name} must be real numbers: got dtype {array.dtype}")
+    return np.asarray(array, dtype=float)
 
 
 def _is_two(value) -> bool:

@@ -232,6 +232,39 @@ def test_bad_option_value_exits_one(tmp_path):
     assert "numerical failure" not in result.stderr
 
 
+@pytest.mark.parametrize("n_max, bound", [("1", ">= 2"), ("5000", "<= 1000")])
+def test_nmax_out_of_bounds_blames_the_option(tmp_path, n_max, bound):
+    result = run_cli(
+        "run", str(SCENARIO_DIR / "evolve_resonant.yaml"), "--nmax", n_max, cwd=tmp_path
+    )
+    assert result.returncode == 1
+    assert result.stderr == f"error: --nmax: must be {bound}, got {n_max}\n"
+    assert not (tmp_path / "evolve_resonant.csv").exists()
+
+
+def test_repeated_key_exits_one_without_traceback(tmp_path):
+    scenario = tmp_path / "twice.yaml"
+    scenario.write_text(
+        "kind: evolve\n"
+        "cavity: {length: 1.0, n_max: 4}\n"
+        "profile:\n"
+        "  variant: sinusoidal\n"
+        "  h0: 1.0e-3\n"
+        "  omega_c: 3.0\n"
+        "  tauf: 5.0\n"
+        "  h0: 1.5\n",
+        encoding="utf-8",
+    )
+    for command in ("validate", "run"):
+        result = run_cli(command, str(scenario), cwd=tmp_path)
+        assert result.returncode == 1
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), result.stderr
+        assert "line 8, column 3: found duplicate key 'h0'" in lines[0]
+        assert "Traceback" not in result.stderr
+    assert not (tmp_path / "twice.csv").exists()
+
+
 def test_missing_subcommand_exits_one_and_help_exits_zero(tmp_path):
     assert run_cli(cwd=tmp_path).returncode == 1
     assert run_cli("--help", cwd=tmp_path).returncode == 0

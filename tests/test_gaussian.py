@@ -433,6 +433,13 @@ def test_negativity_grid_keeps_the_profile_checks():
         negativity_grid(coeffs, (1, 2), 1.0, 1e-3, omega_grid, np.array([0.0, 5.0]))
     with pytest.raises(ValueError):
         negativity_grid(coeffs, (1, 2), 1.0, 1e-3, omega_grid, np.array([np.nan]))
+    # An infinite axis is bad input, as `SinusoidalProfile` says, not a quadrature failure.
+    for axes, name in (
+        ((np.array([1.0, math.inf]), dtau_grid), "drive frequencies"),
+        ((omega_grid, np.array([5.0, math.inf])), "durations"),
+    ):
+        with pytest.raises(ValueError, match=f"^{name} must be finite and .*, got inf$"):
+            negativity_grid(coeffs, (1, 2), 1.0, 1e-3, *axes)
     # A drive that breaks rigidity, which first_order_map refuses too.
     for h0 in (5.0, -2.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="rigidity bound"):

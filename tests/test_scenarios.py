@@ -69,6 +69,11 @@ def test_nmax_override(tmp_path):
     assert len(table) == 9
     with pytest.raises(ScenarioError, match="--nmax: experiment_plan scenarios have no cavity"):
         load_scenario(SCENARIO_DIR / "desktop_linear.yaml", n_max=5)
+    # The override is checked against the file's own n_max field, and blamed.
+    for n_max, bound in ((1, ">= 2"), (5000, "<= 1000")):
+        with pytest.raises(ScenarioError) as err:
+            load_scenario(SCENARIO_DIR / "evolve_resonant.yaml", n_max=n_max)
+        assert err.value.diagnostics == [f"--nmax: must be {bound}, got {n_max}"]
 
 
 def test_sweep_scenario_row_layout():
@@ -177,9 +182,33 @@ def test_missing_file_and_bad_yaml(tmp_path):
     path = write(tmp_path, "kind: [unclosed\n")
     with pytest.raises(ScenarioError, match="parse error"):
         load_scenario(path)
+    # Each parse error is one diagnostic line, also one that is not at a line and column.
+    (tmp_path / "bytes.yaml").write_bytes(b"kind: \xff\n")
+    for name in ("scn.yaml", "bytes.yaml"):
+        with pytest.raises(ScenarioError) as err:
+            load_scenario(tmp_path / name)
+        (diagnostic,) = err.value.diagnostics
+        assert "YAML parse error" in diagnostic and "\n" not in diagnostic, diagnostic
     path = write(tmp_path, "- just\n- a list\n")
     with pytest.raises(ScenarioError, match="mapping"):
         load_scenario(path)
+
+
+def test_repeated_keys_are_refused_at_any_depth(tmp_path):
+    nested = EVOLVE.replace("tauf: 5.0}", "tauf: 5.0, h0: 1.5}")
+    top = EVOLVE + "cavity: {length: 2.0, n_max: 4}\n"
+    for text, line, key in ((nested, 3, "h0"), (top, 4, "cavity")):
+        with pytest.raises(ScenarioError) as err:
+            load_scenario(write(tmp_path, text))
+        (diagnostic,) = err.value.diagnostics
+        assert re.fullmatch(
+            rf".*: YAML parse error at line {line}, column \d+: found duplicate key '{key}'",
+            diagnostic,
+        ), diagnostic
+    # A merge key may repeat, and a mapping may override what it merges.
+    merged = "kind: resonance_catalog\ncavity: {<<: {length: 2.0}, <<: {mu0: 0.0}, length: 1.0}\n"
+    scenario = load_scenario(write(tmp_path, merged + "sweep: {max_omega: 5.0}\n"))
+    assert scenario.cavity.length == 1.0
 
 
 def test_unknown_kind_and_block(tmp_path):
