@@ -10,12 +10,14 @@ overlap coefficients per unit dimensionless acceleration are
                       / (L^4 (w_m + w_n)^3 sqrt(w_m w_n)).
 
 Both vanish identically when m + n is even, are dimensionless, and depend
-on (mu0, L) only through mu0 * L.  They are computed on the odd entries
-alone, the row-major list that `spectrum._odd_entries` builds once per
+on (mu0, L) only through mu0 * L.  They are computed on the odd pairs
+m < n alone, the half table that `spectrum._odd_entries` builds once per
 n_max, from one frequency vector and the cancellation-safe differences of
-`spectrum._gaps`, and scattered into zeroed matrices.  beta_hat is exactly
-symmetric and alpha_hat exactly antisymmetric: the differences are exactly
-antisymmetric, and each is cubed as |w_m - w_n|^3 with its sign put back.
+`spectrum._gaps`, and each value is written to (m, n) and to its mirror
+(n, m): alpha_hat[n, m] = -alpha_hat[m, n] and beta_hat[n, m] =
+beta_hat[m, n].  Computed at the mirror, each would come out the same bit
+for bit: the differences are exactly antisymmetric, and each is cubed as
+|w_m - w_n|^3 with its sign put back.
 
 First-order map.  To linear order in h(tau), evolution from tau0 to tauf
 factors into free phases times a perturbation,
@@ -26,15 +28,15 @@ factors into free phases times a perturbation,
     I(delta) = integral exp(-i delta (tau - tau0)) h(tau) dtau.
 
 A is anti-Hermitian and B symmetric; both inherit the parity zeros.  All
-odd entries go through one batched kernel call over the distinct |delta|,
+odd pairs go through one batched kernel call over the distinct |delta|,
 which `static_coefficients` tabulates once per cavity: a massless cavity's
-w_m -+ w_n are integer multiples of pi/L, so many entries share a delta
-bit for bit.  h is real, so I(-delta) = conj I(delta): delta = w_m - w_n
-is negative exactly where m < n, and those A entries read the conjugate.
-A[m, n] and A[n, m] then read one integral and its conjugate, and B[m, n]
-and B[n, m] one sum-frequency integral, each pair times one `entry_scale`
-bit for bit, so both residuals of `verify_first_order_identities` are
-exactly 0 by construction.
+w_m -+ w_n are integer multiples of pi/L, so many pairs share a delta bit
+for bit.  h is real, so I(-delta) = conj I(delta): delta = w_m - w_n is
+negative exactly where m < n.  Each pair m < n reads its integral once
+and times one `entry_scale` writes A[n, m] from it, A[m, n] from its
+conjugate, and B[m, n] and B[n, m] from the sum-frequency integral, so
+both residuals of `verify_first_order_identities` are exactly 0 by
+construction.
 
 Composition.  Consecutive maps combine to first order as
 
@@ -71,14 +73,18 @@ IDENTITY_TOLERANCE = 1e-10
 class StaticCoefficients(_Value, eq=False):
     """Per-unit-h overlap coefficients of a cavity, with cached frequencies.
 
-    The last three fields serve `first_order_map` and `catalog_1d`.
-    `deltas` holds each distinct |delta| once, sorted: the frequencies the
-    kernel integrates.  Over the entries with m + n odd, in the row-major
-    order of `_odd_entries`, the A entries and then the B entries read
-    `deltas[delta_index]`, which is |w_m - w_n| and then w_m + w_n, and
-    `entry_scale`, i (w_m - w_n) alpha_hat or i (w_m + w_n) beta_hat.
-    w_m - w_n is negative exactly where m < n, so there an A entry reads
-    the conjugate of I(deltas[delta_index]).
+    The last four fields serve `first_order_map` and `catalog_1d`, over
+    the half table: the odd pairs m < n in the (m, n) order of
+    `_odd_entries`, listed twice, first as the A rows and then as the B
+    rows.  `deltas` holds each distinct |delta| once, sorted: the
+    frequencies the kernel integrates.  Row k reads `deltas[delta_index[k]]`,
+    which is |w_m - w_n| on an A row and w_m + w_n on a B row, and
+    `entry_scale[k]`, i (w_m - w_n) alpha_hat[m, n] or i (w_m + w_n)
+    beta_hat[m, n], the same bit for bit at (n, m).  A[n, m] reads
+    I(deltas[delta_index[k]]) and A[m, n], where w_m - w_n < 0, its
+    conjugate.  `order` is the stable sort of the rows by that frequency:
+    since the rows stand in (kind, m, n) order, it ranks them by
+    (|delta|, kind, m, n), the order of the resonance catalog.
     """
 
     cavity: Cavity1D
@@ -88,6 +94,7 @@ class StaticCoefficients(_Value, eq=False):
     deltas: np.ndarray
     delta_index: np.ndarray
     entry_scale: np.ndarray
+    order: np.ndarray
 
     def alpha_entry(self, m: int, n: int) -> float:
         return float(self.alpha_hat[_check_modes(self.cavity.n_max, (m, n))])
@@ -99,26 +106,33 @@ class StaticCoefficients(_Value, eq=False):
 def static_coefficients(cavity: Cavity1D) -> StaticCoefficients:
     """Evaluate alpha_hat and beta_hat for all modes up to cavity.n_max."""
     n_max = cavity.n_max
-    _, rows, cols, flat = _odd_entries(n_max)
+    rows, cols, upper, lower, mn = _odd_entries(n_max)[4]
     omega = omega_vector(cavity)
-    diffs, sums = _gaps(cavity, omega, rows, cols)
-    deltas, delta_index = np.unique(np.concatenate([np.abs(diffs), sums]), return_inverse=True)
+    diffs, sums = _gaps(cavity, omega, rows, cols)  # diffs < 0: m < n
+    gaps = np.concatenate([np.abs(diffs), sums])
+    # The one sort: it gives the table of distinct |delta| and the catalog's order.
+    order = np.argsort(gaps, kind="stable")
+    ranked = gaps[order]
+    first = np.concatenate([[True], ranked[1:] != ranked[:-1]])  # each |delta|'s first row
+    deltas = ranked[first]
+    delta_index = np.empty_like(order)
+    delta_index[order] = np.cumsum(first) - 1
     # x**3 is a pow call, the costliest step: take it once per distinct
-    # |delta|, half the entries (about 2 n_max on a massless cavity).  Each
-    # difference then takes back its sign, so alpha_hat is exactly antisymmetric.
+    # |delta| (about 2 n_max on a massless cavity).  Each difference then
+    # takes back its sign, so alpha_hat is exactly antisymmetric.
     diffs_cubed, sums_cubed = (deltas**3)[delta_index].reshape(2, -1)
     diffs_cubed = np.copysign(diffs_cubed, diffs)
-    mn = (rows + 1.0) * (cols + 1.0)
     root = np.sqrt(omega[rows] * omega[cols])
     l4 = cavity.length**4
 
-    alpha_odd = -2.0 * math.pi**2 * mn / (l4 * diffs_cubed * root)
-    beta_odd = 2.0 * math.pi**2 * mn / (l4 * sums_cubed * root)
+    alpha_pairs = -2.0 * math.pi**2 * mn / (l4 * diffs_cubed * root)
+    beta_pairs = 2.0 * math.pi**2 * mn / (l4 * sums_cubed * root)
     alpha = np.zeros(n_max * n_max)  # even entries are exact parity zeros
     beta = np.zeros(n_max * n_max)
-    alpha[flat] = alpha_odd
-    beta[flat] = beta_odd
-    entry_scale = 1j * np.concatenate([diffs * alpha_odd, sums * beta_odd])
+    alpha[upper] = alpha_pairs
+    alpha[lower] = -alpha_pairs
+    beta[upper] = beta[lower] = beta_pairs
+    entry_scale = 1j * np.concatenate([diffs * alpha_pairs, sums * beta_pairs])
     return StaticCoefficients(
         cavity=cavity,
         alpha_hat=alpha.reshape(n_max, n_max),
@@ -127,6 +141,7 @@ def static_coefficients(cavity: Cavity1D) -> StaticCoefficients:
         deltas=deltas,
         delta_index=delta_index,
         entry_scale=entry_scale,
+        order=order,
     )
 
 
@@ -193,18 +208,19 @@ def first_order_map(
         profile._terms(), coeffs.deltas, tol
     )
     values = values[coeffs.delta_index]
-    _, rows, cols, flat = _odd_entries(n_max)
+    _, _, upper, lower, _ = _odd_entries(n_max)[4]
+    size, scale = upper.size, coeffs.entry_scale
+    a_hat = np.zeros(n_max * n_max, dtype=complex)  # even entries are exact parity zeros
+    b_hat = np.zeros(n_max * n_max, dtype=complex)
+    a_hat[lower] = scale[:size] * values[:size]
+    b_hat[upper] = b_hat[lower] = scale[size:] * values[size:]
     # I(-delta) = conj I(delta) for a real h: the A entries with m < n, whose
     # delta is negative (see the module docstring).  0 - y rather than -y: an
     # imaginary part that cancels to +0.0 stays +0.0, as the sum at -delta
     # would leave it.
-    mixing = values[: flat.size].imag
-    np.subtract(0.0, mixing, out=mixing, where=rows < cols)
-    entries = coeffs.entry_scale * values
-    a_hat = np.zeros(n_max * n_max, dtype=complex)  # even entries are exact parity zeros
-    b_hat = np.zeros(n_max * n_max, dtype=complex)
-    a_hat[flat] = entries[: flat.size]
-    b_hat[flat] = entries[flat.size :]
+    mixing = values[:size].imag
+    np.subtract(0.0, mixing, out=mixing)
+    a_hat[upper] = scale[:size] * values[:size]
     worst = estimate * float(np.max(np.abs(coeffs.entry_scale)))
     duration = profile.tauf - profile.tau0
     return FirstOrderBogoliubovMap(
@@ -233,7 +249,7 @@ def compose(
         )
     cavity = first.cavity
     n_max = cavity.n_max
-    odd, rows, cols, flat = _odd_entries(n_max)
+    odd, rows, cols, flat, _ = _odd_entries(n_max)
     # Only the odd entries are advanced: a map that is not zero elsewhere
     # did not come from `first_order_map`, and would lose those entries.
     blocks = (first.a_hat, first.b_hat, second.a_hat, second.b_hat)

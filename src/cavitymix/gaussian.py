@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -56,6 +57,9 @@ SYMMETRY_TOL = 1e-12
 PSD_TOL = 1e-10
 PAIRING_TOL = 1e-8
 B_OVER_A_REGIME = 0.01
+# The largest squeezing whose e^s, the widest variance of the state, is a
+# finite float; sinh s overflows a little later.
+_SQUEEZING_MAX = math.log(sys.float_info.max)
 
 
 class SymplecticPairingError(RuntimeError):
@@ -135,11 +139,20 @@ def squeezed_vacuum(n_modes: int, s: float) -> CovarianceState:
     determinant, so the state is pure.
     """
     _check_count("n_modes", n_modes)
-    _check_number("squeezing parameter", s, "nonnegative")
+    _check_squeezing(s)
     diag = np.empty(2 * n_modes)
     diag[0::2] = math.exp(s)
     diag[1::2] = math.exp(-s)
     return CovarianceState(sigma=np.diag(diag))
+
+
+def _check_squeezing(s: float) -> None:
+    _check_number("squeezing parameter", s, "nonnegative")
+    if s > _SQUEEZING_MAX:
+        raise ValueError(
+            f"squeezing parameter must be at most {_SQUEEZING_MAX!r}, "
+            f"beyond which e^s overflows, got {s}"
+        )
 
 
 def apply_symplectic(state: CovarianceState, s: np.ndarray) -> CovarianceState:
@@ -248,7 +261,7 @@ def first_order_negativity(
     creation entry B[m, n] is negligible against A[m, n]; warns outside
     that regime (|B| > 0.01 |A|).
     """
-    _check_number("squeezing parameter", s, "nonnegative")
+    _check_squeezing(s)
     entry = _check_modes(map_.cavity.n_max, pair, distinct=True)
     a, b = complex(map_.a_hat[entry]), complex(map_.b_hat[entry])
     if abs(b) > B_OVER_A_REGIME * abs(a):
@@ -291,7 +304,7 @@ def negativity_grid(
     _check_number("h0", h0, finite=False)  # NaN and infinity break the rigidity bound below
     if omega_c_values.size == 0 or delta_tau_values.size == 0:
         raise ValueError("both grid axes must be nonempty")
-    _check_number("squeezing parameter", s, "nonnegative")
+    _check_squeezing(s)
     for name, values, sign, good in (
         ("drive frequencies", omega_c_values, "nonnegative", omega_c_values >= 0.0),
         ("durations", delta_tau_values, "positive", delta_tau_values > 0.0),

@@ -19,8 +19,10 @@ both coefficients stay bounded uniformly in the duration.
 columns read from the coefficient table of `static_coefficients` (the
 frequencies |w_m - w_n| and w_m + w_n of the odd pairs m < n and their
 alpha_hat, beta_hat), with no spectrum matrix rebuilt and no Python object
-per resonance, and put in order by one stable sort on the frequency; its
-cost is O(n_max^2 log n_max) array work.  Indexing or iterating the catalog
+per resonance.  The catalog sorts nothing: the table's `order` already
+ranks its rows by (frequency, kind, m, n), and the rows within max_omega
+are a prefix of it, so a catalog costs O(n_max^2) gathers on top of the
+one sort of `static_coefficients`.  Indexing or iterating the catalog
 builds a `ResonanceEntry` for each row it reaches.
 
 The paraxial helpers cover a transversally loaded rectangular cavity whose
@@ -110,29 +112,24 @@ class ResonanceCatalog(_Value, eq=False):
 def catalog_1d(coeffs: StaticCoefficients, max_omega: float) -> ResonanceCatalog:
     """All resonances of a 1D cavity with omega_r up to max_omega, ascending.
 
-    The odd pairs m < n give the mixing rows and then the creation rows;
-    the rows within max_omega are put in order by one stable sort.
+    The rows are a prefix of `coeffs.order`, the mixing and creation rows
+    of the odd pairs m < n ranked by (omega_r, kind, m, n); no sort of its own.
     """
     _check_number("max_omega", max_omega, "positive")
-    _, rows, cols, flat = _odd_entries(coeffs.cavity.n_max)
-    upper = np.flatnonzero(rows < cols)  # the pairs m < n, in (m, n) order
-    # The coefficient table holds |w_m - w_n| and then w_m + w_n over the odd entries.
-    omega = coeffs.deltas[coeffs.delta_index.reshape(2, -1)[:, upper]].ravel()
-    keep = np.flatnonzero(omega <= max_omega)
-    # The rows stand in (kind, m, n) order, mixing first, so a stable sort on
-    # omega_r alone puts them in (omega_r, kind, m, n) order.
-    keep = keep[np.argsort(omega[keep], kind="stable")]
-    creation, pair = np.divmod(keep, upper.size)
-    entry = upper[pair]
-    at = flat[entry]
+    rows, cols, upper, _, _ = _odd_entries(coeffs.cavity.n_max)[4]
+    # A row is kept when its delta ranks below `within`; those rows lead `order`.
+    within = np.searchsorted(coeffs.deltas, max_omega, side="right")
+    keep = coeffs.order[: np.count_nonzero(coeffs.delta_index < within)]
+    omega = coeffs.deltas[coeffs.delta_index[keep]]
+    creation, pair = np.divmod(keep, rows.size)  # the table lists the mixing rows first
+    at = upper[pair]
     coefficient = np.abs(
         np.where(creation, coeffs.beta_hat.ravel()[at], coeffs.alpha_hat.ravel()[at])
     )
-    omega = omega[keep]
     return ResonanceCatalog(
         kind=np.array([kind.value for kind in ResonanceKind])[creation],
-        m=rows[entry] + 1,
-        n=cols[entry] + 1,
+        m=rows[pair] + 1,
+        n=cols[pair] + 1,
         omega_r=omega,
         coefficient=coefficient,
         growth_per_h0=omega * coefficient / 2.0,

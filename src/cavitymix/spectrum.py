@@ -21,9 +21,10 @@ cancellation-safe form (k_m^2 - k_n^2) / (w_m + w_n), which stays accurate
 when the direct subtraction would cancel.
 
 Only the entries with m + n odd couple under a rigid drive.
-`_odd_entries` lists them once per mode count, in row-major order, and
-every first-order quantity (coefficients, maps, catalogs) is computed on
-that list alone rather than on n_max x n_max matrices.
+`_odd_entries` lists them once per mode count, in row-major order, with
+the half m < n beside them, and every first-order quantity (coefficients,
+maps, catalogs) is computed on those lists alone rather than on
+n_max x n_max matrices.
 """
 
 from __future__ import annotations
@@ -137,13 +138,19 @@ def _check_number(name: str, value, sign: str = "", finite: bool = True) -> None
     """A ValueError naming `name` unless `value` is a real number of `sign`, and finite.
 
     `sign` is "", "nonnegative" or "positive"; NaN fails either, with the sign's message.
-    `finite=False` leaves NaN and infinity to a check that names them itself.
+    `finite=False` leaves NaN and infinity to a check that names them itself.  An int
+    beyond the float range, which compares exactly and so below infinity, is refused
+    either way: no float holds it.
     """
     if not _is_real(value):
         raise ValueError(f"{name} must be real (an int or a float), got {value!r:.40}")
-    if sign and not (value > 0.0 if sign == "positive" else value >= 0.0):
+    try:
+        number = float(value)
+    except OverflowError:  # not printed: str() refuses an int of more than 4300 digits
+        raise ValueError(f"{name} must be finite, got a number beyond the float range") from None
+    if sign and not (number > 0.0 if sign == "positive" else number >= 0.0):
         raise ValueError(f"{name} must be {sign}, got {value}")
-    if finite and not -math.inf < value < math.inf:
+    if finite and not -math.inf < number < math.inf:
         raise ValueError(f"{name} must be finite, got {value}")
 
 
@@ -212,19 +219,26 @@ def _gaps(cavity: Cavity1D, omega: np.ndarray, rows, cols) -> tuple[np.ndarray, 
 
 
 @functools.lru_cache(maxsize=4)
-def _odd_entries(n_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(odd, rows, cols, flat) of the n_max x n_max entries with m + n odd; read-only.
+def _odd_entries(n_max: int) -> tuple:
+    """(odd, rows, cols, flat, pairs) of the n_max x n_max entries with m + n odd; read-only.
 
     `odd` is the boolean mask; rows, cols and flat = rows * n_max + cols are
     the 0-based positions of its entries in row-major order, the order of
-    `matrix[odd]`.  Built once per mode count and shared by every cavity:
-    an entry holds index arrays alone, 13 * n_max**2 bytes (53 KB at
-    n_max = 64), so the cache stays small.
+    `matrix[odd]`.  `pairs` is the half with m < n, in the same order:
+    (rows, cols, upper, lower, mn), where upper = rows * n_max + cols,
+    lower = cols * n_max + rows is the mirror entry (n, m), and mn is
+    (m + 1) * (n + 1) as floats.  Built once per mode count and shared by
+    every cavity: an entry holds these arrays alone, 23 * n_max**2 bytes
+    (94 KB at n_max = 64), so the cache stays small.
     """
     odd = np.zeros((n_max, n_max), dtype=bool)
     odd[::2, 1::2] = odd[1::2, ::2] = True
     flat = np.flatnonzero(odd)
-    table = (odd, *np.divmod(flat, n_max), flat)
-    for array in table:
+    rows, cols = np.divmod(flat, n_max)
+    half = rows < cols
+    pair_rows, pair_cols = rows[half], cols[half]
+    mn = (pair_rows + 1.0) * (pair_cols + 1.0)
+    pairs = (pair_rows, pair_cols, flat[half], pair_cols * n_max + pair_rows, mn)
+    for array in (odd, rows, cols, flat, *pairs):
         array.setflags(write=False)
-    return table
+    return odd, rows, cols, flat, pairs

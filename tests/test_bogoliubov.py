@@ -336,9 +336,14 @@ def seeded_cavities(seed, count):
 
 
 def reference_coefficients(cavity):
-    """(omega, alpha_hat, beta_hat, deltas, delta_index, entry_scale) over full matrices."""
+    """(omega, alpha_hat, beta_hat, deltas, delta_index, entry_scale) over full matrices.
+
+    The last two run over the half table: the odd pairs m < n in row-major
+    order, first as A rows and then as B rows.
+    """
     n = np.arange(1, cavity.n_max + 1, dtype=float)
     odd = (n[:, None] + n[None, :]) % 2 == 1
+    pairs = odd & (n[:, None] < n[None, :])
     omega = omega_vector(cavity)
     diffs, sums = gap_matrices(cavity)
     mn = n[:, None] * n[None, :]
@@ -348,9 +353,9 @@ def reference_coefficients(cavity):
     cubed = np.copysign(np.abs(safe_diffs) ** 3, safe_diffs)
     alpha = np.where(odd, -2.0 * math.pi**2 * mn / (l4 * cubed * root), 0.0)
     beta = np.where(odd, 2.0 * math.pi**2 * mn / (l4 * sums**3 * root), 0.0)
-    gaps = np.abs(np.concatenate([diffs[odd], sums[odd]]))
+    gaps = np.abs(np.concatenate([diffs[pairs], sums[pairs]]))
     deltas, delta_index = np.unique(gaps, return_inverse=True)
-    entry_scale = 1j * np.concatenate([diffs[odd] * alpha[odd], sums[odd] * beta[odd]])
+    entry_scale = 1j * np.concatenate([diffs[pairs] * alpha[pairs], sums[pairs] * beta[pairs]])
     return omega, alpha, beta, deltas, delta_index, entry_scale
 
 
@@ -390,6 +395,15 @@ def test_coefficients_match_the_full_matrix_formulas_bit_for_bit():
         coeffs = static_coefficients(cavity)
         for field, want in zip(fields, reference_coefficients(cavity)):
             assert_bits(getattr(coeffs, field), want)
+
+
+def test_order_is_the_stable_sort_of_the_half_table():
+    # Rows stand in (kind, m, n) order, so ranking them stably by frequency
+    # gives the catalog's (omega_r, kind, m, n) order.
+    for cavity, _ in seeded_cavities(53, 200):
+        coeffs = static_coefficients(cavity)
+        gaps = coeffs.deltas[coeffs.delta_index]
+        assert_bits(coeffs.order, np.argsort(gaps, kind="stable"))
 
 
 def drives(rng, w):
@@ -434,10 +448,11 @@ def test_mixing_coefficients_are_exactly_antisymmetric():
     for cavity, rng in seeded_cavities(47, 400):
         coeffs = static_coefficients(cavity)
         assert np.array_equal(coeffs.alpha_hat, -coeffs.alpha_hat.T)
-        _, rows, cols, flat = spectrum._odd_entries(cavity.n_max)
-        mirror = np.searchsorted(flat, cols * cavity.n_max + rows)
-        for scale in coeffs.entry_scale.reshape(2, -1):
-            assert_bits(scale[mirror], scale)
+        assert_bits(coeffs.beta_hat, coeffs.beta_hat.T)
+        # The scale of an odd entry, the same bit for bit at (m, n) and (n, m).
+        (diffs, sums), odd = gap_matrices(cavity), spectrum._odd_entries(cavity.n_max)[0]
+        for scale in (diffs * coeffs.alpha_hat, sums * coeffs.beta_hat):
+            assert_bits(scale.T[odd], scale[odd])
         whole = drives(rng, coeffs.omega)[0]
         cut = whole.tau0 + 0.4 * whole.duration
         halves = [
@@ -455,18 +470,22 @@ def test_mixing_coefficients_are_exactly_antisymmetric():
 
 
 def signed_map(coeffs, profile):
-    """(a_hat, b_hat, quadrature_error) with the kernel asked for every signed delta."""
+    """(a_hat, b_hat, quadrature_error) with the kernel asked for every signed delta.
+
+    Over every odd entry of the full matrices, each times its own scale
+    i (w_m -+ w_n) alpha_hat or beta_hat.
+    """
     cavity = coeffs.cavity
-    n_max = cavity.n_max
-    _, rows, cols, flat = spectrum._odd_entries(n_max)
-    gaps = np.concatenate(spectrum._gaps(cavity, omega_vector(cavity), rows, cols))
+    odd = spectrum._odd_entries(cavity.n_max)[0]
+    diffs, sums = gap_matrices(cavity)
+    gaps = np.concatenate([diffs[odd], sums[odd]])
+    scale = 1j * np.concatenate([diffs[odd] * coeffs.alpha_hat[odd], sums[odd] * coeffs.beta_hat[odd]])
     signed, index = np.unique(gaps, return_inverse=True)
     values, estimate = profiles._fourier_integrals(profile._terms(), signed)
-    blocks = np.zeros((2, n_max * n_max), dtype=complex)
-    entries = coeffs.entry_scale * values[index]
-    blocks[:, flat] = entries.reshape(2, -1)
-    error = estimate * float(np.max(np.abs(coeffs.entry_scale)))
-    return *blocks.reshape(2, n_max, n_max), error
+    blocks = np.zeros((2, cavity.n_max, cavity.n_max), dtype=complex)
+    blocks[:, odd] = (scale * values[index]).reshape(2, -1)
+    error = estimate * float(np.max(np.abs(scale)))
+    return *blocks, error
 
 
 _FOLD_RNG = np.random.default_rng(19)
@@ -525,12 +544,16 @@ def test_delta_table_holds_each_gap_magnitude_once():
         assert deltas[0] >= 0.0 and np.all(deltas[1:] > deltas[:-1])
         assert np.array_equal(np.unique(coeffs.delta_index), np.arange(deltas.size))
         (diffs, sums), odd = gap_matrices(cavity), spectrum._odd_entries(cavity.n_max)[0]
-        assert_bits(deltas[coeffs.delta_index], np.concatenate([np.abs(diffs[odd]), sums[odd]]))
+        pairs = np.triu(odd)  # the half table: odd pairs m < n, row-major
+        assert_bits(deltas[coeffs.delta_index], np.concatenate([np.abs(diffs[pairs]), sums[pairs]]))
+        # The half holds every gap magnitude of the full matrices.
+        assert set(deltas) == set(np.abs(diffs[odd])) | set(sums[odd])
         rows, cols = np.indices(diffs.shape)
         assert np.array_equal(diffs < 0.0, rows < cols)
-    # n_max 48 with mu0 > 0: 2,304 gaps over the odd entries, 1,152 magnitudes.
-    deltas = static_coefficients(Cavity1D(length=1.0, mu0=1.0, n_max=48)).deltas
-    assert deltas.size == 1152
+    # n_max 48 with mu0 > 0: 2,304 gaps over the odd entries, 1,152 over the
+    # odd pairs m < n, all distinct.
+    coeffs = static_coefficients(Cavity1D(length=1.0, mu0=1.0, n_max=48))
+    assert coeffs.deltas.size == coeffs.delta_index.size == 1152
 
 
 def test_compose_refuses_maps_without_parity_zeros():
@@ -547,16 +570,25 @@ def test_compose_refuses_maps_without_parity_zeros():
 
 def test_odd_entry_table_is_cached_read_only_and_bounded():
     table = spectrum._odd_entries
-    assert table.cache_info().maxsize <= 4  # 13 * n_max**2 bytes an entry
+    assert table.cache_info().maxsize <= 4  # 23 * n_max**2 bytes an entry
     for n_max in range(2, 71):
-        odd, rows, cols, flat = table(n_max)
+        odd, rows, cols, flat, pairs = table(n_max)
         n = np.arange(n_max)
         want = (n[:, None] + n[None, :]) % 2 == 1
         assert_bits(odd, want)
         assert_bits(rows, np.nonzero(want)[0])
         assert_bits(cols, np.nonzero(want)[1])
         assert_bits(flat, np.flatnonzero(want))
-        assert not any(array.flags.writeable for array in (odd, rows, cols, flat))
+        upper = want & (n[:, None] < n[None, :])
+        pair_rows, pair_cols, at, mirror, mn = pairs
+        assert_bits(pair_rows, np.nonzero(upper)[0])
+        assert_bits(pair_cols, np.nonzero(upper)[1])
+        positions = np.arange(n_max * n_max).reshape(n_max, n_max)
+        assert_bits(at, positions[upper])
+        assert_bits(mirror, positions.T[upper])  # the flat position of (n, m)
+        assert_bits(mn, (pair_rows + 1.0) * (pair_cols + 1.0))
+        arrays = (odd, rows, cols, flat, *pairs)
+        assert not any(array.flags.writeable for array in arrays)
         assert table(n_max) is table(n_max)
         assert table.cache_info().currsize <= table.cache_info().maxsize
     with pytest.raises(ValueError, match="read-only"):

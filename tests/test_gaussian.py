@@ -1,4 +1,5 @@
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -316,6 +317,29 @@ def test_first_order_negativity_guard_rails():
     )
     with pytest.warns(UserWarning, match="creation"):
         first_order_negativity(loud, (1, 2), 0.5)
+
+
+SQUEEZING_SITES = {
+    "squeezed_vacuum": lambda s: squeezed_vacuum(2, s),
+    "first_order_negativity": lambda s: first_order_negativity(resonant_map(1e-3), (1, 2), s),
+    "negativity_grid": lambda s: negativity_grid(
+        static_coefficients(Cavity1D(length=1.0, mu0=0.0, n_max=2)),
+        (1, 2), s, 1e-3, np.array([1.0, math.pi]), np.array([5.0, 10.0]),
+    ),
+}
+
+
+@pytest.mark.parametrize("site", SQUEEZING_SITES)
+def test_squeezing_whose_exponential_overflows_is_refused(site):
+    # e^s overflows just past ln(largest float), 709.78, and sinh s a little
+    # later: a named refusal rather than math's "math range error".
+    call = SQUEEZING_SITES[site]
+    largest = math.log(sys.float_info.max)
+    call(100.0)  # the scenario loader's limit
+    call(largest)
+    for s in (math.nextafter(largest, math.inf), 710.5, 800.0, 1e300):
+        with pytest.raises(ValueError, match="^squeezing parameter must be at most 709.78"):
+            call(s)
 
 
 def test_negativity_grid_shape_and_resonant_column():

@@ -185,6 +185,17 @@ def test_scalar_that_is_not_real_is_refused_with_the_field_name(site):
 
 
 @pytest.mark.parametrize("site", SCALARS)
+def test_int_beyond_float_range_is_refused_as_not_finite(site):
+    # Python compares an int with infinity exactly, so 10**400 is below it;
+    # no float holds it, and the first float arithmetic would overflow.  The
+    # last one has more digits than `str` converts.
+    call, _, label = SCALARS[site]
+    for bad in (10**400, -(10**400), 10**5000):
+        with pytest.raises(ValueError, match=rf"^{re.escape(label)}.* must be finite, got a number"):
+            call(bad)
+
+
+@pytest.mark.parametrize("site", SCALARS)
 def test_real_scalars_are_accepted_and_stored_as_given(site):
     call, good, _ = SCALARS[site]
     field = site.rsplit(".", 1)[1]

@@ -1,4 +1,7 @@
+import ast
+import inspect
 import math
+import textwrap
 
 import numpy as np
 import pytest
@@ -145,6 +148,41 @@ def test_catalog_builds_no_entry_until_one_is_read(monkeypatch):
     table.render()
     with pytest.raises(AssertionError, match="ResonanceEntry"):
         catalog[0]
+
+
+NUMPY_SORTS = ("sort", "argsort", "lexsort", "unique", "partition", "argpartition")
+
+
+def test_one_sort_per_cavity_and_none_per_catalog(monkeypatch):
+    # static_coefficients ranks the half table once; a catalog is a prefix of
+    # that order.  Both the calls made and the calls written are counted, so
+    # an ndarray method sort is caught too.
+    calls = []
+
+    def counted(name):
+        sort = getattr(np, name)
+
+        def call(*args, **kwargs):
+            calls.append(name)
+            return sort(*args, **kwargs)
+
+        return call
+
+    for name in NUMPY_SORTS:
+        monkeypatch.setattr(np, name, counted(name))
+    coeffs = static_coefficients(Cavity1D(length=1.0, mu0=0.7, n_max=40))
+    assert calls == ["argsort"]
+    calls.clear()
+    assert len(catalog_1d(coeffs, 60.0)) > 0
+    assert calls == []
+    for function, want in ((static_coefficients, ["argsort"]), (catalog_1d, [])):
+        tree = ast.parse(textwrap.dedent(inspect.getsource(function)))
+        written = [
+            ast.unparse(node.func).rsplit(".", 1)[-1]
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+        ]
+        assert [name for name in written if name in (*NUMPY_SORTS, "sorted")] == want
 
 
 def test_heavy_field_pushes_mixing_resonance_far_down():

@@ -73,7 +73,7 @@ CASES = {
     "RigidityReport": (lambda: validate_rigidity(_drive()), "ok sup_h tau_at_sup bound", True),
     "StaticCoefficients": (
         _coeffs,
-        "cavity alpha_hat beta_hat omega deltas delta_index entry_scale",
+        "cavity alpha_hat beta_hat omega deltas delta_index entry_scale order",
         False,
     ),
     "FirstOrderBogoliubovMap": (
