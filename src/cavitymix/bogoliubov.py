@@ -44,8 +44,10 @@ Composition.  Consecutive maps combine to first order as
     B[m, n] <- B1[m, n] + exp(-i (w_m + w_n) dtau1) B2[m, n],
 
 with the free phases adding, which is also what the interval additivity of
-I(delta) gives for a concatenated profile.  Only the odd entries move;
-`compose` refuses a map whose parity zeros are not zero.
+I(delta) gives for a concatenated profile.  `compose` takes the gaps of the
+odd pairs m < n; each mirror (n, m), whose gap is exactly -(w_m - w_n), takes
+the conjugate mixing factor.  Every odd entry moves from its own inputs, and
+a map whose parity zeros are not zero is refused.
 """
 
 from __future__ import annotations
@@ -106,7 +108,7 @@ class StaticCoefficients(_Value, eq=False):
 def static_coefficients(cavity: Cavity1D) -> StaticCoefficients:
     """Evaluate alpha_hat and beta_hat for all modes up to cavity.n_max."""
     n_max = cavity.n_max
-    rows, cols, upper, lower, mn = _odd_entries(n_max)[4]
+    _, rows, cols, upper, lower, mn = _odd_entries(n_max)
     omega = omega_vector(cavity)
     diffs, sums = _gaps(cavity, omega, rows, cols)  # diffs < 0: m < n
     gaps = np.concatenate([np.abs(diffs), sums])
@@ -208,7 +210,7 @@ def first_order_map(
         profile._terms(), coeffs.deltas, tol
     )
     values = values[coeffs.delta_index]
-    _, _, upper, lower, _ = _odd_entries(n_max)[4]
+    _, _, _, upper, lower, _ = _odd_entries(n_max)
     size, scale = upper.size, coeffs.entry_scale
     a_hat = np.zeros(n_max * n_max, dtype=complex)  # even entries are exact parity zeros
     b_hat = np.zeros(n_max * n_max, dtype=complex)
@@ -249,7 +251,7 @@ def compose(
         )
     cavity = first.cavity
     n_max = cavity.n_max
-    odd, rows, cols, flat, _ = _odd_entries(n_max)
+    odd, rows, cols, upper, lower, _ = _odd_entries(n_max)
     # Only the odd entries are advanced: a map that is not zero elsewhere
     # did not come from `first_order_map`, and would lose those entries.
     blocks = (first.a_hat, first.b_hat, second.a_hat, second.b_hat)
@@ -257,13 +259,14 @@ def compose(
         raise ValueError(
             "maps to compose must keep the parity zeros: every entry with m + n even is 0"
         )
-    a1, b1, a2, b2 = (block.ravel()[flat] for block in blocks)
-    diffs, sums = _gaps(cavity, omega_vector(cavity), rows, cols)
-    dtau1 = first.duration
+    a1, b1, a2, b2 = (block.ravel() for block in blocks)
+    gaps = np.array(_gaps(cavity, omega_vector(cavity), rows, cols))
+    mixing, creation = np.exp(-1j * gaps * first.duration)
     a_hat = np.zeros(n_max * n_max, dtype=complex)
     b_hat = np.zeros(n_max * n_max, dtype=complex)
-    a_hat[flat] = a1 + np.exp(-1j * diffs * dtau1) * a2
-    b_hat[flat] = b1 + np.exp(-1j * sums * dtau1) * b2
+    for at, phase in ((upper, mixing), (lower, mixing.conj())):  # (n, m): the gap negated
+        a_hat[at] = a1[at] + phase * a2[at]
+        b_hat[at] = b1[at] + creation * b2[at]
     return FirstOrderBogoliubovMap(
         cavity=cavity,
         tau0=first.tau0,

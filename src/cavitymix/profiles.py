@@ -789,10 +789,11 @@ def oscillatory_integral(
     Exact per piece up to rounding; the error estimate is the rounding bound
     of `_rounding_estimate`, and `evaluations` counts the pieces.  Raises
     `QuadratureError` when the estimate exceeds `tol` or the value is not
-    finite.
+    finite, and a `ValueError` unless `delta` is one finite real number.
     """
+    _check_number("delta", delta)
     terms = profile._terms()
-    values, estimate = _fourier_integrals(terms, [_check_real("delta", delta)], tol)
+    values, estimate = _fourier_integrals(terms, [float(delta)], tol)
     return OscillatoryIntegralResult(
         value=complex(values[0]), error_estimate=estimate, evaluations=terms[4].size
     )

@@ -116,7 +116,7 @@ def catalog_1d(coeffs: StaticCoefficients, max_omega: float) -> ResonanceCatalog
     of the odd pairs m < n ranked by (omega_r, kind, m, n); no sort of its own.
     """
     _check_number("max_omega", max_omega, "positive")
-    rows, cols, upper, _, _ = _odd_entries(coeffs.cavity.n_max)[4]
+    _, rows, cols, upper, _, _ = _odd_entries(coeffs.cavity.n_max)
     # A row is kept when its delta ranks below `within`; those rows lead `order`.
     within = np.searchsorted(coeffs.deltas, max_omega, side="right")
     keep = coeffs.order[: np.count_nonzero(coeffs.delta_index < within)]

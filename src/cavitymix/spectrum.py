@@ -21,10 +21,10 @@ cancellation-safe form (k_m^2 - k_n^2) / (w_m + w_n), which stays accurate
 when the direct subtraction would cancel.
 
 Only the entries with m + n odd couple under a rigid drive.
-`_odd_entries` lists them once per mode count, in row-major order, with
-the half m < n beside them, and every first-order quantity (coefficients,
-maps, catalogs) is computed on those lists alone rather than on
-n_max x n_max matrices.
+`_odd_entries` lists the half with m < n once per mode count, with the flat
+positions of each (m, n) and of its mirror (n, m), and every first-order
+quantity (coefficients, maps, catalogs, compositions) is computed on that
+one list rather than on n_max x n_max matrices.
 """
 
 from __future__ import annotations
@@ -220,25 +220,21 @@ def _gaps(cavity: Cavity1D, omega: np.ndarray, rows, cols) -> tuple[np.ndarray, 
 
 @functools.lru_cache(maxsize=4)
 def _odd_entries(n_max: int) -> tuple:
-    """(odd, rows, cols, flat, pairs) of the n_max x n_max entries with m + n odd; read-only.
+    """(odd, rows, cols, upper, lower, mn) of the entries with m + n odd; read-only.
 
-    `odd` is the boolean mask; rows, cols and flat = rows * n_max + cols are
-    the 0-based positions of its entries in row-major order, the order of
-    `matrix[odd]`.  `pairs` is the half with m < n, in the same order:
-    (rows, cols, upper, lower, mn), where upper = rows * n_max + cols,
-    lower = cols * n_max + rows is the mirror entry (n, m), and mn is
-    (m + 1) * (n + 1) as floats.  Built once per mode count and shared by
-    every cavity: an entry holds these arrays alone, 23 * n_max**2 bytes
-    (94 KB at n_max = 64), so the cache stays small.
+    `odd` is the n_max x n_max boolean mask.  The rest list its half with
+    m < n in row-major order: rows and cols are the 0-based positions,
+    upper = rows * n_max + cols is the flat position of (m, n), lower =
+    cols * n_max + rows that of its mirror (n, m), and mn is (m + 1) * (n + 1)
+    as floats.  Built once per mode count and shared by every cavity: an
+    entry holds these arrays alone, at most 11 * n_max**2 bytes (45 KB at
+    n_max = 64), so the cache stays small.
     """
     odd = np.zeros((n_max, n_max), dtype=bool)
     odd[::2, 1::2] = odd[1::2, ::2] = True
-    flat = np.flatnonzero(odd)
-    rows, cols = np.divmod(flat, n_max)
-    half = rows < cols
-    pair_rows, pair_cols = rows[half], cols[half]
-    mn = (pair_rows + 1.0) * (pair_cols + 1.0)
-    pairs = (pair_rows, pair_cols, flat[half], pair_cols * n_max + pair_rows, mn)
-    for array in (odd, rows, cols, flat, *pairs):
+    upper = np.flatnonzero(np.triu(odd, 1))
+    rows, cols = np.divmod(upper, n_max)
+    table = (odd, rows, cols, upper, cols * n_max + rows, (rows + 1.0) * (cols + 1.0))
+    for array in table:
         array.setflags(write=False)
-    return odd, rows, cols, flat, pairs
+    return table

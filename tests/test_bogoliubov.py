@@ -6,6 +6,7 @@ import pytest
 
 from cavitymix import profiles, spectrum
 from cavitymix.bogoliubov import (
+    FirstOrderBogoliubovMap,
     compose,
     first_order_map,
     static_coefficients,
@@ -568,27 +569,49 @@ def test_compose_refuses_maps_without_parity_zeros():
             compose(first, type(second)(**forged))
 
 
+def test_compose_advances_each_entry_from_its_own_inputs():
+    # Forged maps with random odd entries, neither anti-Hermitian nor
+    # symmetric: each mirror entry (n, m) must be advanced from its own
+    # inputs with its own phase, not copied or conjugated from (m, n).
+    for cavity, rng in seeded_cavities(59, 60):
+        n_max = cavity.n_max
+        odd = spectrum._odd_entries(n_max)[0]
+        ends = np.cumsum(rng.uniform(0.5, 5.0, 3))
+        maps = []
+        for tau0, tauf in zip(ends[:-1], ends[1:]):
+            blocks = np.zeros((2, n_max, n_max), dtype=complex)
+            shape = (2, np.count_nonzero(odd))
+            blocks[:, odd] = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            maps.append(
+                FirstOrderBogoliubovMap(
+                    cavity, float(tau0), float(tauf), *blocks, omega_vector(cavity) * (tauf - tau0)
+                )
+            )
+        first, second = maps
+        joined = compose(first, second)
+        diffs, sums = gap_matrices(cavity)
+        dtau1 = first.duration
+        assert_bits(joined.a_hat, first.a_hat + np.exp(-1j * diffs * dtau1) * second.a_hat)
+        assert_bits(joined.b_hat, first.b_hat + np.exp(-1j * sums * dtau1) * second.b_hat)
+
+
 def test_odd_entry_table_is_cached_read_only_and_bounded():
     table = spectrum._odd_entries
-    assert table.cache_info().maxsize <= 4  # 23 * n_max**2 bytes an entry
+    assert table.cache_info().maxsize <= 4
     for n_max in range(2, 71):
-        odd, rows, cols, flat, pairs = table(n_max)
+        odd, rows, cols, upper, lower, mn = table(n_max)
         n = np.arange(n_max)
         want = (n[:, None] + n[None, :]) % 2 == 1
         assert_bits(odd, want)
-        assert_bits(rows, np.nonzero(want)[0])
-        assert_bits(cols, np.nonzero(want)[1])
-        assert_bits(flat, np.flatnonzero(want))
-        upper = want & (n[:, None] < n[None, :])
-        pair_rows, pair_cols, at, mirror, mn = pairs
-        assert_bits(pair_rows, np.nonzero(upper)[0])
-        assert_bits(pair_cols, np.nonzero(upper)[1])
+        half = want & (n[:, None] < n[None, :])  # the odd pairs m < n, row-major
+        assert_bits(rows, np.nonzero(half)[0])
+        assert_bits(cols, np.nonzero(half)[1])
         positions = np.arange(n_max * n_max).reshape(n_max, n_max)
-        assert_bits(at, positions[upper])
-        assert_bits(mirror, positions.T[upper])  # the flat position of (n, m)
-        assert_bits(mn, (pair_rows + 1.0) * (pair_cols + 1.0))
-        arrays = (odd, rows, cols, flat, *pairs)
-        assert not any(array.flags.writeable for array in arrays)
+        assert_bits(upper, positions[half])
+        assert_bits(lower, positions.T[half])  # the flat position of (n, m)
+        assert_bits(mn, (rows + 1.0) * (cols + 1.0))
+        assert not any(array.flags.writeable for array in table(n_max))
+        assert sum(array.nbytes for array in table(n_max)) <= 11 * n_max**2
         assert table(n_max) is table(n_max)
         assert table.cache_info().currsize <= table.cache_info().maxsize
     with pytest.raises(ValueError, match="read-only"):

@@ -63,7 +63,6 @@ SITES = {
     "evaluate.tau": (lambda tau: _SINE.evaluate(tau), 0.5),
     "SampledProfile.tau": (lambda tau: SampledProfile(tau, [0.0, 1e-3, 0.0]), [0.0, 1.0, 2.0]),
     "SampledProfile.h": (lambda h: SampledProfile([0.0, 1.0, 2.0], h), [0.0, 1e-3, 0.0]),
-    "oscillatory_integral.delta": (lambda delta: oscillatory_integral(_SINE, delta), 1.0),
     "negativity_grid.omega_c_values": (lambda w: _grid(omega_c_values=w), [1.0, math.pi]),
     "negativity_grid.delta_tau_values": (lambda dt: _grid(delta_tau_values=dt), [5.0, 10.0]),
     "negativity_grid.h0": (lambda h0: _grid(h0=h0), 1e-5),
@@ -160,6 +159,7 @@ SCALARS = {
     **_rows("first_order_negativity", lambda s: first_order_negativity(_MAP, (1, 2), s), s=1.0),
     **_rows("negativity_grid", _grid, s=1.0, h0=0.0),
     **_rows("catalog_1d", lambda max_omega: catalog_1d(_COEFFS, max_omega), max_omega=10.0),
+    **_rows("oscillatory_integral", lambda delta: oscillatory_integral(_SINE, delta), delta=1.0),
     **_rows("LinearMotion", LinearMotion, amplitude=1e-6),
     **_rows("CircularMotion", CircularMotion, dx=1e-3, dy=1e-3),
     **_rows(
@@ -202,6 +202,13 @@ def test_real_scalars_are_accepted_and_stored_as_given(site):
     for value in (float(good), np.float64(good), *([int(good)] if good == int(good) else [])):
         stored = getattr(call(value), field, value)
         assert stored is value or field == "segments"  # plateaus are stored as float pairs
+
+
+def test_oscillatory_integral_takes_one_delta():
+    # A list is not one delta: read as an array, it would give I at its first value alone.
+    for bad in ([1.0, 2.0], []):
+        with pytest.raises(ValueError, match="^delta must be real"):
+            oscillatory_integral(_SINE, bad)
 
 
 # Float-taking names outside the rule, each with its reason.
