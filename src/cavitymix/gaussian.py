@@ -81,7 +81,8 @@ def symplectic_form(n_modes: int) -> np.ndarray:
 def _quadrature_matrix(name: str, value) -> tuple[np.ndarray, np.ndarray]:
     """`value` as a new float array, and its symplectic form; real, finite, square, even-sized."""
     try:
-        matrix = np.array(_check_real(name, value))  # a copy: the caller's array stays writeable
+        # A copy, so the caller's array stays writeable; non-finite entries get the message below.
+        matrix = np.array(_check_real(name, value, finite=False))
     except ValueError:
         matrix = None
     if matrix is None:
@@ -299,19 +300,12 @@ def negativity_grid(
     rigidity bound is refused, and one above 0.1 warned about, as
     `first_order_map` does.
     """
-    omega_c_values = _check_real("omega_c_values", omega_c_values)
-    delta_tau_values = _check_real("delta_tau_values", delta_tau_values)
+    omega_c_values = _check_real("omega_c_values", omega_c_values, "nonnegative")
+    delta_tau_values = _check_real("delta_tau_values", delta_tau_values, "positive")
     _check_number("h0", h0, finite=False)  # NaN and infinity break the rigidity bound below
     if omega_c_values.size == 0 or delta_tau_values.size == 0:
         raise ValueError("both grid axes must be nonempty")
     _check_squeezing(s)
-    for name, values, sign, good in (
-        ("drive frequencies", omega_c_values, "nonnegative", omega_c_values >= 0.0),
-        ("durations", delta_tau_values, "positive", delta_tau_values > 0.0),
-    ):
-        bad = values[~(good & np.isfinite(values))]  # NaN fails the sign
-        if bad.size:
-            raise ValueError(f"{name} must be finite and {sign}, got {bad[0]}")
     # h0 cos(omega_c t) reaches |h0| at t = 0, whatever the cell.
     _first_order_drive(RigidityReport(abs(h0) < RIGIDITY_BOUND, abs(h0), 0.0))
     entry = _check_modes(coeffs.cavity.n_max, pair, distinct=True)

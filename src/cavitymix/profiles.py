@@ -26,15 +26,17 @@ broadcasting, a bounded chunk of elements at a time, and switches per
 piece is below 1/4 and the node form would cancel.
 
 A uniformly sampled trace has a cheaper form.  When the table is one mu = 0
-chain of nodes at t_k = k*dt, a delta with |delta|*dt >= 1/4 is summed by
-parts per node instead of per piece, and the node exponentials split as
-exp(-i*delta*(j*M + r)*dt) = A_j*B_r with M ~ sqrt(N), the factorisation
-behind the chirp-z transform (Rabiner, Schafer & Rader, IEEE Trans. Audio
-Electroacoust. 17 (1969) 86).  Such a delta costs 2*sqrt(N) exponentials
-and one small matrix product; every other (delta, table) pair costs one
-exponential per (delta, node).  `oscillatory_integral` is the one-delta
-call of that kernel; `first_order_map` makes one call for all the distinct
-deltas of a map.
+chain of nodes at t_k = k*dt, every piece spans dt, so I(delta) is the
+integral of one piece of span dt whose start and slope are the sums of the
+pieces' starts and slopes times exp(-i*delta*t_k): Filon's rule on a
+uniform grid (Filon, Proc. R. Soc. Edinburgh 49 (1928) 38).  The node
+exponentials split as exp(-i*delta*(j*M + r)*dt) = A_j*B_r with M ~
+sqrt(N), the factorisation behind the chirp-z transform (Rabiner, Schafer
+& Rader, IEEE Trans. Audio Electroacoust. 17 (1969) 86).  Every delta of
+such a trace costs 2*sqrt(N) exponentials and one small matrix product;
+every delta of any other table costs one exponential per node.
+`oscillatory_integral` is the one-delta call of that kernel;
+`first_order_map` makes one call for all the distinct deltas of a map.
 
 For `SampledProfile` the table is the piecewise-linear interpolant of the
 samples, one node per sample and one piece per panel: the oscillatory
@@ -55,14 +57,15 @@ import numpy as np
 from . import _Value
 from .spectrum import DEFAULT_TOL, RIGIDITY_BOUND, _check_number, _check_real, _is_real, _is_two
 
-# Crossover of the small-phase branch, on |z| = |theta|*span of a piece.
+# Crossover of the small-phase branch, on |z| = |theta|*span of a piece, and
+# on |delta|*dt of a uniform chain's one piece of span dt (`_node_sums`).
 # Above it the node form divides differences of unit exponentials, each
 # within about eps of exact, by theta and theta**2: at |z| = 1/4 that costs
 # up to 2*eps/|z| = 8 eps relative in the base moment and 4*eps/|z|**2 =
-# 64 eps of a slope term's mass, which `_rounding_estimate` covers.  Below
-# it the piece takes its own expm1(z)/z, which does not cancel, and the
-# linear moment's Taylor series through z**12, which truncates below 4e-19
-# relative at |z| = 1/4.
+# 64 eps of a slope term's mass, which `_rounding_estimate` and
+# `_node_sum_estimate` cover.  Below it the piece takes its own expm1(z)/z,
+# which does not cancel, and the linear moment's Taylor series through
+# z**12, which truncates below 4e-19 relative at |z| = 1/4.
 _SMALL_PHASE = 0.25
 _EPS = float(np.finfo(float).eps)
 
@@ -170,84 +173,75 @@ def _rounding_estimate(height, right, span, tol: float) -> float:
     )
 
 
-def _node_sum_estimate(t, gap, weights, start, jump, end, q_max, sizes, tol: float) -> float:
-    """Rounding bound of `_node_sums` for every delta with |q| <= q_max; raises above `tol`.
+def _node_sum_estimate(t, gap, start, slope, step, fine, coarse, tol: float) -> float:
+    """Rounding bound of `_node_sums`, for every delta; raises above `tol`.
 
-    Per node: the times t_k, gap_k = |t_k - fl(k*dt)| and the rows
-    `weights` = [w1; w2] (a1 = |w1|, a2 = |w2|); per piece: `start`, the
-    step D = slope*s across it (`jump`) and `end`, so that its height is
-    W = max(|start|, |end|).  `q_max` is Q = max|q| = 1/min|delta| <=
-    dt/_SMALL_PHASE and `sizes` is M + J.  Node k enters the sum with the
-    coefficient c_k = -i*q*w1_k + q**2*w2_k, theta = -delta = 1/q, so
-    |theta*c_k| <= a1_k + Q*a2_k =: a_k and |c_k| <= Q*a_k.  At first order
-    in u = eps/2 the value is off by at most:
+    Per piece p, from node p: a_p = |start_p|, d_p = |slope_p|*dt and
+    W_p = a_p + d_p >= |h| on it.  Per node k: t_k, gap_k = |t_k - fl(k*dt)|
+    and w_k = v_k + d_{k-1} + d_k, v_k the jump of h at node k (|h| at the
+    two ends) and d zero beyond them.  `fine` is M and `coarse` is J: the J
+    blocks of M pieces each share a coarse exponential.  By parts, a run of
+    pieces from node a to node b has an integral I with |I| <= dt*sum W_p
+    and |delta*I| <= |h(a)| + |h(b)| + sum (d_p + v_p) over the run.  At
+    first order in u = eps/2 the value is off by at most:
 
-    - node times: the table's t_k are within u*t_k of the profile's, and
-      moving node k by d moves the integral by at most d*(a1_k + (|D_{k-1}|
-      + |D_k|)/2): its two pieces' boundary values differ by w1_k, and each
-      piece's linear part shifts by at most |D|/2; summed,
-      u*sum_k t_k*a1_k + u*sum_p |D_p|*(t_p + t_{p+1})/2;
-    - steps: a slope taken as a quotient of differences puts the end of its
-      piece within 2u*|D| of the profile's value, moving the piece by
-      u*|D|*s;
-    - phases and gaps: r*dt and j*M*dt are each rounded once, and theta
-      times them once more, so the sum's effective E_k = A_j*B_r is
-      exp(i*theta*k*dt) within 2u*|theta|*k*dt + 4u (cos and sin within
-      about u each); k*dt lies within gap_k + u*t_k of t_k.  A phase error
-      of E_k costs |theta*c_k| times it, and the 4u costs |c_k| times it:
-      (3u*t_k + gap_k)*a_k + 4u*Q*a_k;
-    - weights: w1 = end - start with end = start + D is off by
-      u*(|D| + |end| + |w1|) <= 4u*(W_{k-1} + W_k), which costs Q times
-      it, 8u*Q*sum_p W_p in all; w2 is off by u*a2, costing u*Q*a_k;
-    - the sums: each inner sum of B @ [w1 | w2] takes 2M real products per
-      component (zeros of the block table included), so it is off by at
-      most 2M*u of sum_r |w_r*B_r| in any order; each product with A costs
-      3u and the J-term sum (J - 1)*u: under 3u*(M + J) + 3u of |c_k| in
-      all.  q and the final q*(q*S2 - i*S1) cost 5u: (3*(M + J) + 8)*u*Q*a_k
-      with the rest;
-    - the q**2 terms: at |delta|*dt >= 1/4, q**2*a2_k <= 16*dt**2*(|slope_{k-1}|
-      + |slope_k|) <= 64*W*dt, so the by-parts sum cancels at most that
-      much and every term above already charges its rounding against it.
+    - node times: the profile's node k lies within e_k = gap_k + 2u*t_k of
+      k*dt (the table's t_k within u*t_k of the profile's, fl(k*dt) within
+      u*t_k of k*dt); moving it there with the values held costs
+      e_k*(v_k + (d_{k-1} + d_k)/2).  A slope taken as a quotient of
+      differences, held over dt, then misses the profile's value at the
+      piece's end by |slope_p|*(e_p + e_{p+1} + 2u*dt), which moves the
+      piece by dt/2 times that: under sum_k e_k*w_k + u*dt*sum_p d_p;
+    - phases: r*dt and j*M*dt are each rounded once, and delta times them
+      once more, so B_r and A_j are off by 2u*|delta|*r*dt + 2u and
+      2u*|delta|*j*M*dt + 2u relative (cos and sin within about u each).
+      A_j's error multiplies block j's integral; |h| at a block's end is at
+      most a_p plus v_p at the next block's first node p, so that costs under
+      4u*(sum_j t_{jM}*a_{jM} + sum_k t_k*w_k) + 2u*dt*sum_p W_p.  B_r's
+      multiplies the pieces r, M + r, ..., each with |delta*K_p| <= 2*W_p:
+      under 4u*M*dt*sum_p W_p;
+    - the sums: each inner sum of B @ [start | slope] takes 2M real products
+      per component (zeros of the block table included), off by 2M*u of
+      sum_r |w_r*B_r| in any order; the products with A cost 3u and the
+      J-term sum (J - 1)*u.  So S0 and S1 are off by 3u*(M + J) of sum_p a_p
+      and sum_p |slope_p|, which enter I times at most dt and dt**2/2;
+    - the factor: the node form q*(q*S1*D - i*(S0*D + S1*dt*E)), with
+      |q| <= 4*dt, E = exp(-i*delta*dt) within u*|delta|*dt + 2u and
+      D = E - 1, takes about ten operations on terms up to
+      4*dt*(2*|S0| + 9*dt*|S1|), and q one more: under u*dt*(81*sum_p a_p
+      + 369*sum_p d_p).  The small-phase branch takes a few u of
+      dt*(|S0| + dt*|S1|), and its series truncates below u/100.
 
-    In total u*(sum_k t_k*(a1_k + 3*a_k) + sum_p |D_p|*((t_p + t_{p+1})/2 + s_p)
-    + (3*(M + J) + 13)*Q*sum_k a_k + 8*Q*sum_p W_p) + sum_k gap_k*a_k (the 13
-    gathers the 4u of the exponentials, the u of w2 and the 8u above), with
-    (t_p + t_{p+1})/2 + s_p <= 1.5*t_{p+1}; the 13 is rounded up to 16, which
-    covers the second-order terms while u*(M + J) and u*|delta|*T are far
-    below 1.
+    In total sum_k (gap_k + 3*eps*t_k)*w_k + 2*eps*sum_j t_{jM}*a_{jM} +
+    u*dt*((7*M + 3*J + 83)*sum_p a_p + (5.5*M + 1.5*J + 372)*sum_p d_p),
+    with the last two coefficients rounded up to 7*M + 3*J + 96 and 6*M +
+    2*J + 384 for the second-order terms, while u*(M + J) and u*|delta|*T
+    are far below 1.
     """
-    (t_a1, gap_a1), (t_a2, gap_a2) = np.abs(weights) @ np.stack([t, gap], axis=1)
-    sum_a1, sum_a2 = np.abs(weights).sum(axis=1)
-    rounding = (
-        4.0 * t_a1
-        + 3.0 * q_max * t_a2
-        + 1.5 * np.dot(np.abs(jump), t[1:])
-        + (3.0 * sizes + 16.0) * q_max * (sum_a1 + q_max * sum_a2)
-        + 8.0 * q_max * np.sum(np.maximum(np.abs(start), np.abs(end)))
-    )
-    return _within(float(0.5 * _EPS * rounding + gap_a1 + q_max * gap_a2), tol)
+    n = start.size
+    rise = np.abs(slope) * step
+    weight = np.abs(np.append(start, 0.0) - np.append(0.0, start + slope * step))  # v_k
+    weight[:-1] += rise
+    weight[1:] += rise
+    sums = (7.0 * fine + 3.0 * coarse + 96.0) * np.abs(start).sum()
+    sums += (6.0 * fine + 2.0 * coarse + 384.0) * rise.sum()
+    rounding = 4.0 * np.dot(t[:n:fine], np.abs(start[::fine])) + step * sums
+    return _within(float(np.dot(gap + 3.0 * _EPS * t, weight) + 0.5 * _EPS * rounding), tol)
 
 
 def _fourier_integrals(terms: _Terms, deltas, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, float]:
     """I(delta) for every delta of a batch, and a rounding bound that covers each.
 
-    On a uniform chain (`_uniform_chain`) a delta with |delta|*dt >=
-    _SMALL_PHASE takes `_node_sums`; every other delta, and every delta of
-    any other table, takes `_piece_integrals`.  The returned bound is the
-    larger of the bounds of the paths taken.  Raises `QuadratureError` when a
-    bound exceeds `tol` or a value is not finite.
+    A uniform chain (`_uniform_chain`) takes `_node_sums`, every other table
+    `_piece_integrals`.  Raises `QuadratureError` when the bound exceeds
+    `tol` or a value is not finite.
     """
     deltas = np.ravel(deltas)
     chain = _uniform_chain(terms)
-    far = np.abs(deltas) * chain[0] >= _SMALL_PHASE if chain else np.zeros(deltas.size, bool)
-    n_far = np.count_nonzero(far)
-    values = np.empty(deltas.size, dtype=complex)
-    estimate = 0.0
-    if n_far:
-        values[far], estimate = _node_sums(terms, *chain, deltas[far], tol)
-    if n_far < deltas.size:
-        values[~far], piece_estimate = _piece_integrals(terms, deltas[~far], tol)
-        estimate = max(estimate, piece_estimate)
+    if chain:
+        values, estimate = _node_sums(terms, *chain, deltas, tol)
+    else:
+        values, estimate = _piece_integrals(terms, deltas, tol)
     _check_finite(values)
     return values, estimate
 
@@ -336,46 +330,39 @@ def _uniform_chain(terms: _Terms) -> tuple[float, np.ndarray] | None:
 def _node_sums(
     terms: _Terms, step: float, gap: np.ndarray, deltas: np.ndarray, tol: float
 ) -> tuple[np.ndarray, float]:
-    """I(delta) on a uniform chain by the by-parts node sum, each |delta|*dt >= _SMALL_PHASE.
+    """I(delta) on a uniform chain, as one piece of span dt over node sums.
 
-    With q = -1/delta, summing each piece's integral by parts gathers it at
-    the nodes: I = -i*q*sum_k w1_k*E_k + q**2*sum_k w2_k*E_k, where
-    E_k = exp(-i*delta*t_k), w1_k = (value at t_k from the left) - (value
-    from the right) and w2_k = slope_{k-1} - slope_k (zero beyond the ends).
-    Node k = j*M + r has E_k = A_j*B_r, with the coarse exponentials
-    A_j = exp(-i*delta*j*M*dt) and the fine B_r = exp(-i*delta*r*dt),
-    M = ceil(sqrt(N)), so a delta takes M + J ~ 2*sqrt(N) exponentials.
-    Each chunk of deltas makes one matrix product for the inner sums
-    B @ [w1 | w2] (the weights as M x 2J tables) and then a J-term sum of
-    products with A.
+    Every piece spans dt, so with E_p = exp(-i*delta*p*dt) at the pieces'
+    first nodes, I(delta) is the integral over [0, dt] of (S0 + S1*v) *
+    exp(-i*delta*v), where S0 = sum_p start_p*E_p and S1 = sum_p slope_p*E_p.
+    That piece takes the node form of `_piece_integrals` with E_a = 1, which
+    divides by delta and delta**2 only where |delta|*dt >= _SMALL_PHASE,
+    and `_small_phase` below it, for delta = 0 too.  Node p = j*M + r has
+    E_p = A_j*B_r, with the coarse exponentials A_j = exp(-i*delta*j*M*dt)
+    and the fine B_r = exp(-i*delta*r*dt), M = ceil(sqrt(P)) for P pieces,
+    so a delta takes M + J ~ 2*sqrt(P) exponentials.  Each chunk of deltas
+    makes one matrix product for the inner sums B @ [start | slope] (the
+    rows as M x 2J tables) and then a J-term sum of products with A.
     Nothing is shared between delta and -delta here; `first_order_map`
     asks for the nonnegative table `StaticCoefficients.deltas` and reads
     I(-delta) as conj I(delta).
     """
     t, _, _, _, start, slope = terms
-    n = t.size
+    n = start.size
     fine = math.isqrt(n - 1) + 1
     coarse = -(-n // fine)
     # A chunk holds R*(M + J) exponentials and R*2J inner sums.
     rows = max(1, _CHUNK_ELEMENTS // (2 * max(fine, coarse)))
-    values = np.empty(deltas.size, dtype=complex)
+    sums = np.empty((3, deltas.size), dtype=complex)
     with np.errstate(all="ignore"):
-        jump = slope * (t[1:] - t[:-1])
-        end = start + jump
+        estimate = _node_sum_estimate(t, gap, start, slope, step, fine, coarse, tol)
+        # [start | slope] as M x 2J real weights, each on the diagonal of a
+        # 2 x 2 block: the real product of the exponentials' (cos, sin) pairs
+        # with it gives the complex sums as (real, imag) pairs.  A complex
+        # product would touch a second BLAS kernel, about 0.4 MB more
+        # resident memory.
         weights = np.zeros((2, coarse * fine))
-        w1, w2 = weights[0, :n], weights[1, :n]
-        w1[1:] = end
-        w1[:-1] -= start
-        w2[1:] = slope
-        w2[:-1] -= slope
-        q_max = 1.0 / float(np.min(np.abs(deltas)))
-        estimate = _node_sum_estimate(
-            t, gap, weights[:, :n], start, jump, end, q_max, fine + coarse, tol
-        )
-        # [w1 | w2] as M x 2J real weights, each on the diagonal of a 2 x 2
-        # block: the real product of the exponentials' (cos, sin) pairs with
-        # it gives the complex sums as (real, imag) pairs.  A complex product
-        # would touch a second BLAS kernel, about 0.4 MB more resident memory.
+        weights[:, :n] = start, slope
         table = np.zeros((fine, 2, 2 * coarse, 2))
         table[:, 0, :, 0] = table[:, 1, :, 1] = weights.reshape(2 * coarse, fine).T
         table = table.reshape(2 * fine, 4 * coarse)
@@ -387,11 +374,18 @@ def _node_sums(
             nodes = np.empty(phase.shape, dtype=complex)
             np.cos(phase, out=nodes.real)
             np.sin(phase, out=nodes.imag)
-            sums = (nodes[:, :fine].view(float) @ table).view(complex).reshape(-1, 2, coarse)
-            s1, s2 = (sums * nodes[:, None, fine:]).sum(axis=2).T
-            q = -1.0 / chunk
-            values[first : first + rows] = q * (q * s2 - 1j * s1)
-            del phase, nodes, sums, s1, s2, q
+            inner = (nodes[:, :fine].view(float) @ table).view(complex).reshape(-1, 2, coarse)
+            sums[:2, first : first + rows] = (inner * nodes[:, None, fine:]).sum(axis=2).T
+            sums[2, first : first + rows] = nodes[:, 1]  # B_1, the piece's exp(-i*delta*dt)
+            del phase, nodes, inner
+        s0, s1, end = sums
+        diff = end - 1.0
+        q = -1.0 / deltas
+        values = q * (q * s1 * diff - 1j * (s0 * diff + s1 * step * end))
+        phase = -deltas * step
+        small = np.abs(phase) < _SMALL_PHASE
+        if small.any():
+            values[small] = _small_phase(1j * phase[small], step, s0[small], s1[small])
     return values, estimate
 
 
@@ -443,7 +437,7 @@ class AccelerationProfile:
 
     def evaluate(self, tau):
         """h(tau): a float for a scalar tau, else an array of tau's shape."""
-        t = _check_real("tau", tau)
+        t = _check_real("tau", tau, finite=False)
         if not np.all((t >= self.tau0) & (t <= self.tauf)):  # NaN fails both
             raise ValueError(f"tau outside the profile interval [{self.tau0}, {self.tauf}]")
         out = self._h(t - self.tau0)
@@ -654,10 +648,6 @@ class SampledProfile(_Linear, _Value, eq=False):
             raise ValueError("tau and h must be 1-d arrays of equal length")
         if tau.size < 2:
             raise ValueError("at least two samples required")
-        if not np.all(np.isfinite(tau)):
-            raise ValueError("sample times tau must be finite")
-        if not np.all(np.isfinite(h)):
-            raise ValueError("sample values h must be finite")
         if not np.all(np.diff(tau) > 0.0):
             raise ValueError("sample grid must be strictly increasing in tau")
         object.__setattr__(self, "tau", tau)
@@ -787,9 +777,10 @@ def oscillatory_integral(
     """integral_{tau0}^{tauf} exp(-i*delta*(tau - tau0)) h(tau) dtau.
 
     Exact per piece up to rounding; the error estimate is the rounding bound
-    of `_rounding_estimate`, and `evaluations` counts the pieces.  Raises
-    `QuadratureError` when the estimate exceeds `tol` or the value is not
-    finite, and a `ValueError` unless `delta` is one finite real number.
+    of the table's path (`_fourier_integrals`), and `evaluations` counts the
+    pieces.  Raises `QuadratureError` when the estimate exceeds `tol` or the
+    value is not finite, and a `ValueError` unless `delta` is one finite
+    real number.
     """
     _check_number("delta", delta)
     terms = profile._terms()

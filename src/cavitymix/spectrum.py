@@ -154,12 +154,14 @@ def _check_number(name: str, value, sign: str = "", finite: bool = True) -> None
         raise ValueError(f"{name} must be finite, got {value}")
 
 
-def _check_real(name: str, value) -> np.ndarray:
-    """`value` as a float array; a ValueError naming `name` unless it is real numbers.
+def _check_real(name: str, value, sign: str = "", finite: bool = True) -> np.ndarray:
+    """`value` as a float array; a ValueError naming `name` unless real, of `sign`, and finite.
 
     The rule of `_is_real` on the dtype: booleans, text, bytes, objects and
     complex numbers are refused, which `np.asarray(value, dtype=float)` would
     read as numbers (a complex one as its real part, with a ComplexWarning).
+    Then, in `_check_number`'s order and naming the first entry that fails,
+    the sign, which NaN fails, and finiteness unless `finite=False`.
     """
     try:
         array = np.asarray(value)
@@ -167,7 +169,16 @@ def _check_real(name: str, value) -> np.ndarray:
         raise ValueError(f"{name} must be real numbers: {error}") from None
     if array.dtype.kind not in "iuf":
         raise ValueError(f"{name} must be real numbers: got dtype {array.dtype}")
-    return np.asarray(array, dtype=float)
+    array = np.asarray(array, dtype=float)
+    if sign:
+        bad = ~(array > 0.0 if sign == "positive" else array >= 0.0)  # NaN fails either
+        if bad.any():
+            raise ValueError(f"{name} must be {sign}, got {array[bad][0]}")
+    if finite:
+        bad = ~np.isfinite(array)
+        if bad.any():
+            raise ValueError(f"{name} must be finite, got {array[bad][0]}")
+    return array
 
 
 def _is_two(value) -> bool:

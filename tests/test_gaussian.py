@@ -447,8 +447,8 @@ def test_negativity_grid_keeps_the_profile_checks():
     coeffs = static_coefficients(Cavity1D(length=1.0, mu0=0.0, n_max=2))
     omega_grid = np.array([1.0, math.pi])
     dtau_grid = np.array([5.0, 10.0])
-    for bad in (-1.0, math.nan):
-        with pytest.raises(ValueError, match="drive frequencies"):
+    for bad in (-1.0, math.nan):  # NaN fails the sign, as in `_check_number`
+        with pytest.raises(ValueError, match=f"^omega_c_values must be nonnegative, got {bad}$"):
             negativity_grid(coeffs, (1, 2), 1.0, 1e-3, np.array([bad, 1.0]), dtau_grid)
     for s in (-0.5, math.nan, math.inf):
         with pytest.raises(ValueError, match="squeezing"):
@@ -459,10 +459,10 @@ def test_negativity_grid_keeps_the_profile_checks():
         negativity_grid(coeffs, (1, 2), 1.0, 1e-3, omega_grid, np.array([np.nan]))
     # An infinite axis is bad input, as `SinusoidalProfile` says, not a quadrature failure.
     for axes, name in (
-        ((np.array([1.0, math.inf]), dtau_grid), "drive frequencies"),
-        ((omega_grid, np.array([5.0, math.inf])), "durations"),
+        ((np.array([1.0, math.inf]), dtau_grid), "omega_c_values"),
+        ((omega_grid, np.array([5.0, math.inf])), "delta_tau_values"),
     ):
-        with pytest.raises(ValueError, match=f"^{name} must be finite and .*, got inf$"):
+        with pytest.raises(ValueError, match=f"^{name} must be finite, got inf$"):
             negativity_grid(coeffs, (1, 2), 1.0, 1e-3, *axes)
     # A drive that breaks rigidity, which first_order_map refuses too.
     for h0 in (5.0, -2.0, math.nan, math.inf):

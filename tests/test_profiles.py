@@ -118,7 +118,7 @@ def test_profiles_refuse_non_finite_times_and_phases():
             with pytest.raises(ValueError, match="phase must be finite"):
                 SinusoidalProfile(h0=1e-3, omega_c=1.0, tau0=0.0, tauf=10.0, phase=phase)
         for bad in (math.inf, math.nan):
-            with pytest.raises(ValueError, match="sample times tau must be finite"):
+            with pytest.raises(ValueError, match=f"^tau must be finite, got {bad}$"):
                 SampledProfile(tau=[0.0, 1.0, bad], h=[0.0, 1e-3, 0.0])
         for omega_c in (math.inf, -math.inf, math.nan):
             with pytest.raises(ValueError, match="drive frequency"):
@@ -138,7 +138,7 @@ def test_profiles_refuse_non_finite_times_and_phases():
                 ),
                 (
                     lambda: SampledProfile(tau=[0.0, 1.0, 2.0], h=[0.0, bad, 0.0]),
-                    "sample values h must be finite",
+                    f"^h must be finite, got {bad}$",
                 ),
             ):
                 with pytest.raises(ValueError, match=match):
@@ -534,7 +534,8 @@ BATCHED_CASES = {
         exact_oscillatory,
         None,
     ),
-    # dt = 0.125: near rows take the per-piece kernel, far rows the node sum.
+    # dt = 0.125: every row takes the node sum, on both sides of the crossover
+    # of its chain factor's series.
     "uniform_trace": (
         _uniform_trace(401, 0.0, 50.0, 3),
         _crossover_deltas(0.0, 0.125),
@@ -622,7 +623,7 @@ def test_node_table_sizes_state_the_cost_model():
     # One exponential per node and delta: N samples, K + 1 plateau edges, four
     # ramp breakpoints, two nodes per sinusoid term, four window edges for each
     # of the windowed sinusoid's six frequencies.  A uniform trace of N samples
-    # takes 2*sqrt(N) per far delta instead (test_uniform_chain_selection).
+    # takes 2*sqrt(N) per delta instead (test_uniform_chain_selection).
     trace = SampledProfile(tau=_NONUNIFORM_TAU, h=_NONUNIFORM_H)
     assert _node_table_sizes(trace) == (_NONUNIFORM_TAU.size, _NONUNIFORM_TAU.size - 1)
     plateaus = PiecewiseConstantProfile(segments=((1.0, 0.05), (2.5, -0.02), (1.5, 0.01)))
@@ -705,6 +706,19 @@ ESTIMATE_CASES = {
         _uniform_trace(_UNIFORM_MIN_NODES, 0.0, 10.0, 7),
         np.array([1.0, -7.0, 50.0]),
     ),
+    # 40 equal plateaus, a chain with a jump at every node, off tau0 = 0.
+    "uniform_plateaus": (
+        PiecewiseConstantProfile(
+            tuple((0.25, h) for h in 0.02 * np.random.default_rng(8).standard_normal(40)),
+            tau0=1.3,
+        ),
+        np.array([0.0, 0.3, -0.9, 1.1, -6.0, 40.0]),
+    ),
+    # delta = 0, and deltas with |delta|*dt on both sides of 1/4 at dt = 0.125.
+    "uniform_straddle": (
+        _uniform_trace(401, 2.0, 50.0, 9),
+        np.array([0.0, 1e-3, -1.0, 1.9, -2.1, 8.0, 30.0]),
+    ),
 }
 
 
@@ -720,11 +734,11 @@ def test_uniform_chain_selection():
     uniform = _uniform_trace(401, 0.0, 50.0, 3)
     step, _ = _uniform_chain(uniform._terms())
     assert step == 0.125
-    # Every delta of the uniform estimate cases is a far row of the node sum.
-    for name in ("uniform_long_trace", "uniform_shifted", "uniform_smallest"):
-        prof, far_deltas = ESTIMATE_CASES[name]
-        chain_step, _ = _uniform_chain(prof._terms())
-        assert np.all(np.abs(far_deltas) * chain_step >= _SMALL_PHASE)
+    # The uniform estimate cases check the node sum against the exact integral.
+    chains = [name for name in ESTIMATE_CASES if name.startswith("uniform_")]
+    assert len(chains) == 5
+    for name in chains:
+        assert _uniform_chain(ESTIMATE_CASES[name][0]._terms()) is not None
     jittered_tau = uniform.tau.copy()
     jittered_tau[200] += 1e-9 * step
     jittered = SampledProfile(tau=jittered_tau, h=uniform.h)
@@ -739,22 +753,22 @@ def test_uniform_chain_selection():
         values, estimate = _fourier_integrals(terms, deltas)
         piece_values, piece_estimate = _piece_integrals(terms, deltas, 1e-10)
         assert np.array_equal(values, piece_values) and estimate == piece_estimate
-    # On the uniform trace, far rows take the node sum and near rows the
-    # per-piece kernel, bit for bit; the estimate covers both.
+    # On the uniform trace every delta, 0 and both sides of |delta|*dt = 1/4
+    # included, takes the node sum, bit for bit, whose bound is below the
+    # per-piece kernel's.
     terms = uniform._terms()
-    far = np.abs(deltas) * step >= _SMALL_PHASE
-    assert far.any() and not far.all()
+    deltas = np.concatenate([[0.0], deltas])
+    small = np.abs(deltas) * step < _SMALL_PHASE
+    assert small.any() and not small.all()
     values, estimate = _fourier_integrals(terms, deltas)
-    node_values, node_estimate = _node_sums(terms, *_uniform_chain(terms), deltas[far], 1e-10)
-    piece_values, piece_estimate = _piece_integrals(terms, deltas[~far], 1e-10)
-    assert np.array_equal(values[far], node_values)
-    assert np.array_equal(values[~far], piece_values)
-    assert estimate == max(node_estimate, piece_estimate)
-    assert node_estimate < piece_estimate
+    node_values, node_estimate = _node_sums(terms, *_uniform_chain(terms), deltas, 1e-10)
+    assert values.tobytes() == node_values.tobytes() and estimate == node_estimate
+    assert node_estimate < _piece_integrals(terms, deltas, 1e-10)[1]
 
 
 def test_uniform_trace_one_delta_calls_agree_with_the_batch():
-    # A heavy field's mixing deltas are near rows at dt = 0.125, its creation deltas far.
+    # At dt = 0.125 a heavy field's mixing deltas lie below |delta|*dt = 1/4,
+    # its creation deltas above.
     prof = _uniform_trace(401, 0.0, 50.0, 11)
     coeffs = static_coefficients(Cavity1D(length=1.0, mu0=20.0, n_max=12))
     values, estimate = _fourier_integrals(prof._terms(), coeffs.deltas)

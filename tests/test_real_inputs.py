@@ -308,8 +308,13 @@ def test_only_the_rule_converts_input_to_float():
 
 # (module, function): how many finiteness checks it may write itself, and why.
 FINITENESS_CHECKS = {
-    # The rule.
+    # The rule, for a scalar and for an array.
     ("spectrum", "_check_number"): 1,
+    ("spectrum", "_check_real"): 1,
+    # The pinned one-line matrix message, which names the shape rather than an entry.
+    ("gaussian", "_quadrature_matrix"): 1,
+    # The kernel's output, not an input: an overflowing phase or term.
+    ("profiles", "_check_finite"): 1,
     # The pinned interval messages: "tauf > tau0" for NaN, "interval must be finite" for infinity.
     ("profiles", "AccelerationProfile._check_interval"): 1,
     # Two overflow checks on computed products, the window and drive phases, not on fields.
@@ -322,7 +327,7 @@ FINITENESS_CHECKS = {
 
 
 def _finiteness_checks(tree):
-    """`Class.function` of each `math.isfinite` call and each comparison with an infinity."""
+    """`Class.function` of each `isfinite` call and each comparison with an infinity."""
 
     def infinite(node):
         return ast.unparse(node).lstrip("-") in ("math.inf", "np.inf", "float('inf')")
@@ -332,7 +337,8 @@ def _finiteness_checks(tree):
             if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
                 yield from visit(child, f"{scope}.{child.name}" if scope else child.name)
                 continue
-            if (isinstance(child, ast.Call) and ast.unparse(child.func) == "math.isfinite") or (
+            called = ast.unparse(child.func) if isinstance(child, ast.Call) else ""
+            if called in ("math.isfinite", "np.isfinite") or (
                 isinstance(child, ast.Compare)
                 and any(map(infinite, (child.left, *child.comparators)))
             ):
