@@ -223,7 +223,7 @@ def first_order_map(
     mixing = values[:size].imag
     np.subtract(0.0, mixing, out=mixing)
     a_hat[upper] = scale[:size] * values[:size]
-    worst = estimate * float(np.max(np.abs(coeffs.entry_scale)))
+    worst = estimate * float(np.abs(coeffs.entry_scale).max())
     duration = profile.tauf - profile.tau0
     return FirstOrderBogoliubovMap(
         cavity=cavity,
@@ -255,7 +255,7 @@ def compose(
     # Only the odd entries are advanced: a map that is not zero elsewhere
     # did not come from `first_order_map`, and would lose those entries.
     blocks = (first.a_hat, first.b_hat, second.a_hat, second.b_hat)
-    if any(np.any(block[~odd]) for block in blocks):
+    if any(block[~odd].any() for block in blocks):
         raise ValueError(
             "maps to compose must keep the parity zeros: every entry with m + n even is 0"
         )
@@ -299,12 +299,10 @@ def verify_first_order_identities(map_: FirstOrderBogoliubovMap) -> IdentityRepo
     one `entry_scale` bit for bit, so both residuals are exactly 0 by
     construction on the maps `first_order_map` and `compose` return.
     """
-    anti = float(np.max(np.abs(map_.a_hat + map_.a_hat.conj().T)))
-    sym = float(np.max(np.abs(map_.b_hat - map_.b_hat.T)))
+    anti = float(np.abs(map_.a_hat + map_.a_hat.conj().T).max())
+    sym = float(np.abs(map_.b_hat - map_.b_hat.T).max())
     even = ~_odd_entries(map_.cavity.n_max)[0]
-    parity = float(
-        max(np.max(np.abs(map_.a_hat[even])), np.max(np.abs(map_.b_hat[even])))
-    )
+    parity = float(max(np.abs(map_.a_hat[even]).max(), np.abs(map_.b_hat[even]).max()))
     return IdentityReport(
         anti_hermiticity_residual=anti,
         symmetry_residual=sym,

@@ -242,4 +242,4 @@ def _creation_partial_sum(cavity: Cavity3D, axis: str, cutoff: int) -> float:
         * primes
         / (reduced.length**4 * (omega_low + omegas) ** 3 * np.sqrt(omega_low * omegas))
     )
-    return float(np.sum(terms**2))
+    return float((terms**2).sum())

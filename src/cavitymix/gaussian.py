@@ -99,8 +99,12 @@ def _quadrature_matrix(name: str, value) -> tuple[np.ndarray, np.ndarray]:
 
 def symplectic_residual(s: np.ndarray) -> float:
     """Max-norm deviation of S Omega S^T from Omega."""
-    s, omega = _quadrature_matrix("transformation", s)
-    return float(np.max(np.abs(s @ omega @ s.T - omega)))
+    return _residual(*_quadrature_matrix("transformation", s))
+
+
+def _residual(s: np.ndarray, omega: np.ndarray) -> float:
+    """`symplectic_residual` of an S that `_quadrature_matrix` has already checked."""
+    return float(np.abs(s @ omega @ s.T - omega).max())
 
 
 class CovarianceState(_Value, eq=False):
@@ -117,9 +121,9 @@ class CovarianceState(_Value, eq=False):
     def __post_init__(self):
         sigma, omega = _quadrature_matrix("covariance", self.sigma)
         _check_number("psd_tol", self.psd_tol, "nonnegative")
-        if not np.max(np.abs(sigma - sigma.T)) <= SYMMETRY_TOL:
+        if not np.abs(sigma - sigma.T).max() <= SYMMETRY_TOL:
             raise ValueError("covariance matrix is not symmetric")
-        bound = float(np.min(np.linalg.eigvalsh(sigma + 1j * omega)))
+        bound = float(np.linalg.eigvalsh(sigma + 1j * omega).min())
         if not -bound <= self.psd_tol:
             raise ValueError(
                 f"sigma + i Omega has eigenvalue {bound}, below -{self.psd_tol}: "
@@ -158,12 +162,12 @@ def _check_squeezing(s: float) -> None:
 
 def apply_symplectic(state: CovarianceState, s: np.ndarray) -> CovarianceState:
     """Transform sigma -> S sigma S^T."""
-    s, _ = _quadrature_matrix("transformation", s)
+    s, omega = _quadrature_matrix("transformation", s)
     if s.shape != state.sigma.shape:
         raise ValueError(
             f"transformation shape {s.shape} does not match state {state.sigma.shape}"
         )
-    tol = max(state.psd_tol, 10.0 * symplectic_residual(s), PSD_TOL)
+    tol = max(state.psd_tol, 10.0 * _residual(s, omega), PSD_TOL)
     return CovarianceState(sigma=s @ state.sigma @ s.T, psd_tol=tol)
 
 
@@ -178,10 +182,10 @@ class TwoModeReduction(_Value, eq=False):
 
 
 def _quadratures(n_modes: int, pair: tuple[int, int]):
-    """np.ix_ index of the (1-based) pair's quadratures (q_m, p_m, q_n, p_n)."""
+    """Index of the 4x4 block of the (1-based) pair's quadratures (q_m, p_m, q_n, p_n)."""
     i, j = _check_modes(n_modes, pair, distinct=True)
     idx = [2 * i, 2 * i + 1, 2 * j, 2 * j + 1]
-    return np.ix_(idx, idx)
+    return [[k] for k in idx], idx
 
 
 def _symplectic(alpha, beta) -> np.ndarray:
@@ -205,7 +209,7 @@ def reduce_to_pair(state: CovarianceState, pair: tuple[int, int]) -> TwoModeRedu
 def symplectic_from_map(map_: FirstOrderBogoliubovMap, pair: tuple[int, int]) -> np.ndarray:
     """4x4 quadrature action of the phase-free map 1 + A, B on the (1-based) pair."""
     i, j = _check_modes(map_.cavity.n_max, pair, distinct=True)
-    modes = np.ix_([i, j], [i, j])
+    modes = [[i], [j]], [i, j]
     return _symplectic(np.eye(2) + map_.a_hat[modes], map_.b_hat[modes])
 
 
@@ -226,17 +230,22 @@ def symplectic_eigenvalues(sigma: np.ndarray) -> np.ndarray:
     conjugate pairs to PAIRING_TOL, which signals a non-covariance input.
     Returned ascending, one value per mode.
     """
-    sigma, omega = _quadrature_matrix("matrix", sigma)
+    return _spectrum(*_quadrature_matrix("matrix", sigma))
+
+
+def _spectrum(sigma: np.ndarray, omega: np.ndarray) -> np.ndarray:
+    """`symplectic_eigenvalues` of a sigma that `_quadrature_matrix` has already checked."""
     eigs = np.linalg.eigvals(omega @ sigma)
-    scale = max(1.0, float(np.max(np.abs(eigs))))
-    worst_real = float(np.max(np.abs(eigs.real)))
+    scale = max(1.0, float(np.abs(eigs).max()))
+    worst_real = float(np.abs(eigs.real).max())
     if not worst_real <= PAIRING_TOL * scale:
         raise SymplecticPairingError(
             f"eigenvalues of Omega sigma have real part up to {worst_real}; "
             "input is not a covariance matrix"
         )
-    imag = np.sort(eigs.imag)
-    mismatch = float(np.max(np.abs(imag + imag[::-1])))
+    imag = eigs.imag.copy()
+    imag.sort()
+    mismatch = float(np.abs(imag + imag[::-1]).max())
     if not mismatch <= PAIRING_TOL * scale:
         raise SymplecticPairingError(
             f"eigenvalues of Omega sigma fail conjugate pairing by {mismatch}"
@@ -247,7 +256,7 @@ def symplectic_eigenvalues(sigma: np.ndarray) -> np.ndarray:
 def negativity(sigma_red: np.ndarray) -> float:
     """max{0, (1/nu - 1)/2} with nu the smallest symplectic eigenvalue of the
     partial transpose; positive exactly when the pair is entangled."""
-    nu = float(symplectic_eigenvalues(partial_transpose(sigma_red))[0])
+    nu = float(_spectrum(partial_transpose(sigma_red), symplectic_form(2))[0])
     if nu <= 0.0:
         raise ValueError(f"degenerate covariance: smallest symplectic eigenvalue {nu}")
     return max(0.0, (1.0 / nu - 1.0) / 2.0)
@@ -312,27 +321,35 @@ def negativity_grid(
     delta = float(_gaps(coeffs.cavity, coeffs.omega, *entry)[0])
     scale = delta * coeffs.alpha_hat[entry]
     # h0 cos(omega_c t) on [0, dtau] is the piece pair (h0/2) exp(+-i omega_c t).
-    longest = np.full(2, float(np.max(delta_tau_values)))
+    longest = np.full(2, float(delta_tau_values.max()))
     _rounding_estimate(np.full(2, 0.5 * abs(h0)), longest, longest, tol)
     # A cell is |Im(i*scale*I)| = |scale * Re I|, and Re I is (h0/2) times the
     # sum over theta = +-omega_c - delta of integral_0^dtau cos(theta*u) du.
     weight = abs(0.5 * h0 * scale) * math.sinh(s)
-    omega_c = omega_c_values[None, :]
+    thetas = omega_c_values - delta, -omega_c_values - delta
     grid = np.empty((delta_tau_values.size, omega_c_values.size))
     rows = max(1, _CHUNK_ELEMENTS // omega_c_values.size)
     with np.errstate(all="ignore"):
         for start in range(0, delta_tau_values.size, rows):
             span = delta_tau_values[start : start + rows, None]
-            moment = _cosine_moment(omega_c - delta, span) + _cosine_moment(-omega_c - delta, span)
-            grid[start : start + rows] = np.abs(moment) * weight
+            moment = _cosine_moment(thetas[0], span, grid[start : start + rows])
+            moment += _cosine_moment(thetas[1], span, np.empty_like(moment))
+            np.abs(moment, out=moment)
+            moment *= weight
     _check_finite(grid)
     return grid
 
 
-def _cosine_moment(theta, span):
-    """integral_0^span cos(theta*u) du = sin(theta*span)/theta, and span at theta = 0.
+def _cosine_moment(theta, span, out):
+    """integral_0^span cos(theta*u) du = sin(theta*span)/theta, and span at theta = 0, into `out`.
 
     The quotient is as accurate as the sine itself at every theta: unlike
     the complex moment it has no difference of exponentials to cancel.
     """
-    return np.where(theta == 0.0, span, np.sin(theta * span) / theta)
+    np.multiply(theta, span, out=out)
+    np.sin(out, out=out)
+    out /= theta
+    zero = theta == 0.0
+    if zero.any():
+        out[:, zero] = span
+    return out

@@ -169,7 +169,7 @@ def _rounding_estimate(height, right, span, tol: float) -> float:
     to eps*(16*b*W + (160 + P/2)*W*s).
     """
     return _within(
-        _EPS * float(np.sum(height * (16.0 * right + (160.0 + 0.5 * span.size) * span))), tol
+        _EPS * float((height * (16.0 * right + (160.0 + 0.5 * span.size) * span)).sum()), tol
     )
 
 
@@ -220,7 +220,8 @@ def _node_sum_estimate(t, gap, start, slope, step, fine, coarse, tol: float) -> 
     """
     n = start.size
     rise = np.abs(slope) * step
-    weight = np.abs(np.append(start, 0.0) - np.append(0.0, start + slope * step))  # v_k
+    end = start + slope * step
+    weight = np.abs(np.concatenate([start, [0.0]]) - np.concatenate([[0.0], end]))  # v_k
     weight[:-1] += rise
     weight[1:] += rise
     sums = (7.0 * fine + 3.0 * coarse + 96.0) * np.abs(start).sum()
@@ -267,11 +268,14 @@ def _piece_integrals(terms: _Terms, deltas: np.ndarray, tol: float) -> tuple[np.
     rows = max(1, _CHUNK_ELEMENTS // max(t.size, start.size))
     with np.errstate(all="ignore"):
         span = t[hi] - t[lo]
-        slope_span = slope * span
-        height = np.maximum(np.abs(start), np.abs(start + slope_span))
+        linear = bool(slope.any())
+        height = np.abs(start)
+        if linear:
+            slope_span = slope * span
+            height = np.maximum(height, np.abs(start + slope_span))
+            slope_span_i = -1j * slope_span
         estimate = _rounding_estimate(height, t[hi], span, tol)
-        linear = bool(np.any(slope))
-        start_i, slope_span_i = -1j * start, -1j * slope_span
+        start_i, mu_lo = -1j * start, mu[lo]
         reach = span / _SMALL_PHASE  # |1/theta| beyond which a piece takes the small-phase branch
         for first in range(0, deltas.shape[0], rows):
             chunk = deltas[first : first + rows]
@@ -296,7 +300,7 @@ def _piece_integrals(terms: _Terms, deltas: np.ndarray, tol: float) -> tuple[np.
             small = np.abs(inverse) > reach
             if small.any():
                 row, col = np.nonzero(small)
-                z = 1j * ((mu[lo][col] - chunk[row, 0]) * span[col])
+                z = 1j * ((mu_lo[col] - chunk[row, 0]) * span[col])
                 piece[small] = ea[small] * _small_phase(
                     z, span[col], start[col], slope[col] if linear else None
                 )
@@ -319,12 +323,12 @@ def _uniform_chain(terms: _Terms) -> tuple[float, np.ndarray] | None:
         t.size >= _UNIFORM_MIN_NODES
         and isinstance(lo, slice)
         and (lo, hi) == (slice(0, -1), slice(1, None))
-        and not np.any(mu)
+        and not mu.any()
     ):
         return None
     step = t[-1] / (t.size - 1)
     gap = np.abs(t - np.arange(t.size) * step)
-    return (step, gap) if np.max(gap) <= _UNIFORM_GAP * _EPS * t[-1] else None
+    return (step, gap) if gap.max() <= _UNIFORM_GAP * _EPS * t[-1] else None
 
 
 def _node_sums(
@@ -391,7 +395,7 @@ def _node_sums(
 
 def _check_finite(values: np.ndarray) -> None:
     """Raise `QuadratureError` for a value no rounding bound can cover."""
-    if not np.all(np.isfinite(values)):
+    if not np.isfinite(values).all():
         raise QuadratureError("not finite: a phase or term of the profile exceeds float range")
 
 
@@ -438,7 +442,7 @@ class AccelerationProfile:
     def evaluate(self, tau):
         """h(tau): a float for a scalar tau, else an array of tau's shape."""
         t = _check_real("tau", tau, finite=False)
-        if not np.all((t >= self.tau0) & (t <= self.tauf)):  # NaN fails both
+        if not ((t >= self.tau0) & (t <= self.tauf)).all():  # NaN fails both
             raise ValueError(f"tau outside the profile interval [{self.tau0}, {self.tauf}]")
         out = self._h(t - self.tau0)
         return float(out) if np.isscalar(tau) else out
@@ -626,7 +630,7 @@ class RampProfile(_Linear, _Value):
 
     def _nodes(self) -> tuple[np.ndarray, np.ndarray]:
         t, _, _, _, start, _ = self._terms()
-        return self.tau0 + t, np.append(start, 0.0)  # h is back to 0 at tauf
+        return self.tau0 + t, np.concatenate([start, [0.0]])  # h is back to 0 at tauf
 
 
 class SampledProfile(_Linear, _Value, eq=False):
@@ -648,7 +652,7 @@ class SampledProfile(_Linear, _Value, eq=False):
             raise ValueError("tau and h must be 1-d arrays of equal length")
         if tau.size < 2:
             raise ValueError("at least two samples required")
-        if not np.all(np.diff(tau) > 0.0):
+        if not (np.diff(tau) > 0.0).all():
             raise ValueError("sample grid must be strictly increasing in tau")
         object.__setattr__(self, "tau", tau)
         object.__setattr__(self, "h", h)

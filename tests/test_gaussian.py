@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from cavitymix import gaussian
 from cavitymix.bogoliubov import FirstOrderBogoliubovMap, first_order_map, static_coefficients
 from cavitymix.gaussian import (
     CovarianceState,
@@ -101,6 +102,55 @@ def test_symplectic_residual_flags_non_symplectic():
         symplectic_residual(np.ones(4))
     with pytest.raises(ValueError, match="transformation must be a finite, square"):
         apply_symplectic(squeezed_vacuum(1, 1.0), [[1, 0], [0]])
+
+
+def test_each_public_call_validates_each_matrix_once(monkeypatch):
+    # A public call checks each input matrix once, and its internal hops
+    # (apply_symplectic's residual, negativity's spectrum) reuse the checked
+    # copy; apply_symplectic checks the transformation, and CovarianceState
+    # the covariance it returns.
+    calls = []
+    check = gaussian._quadrature_matrix
+
+    def counted(name, value):
+        calls.append(name)
+        return check(name, value)
+
+    state = squeezed_vacuum(2, 0.5)
+    gate = symplectic_from_map(resonant_map(1e-3, dtau=2.7), (1, 2))
+    sigma = apply_symplectic(state, gate).sigma
+    monkeypatch.setattr(gaussian, "_quadrature_matrix", counted)
+    for call, want in (
+        (lambda: apply_symplectic(state, gate), ["transformation", "covariance"]),
+        (lambda: negativity(sigma), ["covariance"]),
+        (lambda: partial_transpose(sigma), ["covariance"]),
+        (lambda: symplectic_eigenvalues(sigma), ["matrix"]),
+        (lambda: symplectic_residual(gate), ["transformation"]),
+        (lambda: CovarianceState(sigma), ["covariance"]),
+    ):
+        calls.clear()
+        call()
+        assert calls == want
+
+
+def test_callers_arrays_stay_untouched_and_writeable():
+    # Each entry point works on its own checked copy: partial_transpose
+    # flips the copy in place, and CovarianceState freezes the copy it keeps.
+    state = squeezed_vacuum(2, 0.5)
+    gate = np.array(symplectic_from_map(resonant_map(1e-3, dtau=2.7), (1, 2)))
+    sigma = np.array(apply_symplectic(state, gate).sigma)
+    assert not np.array_equal(partial_transpose(sigma), sigma)  # the flip reaches entries != 0
+    for call, arg in (
+        (partial_transpose, sigma),
+        (negativity, sigma),
+        (symplectic_eigenvalues, sigma),
+        (symplectic_residual, gate),
+        (lambda s: apply_symplectic(state, s), gate),
+        (CovarianceState, sigma),
+    ):
+        before = arg.tobytes()
+        call(arg)
+        assert arg.flags.writeable and arg.tobytes() == before
 
 
 def test_two_mode_squeezed_textbook_values():
