@@ -468,6 +468,7 @@ class AccelerationProfile:
             raise ValueError(f"profile interval must have tauf > tau0, got [{self.tau0}, {self.tauf}]")
         if not -math.inf < self.tau0 < self.tauf < math.inf:
             raise ValueError(f"profile interval must be finite, got [{self.tau0}, {self.tauf}]")
+        _check_number("profile interval length tauf - tau0", self.tauf - self.tau0)
 
     def _check_room(self, width: float, what: str) -> None:
         """Refuse an interval too short for two edges of `width`, one at each end.
@@ -652,10 +653,11 @@ class SampledProfile(_Linear, _Value, eq=False):
             raise ValueError("tau and h must be 1-d arrays of equal length")
         if tau.size < 2:
             raise ValueError("at least two samples required")
-        if not (np.diff(tau) > 0.0).all():
+        if not (tau[1:] > tau[:-1]).all():  # no subtraction: nothing to overflow
             raise ValueError("sample grid must be strictly increasing in tau")
         object.__setattr__(self, "tau", tau)
         object.__setattr__(self, "h", h)
+        self._check_interval()
 
     @property
     def tau0(self) -> float:  # type: ignore[override]

@@ -555,31 +555,18 @@ def test_delta_table_holds_each_gap_magnitude_once():
     assert coeffs.deltas.size == coeffs.delta_index.size == 1152
 
 
-def test_compose_refuses_maps_without_parity_zeros():
-    coeffs = static_coefficients(unit_cavity(4))
-    first = first_order_map(coeffs, SinusoidalProfile(1e-3, math.pi, 0.0, 1.0))
-    second = first_order_map(coeffs, SinusoidalProfile(1e-3, math.pi, 1.0, 2.0))
-    for field in ("a_hat", "b_hat"):
-        broken = getattr(second, field).copy()
-        broken[0, 2] = 1e-3  # m + n = 4: a parity zero
-        forged = second._asdict() | {field: broken}
-        with pytest.raises(ValueError, match="parity zeros"):
-            compose(first, type(second)(**forged))
-
-
 def test_compose_advances_each_entry_from_its_own_inputs():
-    # Forged maps with random odd entries, neither anti-Hermitian nor
-    # symmetric: each mirror entry (n, m) must be advanced from its own
-    # inputs with its own phase, not copied or conjugated from (m, n).
+    # Forged maps with every entry random, neither anti-Hermitian nor
+    # symmetric nor zero where m + n is even: each entry, the mirror (n, m)
+    # and the parity zeros too, must be advanced from its own inputs with
+    # its own phase, not copied, conjugated or dropped.
     for cavity, rng in seeded_cavities(59, 60):
         n_max = cavity.n_max
-        odd = spectrum._odd_entries(n_max)[0]
         ends = np.cumsum(rng.uniform(0.5, 5.0, 3))
         maps = []
         for tau0, tauf in zip(ends[:-1], ends[1:]):
-            blocks = np.zeros((2, n_max, n_max), dtype=complex)
-            shape = (2, np.count_nonzero(odd))
-            blocks[:, odd] = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            shape = (2, n_max, n_max)
+            blocks = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
             maps.append(
                 FirstOrderBogoliubovMap(
                     cavity, float(tau0), float(tauf), *blocks, omega_vector(cavity) * (tauf - tau0)

@@ -102,6 +102,8 @@ def test_symplectic_residual_flags_non_symplectic():
         symplectic_residual(np.ones(4))
     with pytest.raises(ValueError, match="transformation must be a finite, square"):
         apply_symplectic(squeezed_vacuum(1, 1.0), [[1, 0], [0]])
+    with pytest.raises(ValueError, match=r"transformation shape \(2, 2\) does not match state \(4, 4\)"):
+        apply_symplectic(squeezed_vacuum(2, 0.5), np.eye(2))
 
 
 def test_each_public_call_validates_each_matrix_once(monkeypatch):
@@ -222,6 +224,8 @@ def test_complex_matrices_are_refused_not_cast_to_their_real_part(call, bad):
 def test_symplectic_eigenvalues_reject_non_covariance():
     with pytest.raises(SymplecticPairingError):
         symplectic_eigenvalues(np.diag([1.0, -1.0, 1.0, 1.0]))
+    with pytest.raises(SymplecticPairingError, match="real part up to 1.0"):
+        symplectic_eigenvalues(np.diag([1.0, -1.0]))
     with pytest.raises(ValueError):
         symplectic_eigenvalues(np.eye(3))
     nan_sigma = np.full((4, 4), math.nan)

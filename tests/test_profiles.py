@@ -114,6 +114,16 @@ def test_profiles_refuse_non_finite_times_and_phases():
         ):
             with pytest.raises(ValueError, match="interval must be finite"):
                 make()
+        # Finite ends whose distance overflows: refused by the profile, naming
+        # the length, rather than by the kernel or an overflow warning.
+        for make in (
+            lambda: SinusoidalProfile(h0=1e-3, omega_c=1.0, tau0=-1e308, tauf=1e308),
+            lambda: RampProfile(h0=1e-3, ramp_time=1.0, tau0=-1e308, tauf=1e308),
+            lambda: WindowedSinusoidProfile(1e-3, 1.0, 1.0, tau0=-1e308, tauf=1e308),
+            lambda: SampledProfile(tau=[-1e308, 1e308], h=[1e-3, 1e-3]),
+        ):
+            with pytest.raises(ValueError, match=r"^profile interval length tauf - tau0 must be finite, got inf$"):
+                make()
         for phase in (math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError, match="phase must be finite"):
                 SinusoidalProfile(h0=1e-3, omega_c=1.0, tau0=0.0, tauf=10.0, phase=phase)
@@ -212,6 +222,9 @@ def test_sampled_profile_interpolates_and_validates():
         SampledProfile(tau=[0.0, 0.0, 1.0], h=[0.0, 1.0, 2.0])
     with pytest.raises(ValueError):
         SampledProfile(tau=[0.0], h=[1.0])
+    for tau, h in (([0.0, 1.0, 2.0], [0.0, 1e-3]), ([[0.0, 1.0]], [[0.0, 1e-3]])):
+        with pytest.raises(ValueError, match="tau and h must be 1-d arrays of equal length"):
+            SampledProfile(tau=tau, h=h)
 
 
 def test_windowed_sinusoid_envelope():
@@ -584,6 +597,14 @@ _CORNER_RAMPS = (
 )
 
 
+def _random_pieces(coeffs, prof, rng):
+    """The maps of `prof` on one to three random cuts, composed in order."""
+    cuts = np.sort(rng.uniform(prof.tau0, prof.tauf, rng.integers(1, 4)))
+    edges = [prof.tau0, *cuts, prof.tauf]
+    pieces = (first_order_map(coeffs, prof.restrict(a, b)) for a, b in zip(edges, edges[1:]))
+    return functools.reduce(compose, pieces)
+
+
 def test_restricted_pieces_compose_back_to_the_whole_map():
     # Consecutive pieces of a drive compose to the drive's map: the segment
     # composition behind the periodic drives, checked by criterion 11 at 1e-9.
@@ -591,9 +612,10 @@ def test_restricted_pieces_compose_back_to_the_whole_map():
     coeffs = static_coefficients(Cavity1D(length=1.0, mu0=0.5, n_max=6))
     uniform = np.linspace(0.5, 9.5, 150)
     jittered = np.concatenate([[0.5], np.sort(rng.uniform(0.5, 9.5, 148)), [9.5]])
+    plateaus = PiecewiseConstantProfile(((2.0, 0.04), (3.5, -0.03), (3.5, 0.02)), tau0=0.5)
     profiles = [
         SinusoidalProfile(0.05, 2.1, 0.5, 9.5, phase=0.3),
-        PiecewiseConstantProfile(((2.0, 0.04), (3.5, -0.03), (3.5, 0.02)), tau0=0.5),
+        plateaus,
         RampProfile(0.04, 1.3, 0.5, 9.5),
         *_CORNER_RAMPS,
         *(SampledProfile(tau, 0.05 * np.sin(tau) ** 2) for tau in (uniform, jittered)),
@@ -601,12 +623,23 @@ def test_restricted_pieces_compose_back_to_the_whole_map():
     for prof in profiles:
         whole = first_order_map(coeffs, prof)
         for _ in range(3):
-            cuts = np.sort(rng.uniform(prof.tau0, prof.tauf, rng.integers(1, 4)))
-            edges = [prof.tau0, *cuts, prof.tauf]
-            pieces = (first_order_map(coeffs, prof.restrict(a, b)) for a, b in zip(edges, edges[1:]))
-            joined = functools.reduce(compose, pieces)
+            joined = _random_pieces(coeffs, prof, rng)
             assert np.max(np.abs(joined.alpha_matrix() - whole.alpha_matrix())) <= 1e-12
             assert np.max(np.abs(joined.beta_matrix() - whole.beta_matrix())) <= 1e-12
+    # Heavy fields, up to the desktop's reduced cavity (mu0 L about 1e5), where
+    # the gaps w_m - w_n are small against w: the perturbations agree within
+    # the maps' own error bounds.  The phases w * tau, near 1e4 and above, sum
+    # to a different rounding, so alpha_matrix() is not compared here.
+    for mu0 in (1e3, 1e5):
+        coeffs = static_coefficients(Cavity1D(length=1.0, mu0=mu0, n_max=8))
+        mixing = coeffs.omega[1] - coeffs.omega[0]
+        for prof in (SinusoidalProfile(0.05, mixing, 0.5, 9.5), RampProfile(0.04, 1.3, 0.5, 9.5), plateaus):
+            whole = first_order_map(coeffs, prof)
+            for _ in range(3):
+                joined = _random_pieces(coeffs, prof, rng)
+                bound = whole.quadrature_error + joined.quadrature_error
+                assert np.max(np.abs(joined.a_hat - whole.a_hat)) <= bound
+                assert np.max(np.abs(joined.b_hat - whole.b_hat)) <= bound
     with pytest.raises(NotImplementedError):
         WindowedSinusoidProfile(0.05, 2.1, 1.0, 0.5, 9.5).restrict(2.0, 5.0)
 

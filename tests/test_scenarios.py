@@ -538,6 +538,13 @@ def sweep(omega_c, delta_tau):
         (sweep(f"{{start: 3.0, stop: 3.3, count: {10**39}}}", "[5.0]"), "sweep.omega_c.count", ""),
         (catalog(f"{{length: 1.0, n_max: {10**21}}}"), "cavity.n_max", ""),
         (windowed("1.0e+300", "1.0e+10", "1.0e+11"), "profile", "drive phase"),
+        (EVOLVE.replace("tauf: 5.0", "tau0: -1.0e+308, tauf: 1.0e+308"), "profile", "length"),
+        (
+            "kind: evolve\ncavity: {length: 1.0, n_max: 4}\n"
+            "profile: {variant: piecewise_constant, segments: [1, 2]}\n",
+            "profile.segments",
+            "must be a non-empty list of [duration, h] pairs",
+        ),
     ],
     ids=[
         "mu0-text",
@@ -569,6 +576,8 @@ def sweep(omega_c, delta_tau):
         "range-count-huge",
         "n_max-huge",
         "windowed-drive-phase-overflow",
+        "profile-interval-length-overflow",
+        "segments-not-pairs",
     ],
 )
 def test_bad_field_values_are_diagnosed(tmp_path, text, field, fragment):
