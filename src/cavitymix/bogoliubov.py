@@ -28,7 +28,8 @@ factors into free phases times a perturbation,
     I(delta) = integral exp(-i delta (tau - tau0)) h(tau) dtau.
 
 A is anti-Hermitian and B symmetric; both inherit the parity zeros.  All
-odd pairs go through one batched kernel call over the distinct |delta|,
+odd pairs go through one call of the profile's `_integrals` over the
+distinct |delta| (the batched kernel, or a cosine drive's closed form),
 which `static_coefficients` tabulates once per cavity: a massless cavity's
 w_m -+ w_n are integer multiples of pi/L, so many pairs share a delta bit
 for bit.  h is real, so I(-delta) = conj I(delta): delta = w_m - w_n is
@@ -200,15 +201,15 @@ def first_order_map(
 ) -> FirstOrderBogoliubovMap:
     """Evaluate the first-order map of `profile` on `coeffs.cavity`.
 
+    The integrals come from one `profile._integrals` call over
+    `coeffs.deltas`, and `quadrature_error` from its rounding bound.
     Raises ValueError when the profile breaks the rigidity bound; warns when
     sup |h| exceeds 0.1, where the neglected O(h^2) terms start to matter.
     """
     _first_order_drive(_package.profiles.validate_rigidity(profile))
     cavity = coeffs.cavity
     n_max = cavity.n_max
-    values, estimate = _package.profiles._fourier_integrals(
-        profile._terms(), coeffs.deltas, tol
-    )
+    values, estimate, _ = profile._integrals(coeffs.deltas, tol)
     values = values[coeffs.delta_index]
     _, _, _, upper, lower, _ = _odd_entries(n_max)
     size, scale = upper.size, coeffs.entry_scale

@@ -300,14 +300,14 @@ def negativity_grid(
     every other column stays bounded.
 
     The Fourier integral of the drive is one broadcast closed form over the
-    grid, the two pieces of `SinusoidalProfile`'s table, of which a cell
-    needs only the real part, sin(theta*dtau)/theta per piece.  The grid
-    makes the checks a per-cell profile and `oscillatory_integral` would
-    make: ValueError for a negative frequency, a non-positive duration or
-    either one not finite, QuadratureError when the rounding bound exceeds
-    `tol` or a cell is not finite.  A drive with |h0| at or above the
-    rigidity bound is refused, and one above 0.1 warned about, as
-    `first_order_map` does.
+    grid, the moment of `SinusoidalProfile._integrals` for its two pieces,
+    of which a cell needs only the real part, sin(theta*dtau)/theta per
+    piece.  The grid makes the checks a per-cell profile and
+    `oscillatory_integral` would make: ValueError for a negative frequency,
+    a non-positive duration or either one not finite, QuadratureError when
+    the rounding bound exceeds `tol` or a cell is not finite.  A drive with
+    |h0| at or above the rigidity bound is refused, and one above 0.1
+    warned about, as `first_order_map` does.
     """
     omega_c_values = _check_real("omega_c_values", omega_c_values, "nonnegative")
     delta_tau_values = _check_real("delta_tau_values", delta_tau_values, "positive")

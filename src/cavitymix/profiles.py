@@ -35,8 +35,13 @@ sqrt(N), the factorisation behind the chirp-z transform (Rabiner, Schafer
 & Rader, IEEE Trans. Audio Electroacoust. 17 (1969) 86).  Every delta of
 such a trace costs 2*sqrt(N) exponentials and one small matrix product;
 every delta of any other table costs one exponential per node.
-`oscillatory_integral` is the one-delta call of that kernel;
-`first_order_map` makes one call for all the distinct deltas of a map.
+
+A profile integrates through its `_integrals(deltas, tol)`, by default that
+kernel on its table.  A cosine drive overrides it with the closed form of
+its two pieces, one cos/sin pair per (delta, piece) and no small-phase
+branch, under the kernel's own bound.  `oscillatory_integral` is the
+one-delta call of `_integrals`; `first_order_map` makes one call for all
+the distinct deltas of a map.
 
 For `SampledProfile` the table is the piecewise-linear interpolant of the
 samples, one node per sample and one piece per panel: the oscillatory
@@ -58,7 +63,8 @@ from . import _Value
 from .spectrum import DEFAULT_TOL, RIGIDITY_BOUND, _check_number, _check_real, _is_real, _is_two
 
 # Crossover of the small-phase branch, on |z| = |theta|*span of a piece, and
-# on |delta|*dt of a uniform chain's one piece of span dt (`_node_sums`).
+# on |delta|*dt of a uniform chain's one piece of span dt (`_node_sums`); a
+# cosine drive's closed form switches its versine's form there too.
 # Above it the node form divides differences of unit exponentials, each
 # within about eps of exact, by theta and theta**2: at |z| = 1/4 that costs
 # up to 2*eps/|z| = 8 eps relative in the base moment and 4*eps/|z|**2 =
@@ -461,6 +467,16 @@ class AccelerationProfile:
     def _terms(self) -> _Terms:
         raise NotImplementedError
 
+    def _integrals(self, deltas, tol: float) -> tuple[np.ndarray, float, int]:
+        """(I(delta) for every delta of a batch, a rounding bound that covers each, pieces).
+
+        `pieces` counts the terms summed per delta, `evaluations` of
+        `oscillatory_integral`.  The default runs the kernel on `_terms()`;
+        a profile with a cheaper closed form overrides it.
+        """
+        terms = self._terms()
+        return (*_fourier_integrals(terms, deltas, tol), terms[4].size)
+
     def _check_interval(self) -> None:
         for name in ("tau0", "tauf"):  # NaN and infinity get the interval's own messages
             _check_number(name, getattr(self, name), finite=False)
@@ -530,6 +546,46 @@ class SinusoidalProfile(AccelerationProfile, _Value):
         t, mu = np.array([0.0, s, 0.0, s]), np.array([w, w, -w, -w])
         start = np.array([c, c.conjugate()])
         return t, mu, slice(0, None, 2), slice(1, None, 2), start, np.zeros(2)
+
+    def _integrals(self, deltas, tol: float) -> tuple[np.ndarray, float, int]:
+        """I(delta) = c*K(omega_c - delta) + conj(c)*K(-omega_c - delta), in closed form.
+
+        With c = (h0/2)*exp(i*phase) and the duration s, K(theta) = integral_0^s
+        exp(i*theta*u) du = (sin x + i*(1 - cos x))/theta, x = theta*s formed
+        as the kernel forms it: the node form of `_piece_integrals` with its
+        node at t = 0 exact, so each (delta, sign) takes one cos/sin pair and
+        no small-phase branch.  Where |x| < _SMALL_PHASE the versine 1 - cos x
+        would cancel, and sin(x)**2/(1 + cos x), which does not, takes its
+        place.  Where cos x rounds to 1, near a multiple of 2*pi, the versine
+        is exactly 0 as the kernel's node difference is, so a value the
+        kernel makes exactly real stays so.  The divisor is x/s, theta to
+        within two roundings, which keeps K at s*sin(x)/x where x is
+        subnormal; K is s where x is 0.
+
+        The bound is the kernel's, the two-piece `_rounding_estimate` of
+        `_terms()`: the node exponential is the same, neither sin(x)/theta
+        nor the small-phase versine cancels, and the dozen operations per
+        value stay inside that bound's count for a piece's arithmetic.
+        """
+        s, w = self.duration, self.omega_c
+        c = 0.5 * self.h0 * cmath.exp(1j * self.phase)
+        ends = np.full(2, s)
+        estimate = _rounding_estimate(np.abs(np.array([c, c.conjugate()])), ends, ends, tol)
+        with np.errstate(all="ignore"):  # `_check_finite` reports a phase beyond float range
+            x = np.subtract.outer((w, -w), np.ravel(deltas))
+            x *= s
+            sine, cosine = np.sin(x), np.cos(x)
+            versine = 1.0 - cosine
+            np.divide(sine * sine, 1.0 + cosine, out=versine, where=np.abs(x) < _SMALL_PHASE)
+            x /= s
+            moment = np.full(x.shape, s, dtype=complex)
+            nonzero = x != 0.0
+            np.divide(sine, x, out=moment.real, where=nonzero)
+            np.divide(versine, x, out=moment.imag, where=nonzero)
+            values = c * moment[0] + c.conjugate() * moment[1]
+            values += 0.0  # a part that cancels reads +0.0, as the kernel leaves it
+        _check_finite(values)
+        return values, estimate, 2
 
 
 class PiecewiseConstantProfile(AccelerationProfile, _Value):
@@ -782,16 +838,16 @@ def oscillatory_integral(
 ) -> OscillatoryIntegralResult:
     """integral_{tau0}^{tauf} exp(-i*delta*(tau - tau0)) h(tau) dtau.
 
-    Exact per piece up to rounding; the error estimate is the rounding bound
-    of the table's path (`_fourier_integrals`), and `evaluations` counts the
-    pieces.  Raises `QuadratureError` when the estimate exceeds `tol` or the
-    value is not finite, and a `ValueError` unless `delta` is one finite
-    real number.
+    The one-delta call of the profile's `_integrals`: exact per piece up to
+    rounding, with the rounding bound of the table's path
+    (`_fourier_integrals`) as the error estimate, which a cosine drive's
+    closed form keeps; `evaluations` counts the pieces.  Raises
+    `QuadratureError` when the estimate exceeds `tol` or the value is not
+    finite, and a `ValueError` unless `delta` is one finite real number.
     """
     _check_number("delta", delta)
-    terms = profile._terms()
-    values, estimate = _fourier_integrals(terms, [float(delta)], tol)
+    values, estimate, pieces = profile._integrals([float(delta)], tol)
     return OscillatoryIntegralResult(
-        value=complex(values[0]), error_estimate=estimate, evaluations=terms[4].size
+        value=complex(values[0]), error_estimate=estimate, evaluations=pieces
     )
 

@@ -21,7 +21,7 @@ from cavitymix.profiles import (
     WindowedSinusoidProfile,
     oscillatory_integral,
 )
-from cavitymix.spectrum import Cavity1D, omega_vector
+from cavitymix.spectrum import DEFAULT_TOL, Cavity1D, omega_vector
 from conftest import exact_oscillatory, gap_matrices, simpson_oscillatory
 
 ALPHA_12 = 2.0 * math.sqrt(2.0) / math.pi**2
@@ -361,9 +361,9 @@ def reference_coefficients(cavity):
 
 
 def reference_map(coeffs, profile):
-    """(a_hat, b_hat) from the full-matrix formulas and the kernel's integrals.
+    """(a_hat, b_hat) from the full-matrix formulas and the profile's integrals.
 
-    The kernel integrates the table of |delta|; a negative frequency reads
+    `_integrals` integrates the table of |delta|; a negative frequency reads
     the conjugate of the integral at its negation, I(-delta) = conj I(delta),
     its imaginary part negated as 0 - y so that a +0.0 stays +0.0.
     """
@@ -371,7 +371,7 @@ def reference_map(coeffs, profile):
     n = np.arange(cavity.n_max)
     odd = (n[:, None] + n[None, :]) % 2 == 1
     table = coeffs.deltas
-    values, _ = profiles._fourier_integrals(profile._terms(), table)
+    values, _, _ = profile._integrals(table, DEFAULT_TOL)
     blocks = []
     for freqs, hat in zip(gap_matrices(cavity), (coeffs.alpha_hat, coeffs.beta_hat)):
         position = np.searchsorted(table, np.abs(freqs[odd]))
@@ -467,11 +467,12 @@ def test_mixing_coefficients_are_exactly_antisymmetric():
 
 
 # The fold: a map integrates each distinct |delta| once and reads I(-delta)
-# as conj I(delta), which must match a kernel asked for every signed delta.
+# as conj I(delta), which must match the profile's integrals asked for every
+# signed delta.
 
 
 def signed_map(coeffs, profile):
-    """(a_hat, b_hat, quadrature_error) with the kernel asked for every signed delta.
+    """(a_hat, b_hat, quadrature_error) with `_integrals` asked for every signed delta.
 
     Over every odd entry of the full matrices, each times its own scale
     i (w_m -+ w_n) alpha_hat or beta_hat.
@@ -482,7 +483,7 @@ def signed_map(coeffs, profile):
     gaps = np.concatenate([diffs[odd], sums[odd]])
     scale = 1j * np.concatenate([diffs[odd] * coeffs.alpha_hat[odd], sums[odd] * coeffs.beta_hat[odd]])
     signed, index = np.unique(gaps, return_inverse=True)
-    values, estimate = profiles._fourier_integrals(profile._terms(), signed)
+    values, estimate, _ = profile._integrals(signed, DEFAULT_TOL)
     blocks = np.zeros((2, cavity.n_max, cavity.n_max), dtype=complex)
     blocks[:, odd] = (scale * values[index]).reshape(2, -1)
     error = estimate * float(np.max(np.abs(scale)))

@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from cavitymix import profiles
 from cavitymix.bogoliubov import compose, first_order_map, static_coefficients
 from cavitymix.gaussian import negativity_grid
 from cavitymix.profiles import (
@@ -840,3 +841,83 @@ def test_piece_kernel_agrees_in_either_memory_order():
             assert batch.tobytes() == single.tobytes()
         else:
             assert np.max(np.abs(batch - single)) <= estimate
+
+
+# A cosine drive integrates in closed form (`SinusoidalProfile._integrals`):
+# the kernel run on its two-piece table stays the oracle.
+
+
+def _closed_form_cases(seed, count):
+    """Seeded sinusoids, each with deltas at theta = omega_c - delta of 0, about
+    +-1e-12, |theta|*s of 0.2 and 0.3 (either side of _SMALL_PHASE), and
+    theta*s at multiples of 2*pi, on both drive lines +-omega_c."""
+    rng = np.random.default_rng(seed)
+    for k in range(count):
+        s = float(10.0 ** rng.uniform(-1.0, 2.0))
+        tau0 = 0.0 if k % 2 else float(rng.uniform(-40.0, 40.0))
+        phase = 0.0 if k % 3 else float(rng.uniform(0.0, 2.0 * math.pi))
+        omega_c = float(10.0 ** rng.uniform(-2.0, 4.0)) / s  # omega_c*s up to 1e4
+        prof = SinusoidalProfile(float(10.0 ** rng.uniform(-4.0, -1.0)), omega_c, tau0, tau0 + s, phase)
+        s = prof.duration
+        turns = 2.0 * math.pi * rng.integers(1, 40, 2) / s
+        offsets = np.array([0.0, 1e-12, -1e-12, 0.2 / s, -0.2 / s, 0.3 / s, -0.3 / s, *turns])
+        yield prof, np.concatenate([omega_c - offsets, -omega_c - offsets])
+
+
+def test_sinusoid_closed_form_is_within_its_bound_of_exact_and_kernel():
+    phases = set()
+    for prof, deltas in _closed_form_cases(41, 60):
+        values, estimate, pieces = prof._integrals(deltas, 1e-10)
+        kernel, kernel_estimate = _fourier_integrals(prof._terms(), deltas, 1e-10)
+        assert pieces == 2 and estimate == kernel_estimate
+        assert np.max(np.abs(values - kernel)) <= kernel_estimate
+        for delta, value in zip(deltas, values):
+            assert abs(value - exact_oscillatory(prof, delta, dps=40)) <= estimate
+        phases |= {float(x) for x in (prof.omega_c - deltas) * prof.duration}
+    assert 0.0 in phases
+    assert any(0.0 < abs(x) < _SMALL_PHASE for x in phases)
+    assert any(_SMALL_PHASE < abs(x) < 2.0 * _SMALL_PHASE for x in phases)
+
+
+def test_sinusoid_closed_form_holds_where_the_phase_underflows():
+    # x = theta*s is subnormal: K stays s*sin(x)/x = s, where the kernel's
+    # small-phase quotient expm1(z)/z overflows and fails closed.
+    prof = SinusoidalProfile(1e-3, 1.0, 0.0, 1e-300)
+    deltas = np.array([1.0 - 1e-15, 0.5, -1.0])
+    values, estimate, _ = prof._integrals(deltas, 1e-10)
+    for delta, value in zip(deltas, values):
+        assert abs(value - exact_oscillatory(prof, delta, dps=400)) <= estimate
+
+
+def test_sinusoid_closed_form_keeps_the_kernels_exact_zeros():
+    # A phase-0 drive makes I(0) real.  With omega_c*s a multiple of pi, a
+    # delta a whole number of turns from either line puts both phases theta*s
+    # at multiples of 2*pi, where cos rounds to 1: every part the kernel
+    # makes exactly 0 stays so, sign included.
+    rng = np.random.default_rng(43)
+    zeros = 0
+    for _ in range(150):
+        s = float(10.0 ** rng.uniform(-1.0, 2.0))
+        prof = SinusoidalProfile(1e-3, math.pi * int(rng.integers(1, 2000)) / s, 0.0, s)
+        turns = 2.0 * math.pi * rng.integers(-50, 50, 4) / s
+        deltas = np.concatenate([[0.0], prof.omega_c - turns, -prof.omega_c - turns])
+        values, _, _ = prof._integrals(deltas, 1e-10)
+        kernel, _ = _fourier_integrals(prof._terms(), deltas, 1e-10)
+        for part in ("real", "imag"):
+            exact = getattr(kernel, part) == 0.0
+            zeros += exact.sum()
+            assert getattr(values, part)[exact].tobytes() == getattr(kernel, part)[exact].tobytes()
+    assert zeros > 1000
+
+
+def test_sinusoid_integrals_skip_the_kernel(monkeypatch):
+    def no_kernel(*args):
+        raise AssertionError("the kernel ran")
+
+    monkeypatch.setattr(profiles, "_fourier_integrals", no_kernel)
+    coeffs = static_coefficients(Cavity1D(length=1.0, mu0=0.3, n_max=8))
+    drive = SinusoidalProfile(1e-3, float(coeffs.omega[1] - coeffs.omega[0]), 0.5, 20.5, phase=0.7)
+    first_order_map(coeffs, drive)
+    assert oscillatory_integral(drive, 2.0).evaluations == 2
+    with pytest.raises(AssertionError, match="the kernel ran"):
+        oscillatory_integral(RampProfile(1e-3, 2.0, 0.5, 20.5), 2.0)
